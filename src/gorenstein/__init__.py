@@ -35,7 +35,6 @@ from .criteria import (
     WeightAssignment,
     check_heart,
     check_spade,
-    check_spade_delta2,
     delta_candidates,
     is_gorenstein,
     weight_function,
@@ -44,8 +43,6 @@ from .matroid import (
     GoodFlat,
     deletable_edges,
     good_flats,
-    is_matroid_connected,
-    rank,
     two_connected_subsets,
 )
 from .multigraph import (
@@ -88,7 +85,6 @@ __all__ = [
     "census_record",
     "check_heart",
     "check_spade",
-    "check_spade_delta2",
     "complete_graph",
     "contract_path",
     "cycle_graph",
@@ -103,12 +99,10 @@ __all__ = [
     "gorenstein_point_at",
     "hull_facets_oracle",
     "is_gorenstein",
-    "is_matroid_connected",
     "lattice_points",
     "multi_gluing",
     "never_delta_one",
     "path_gluing",
-    "rank",
     "replay",
     "simplify",
     "subdivide_edge",

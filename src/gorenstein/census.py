@@ -9,7 +9,6 @@ and classification (spade verdict against the decomposition search).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import matroid, polytope
@@ -100,36 +99,6 @@ def enumerate_census(bounds: CensusBounds) -> list[Multigraph]:
                 out.append(canon)
     out.sort(key=lambda g: (g.n, g.m, g.canonical_form))
     return out
-
-
-def enumerate_naive(bounds: CensusBounds) -> list[tuple[tuple[int, ...], ...]]:
-    """Independent generate-all-and-filter path, for cross-checking.
-
-    Deduplicates by the minimum multiplicity matrix over all explicit
-    vertex permutations (no shared code with canonicalize); intended for
-    tiny bounds only.  Returns the orbit-minimal matrices, sorted.
-    """
-    reps = set()
-    for n in range(2, bounds.max_vertices + 1):
-        cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for values in itertools.product(
-            range(bounds.max_multiplicity + 1), repeat=len(cells)
-        ):
-            if sum(values) > bounds.max_edges or sum(values) == 0:
-                continue
-            pairs = []
-            for (i, j), c in zip(cells, values):
-                pairs.extend([(i, j)] * c)
-            g = Multigraph.from_edge_list(n, pairs)
-            if not g.is_two_connected():
-                continue
-            mat = g.multiplicity_matrix
-            best = min(
-                tuple(tuple(mat[p[i]][p[j]] for j in range(n)) for i in range(n))
-                for p in itertools.permutations(range(n))
-            )
-            reps.add(best)
-    return sorted(reps, key=lambda m: (len(m), sum(map(sum, m)), m))
 
 
 def census_record(graph: Multigraph) -> CensusRecord:

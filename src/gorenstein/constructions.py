@@ -68,7 +68,10 @@ def _edge_weight(graph: Multigraph, eid: int, delta: int) -> int:
 def _check_parallel_class(graph: Multigraph, eids: frozenset[int]) -> tuple[int, int]:
     if not eids:
         raise GluingError("parallel class must be nonempty")
-    pairs = {(graph.edge(eid).u, graph.edge(eid).v) for eid in eids}
+    try:
+        pairs = {(graph.edge(eid).u, graph.edge(eid).v) for eid in eids}
+    except KeyError as exc:
+        raise GluingError(exc.args[0]) from None
     if len(pairs) != 1:
         raise GluingError("edges do not share one endpoint pair")
     return pairs.pop()
@@ -77,6 +80,8 @@ def _check_parallel_class(graph: Multigraph, eids: frozenset[int]) -> tuple[int,
 def delta_gluing(spec: GluingSpec) -> Multigraph:
     """Universal gluing along two parallel classes."""
     g1, g2, delta = spec.left, spec.right, spec.delta
+    if not isinstance(delta, int):
+        raise GluingError(f"delta must be an integer, not {delta!r}")
     if delta < 2:
         raise GluingError("delta must be >= 2")
     if not (g1.is_two_connected() and g2.is_two_connected()):
@@ -284,11 +289,6 @@ def multi_gluing(graphs, edges, delta: int) -> Multigraph:
 
 _ok_cache: dict[tuple[int, Multigraph], tuple[str, tuple[TraceStep, ...]]] = {}
 _fail_cache: set[tuple[int, Multigraph]] = set()
-
-
-def clear_decompose_caches() -> None:
-    _ok_cache.clear()
-    _fail_cache.clear()
 
 
 def _seeds(delta: int) -> dict[Multigraph, str]:

@@ -69,25 +69,14 @@ def check_spade(graph: Multigraph, assignment: WeightAssignment) -> bool:
     return True
 
 
-def check_spade_delta2(graph: Multigraph) -> bool:
-    """Dedicated delta = 2 path: the equalities only count edges."""
-    if graph.m != 2 * (graph.n - 1):
-        return False
-    for flat in matroid.good_flats(graph):
-        if len(flat.induced_edge_ids) + 1 != 2 * (len(flat.subset) - 1):
-            return False
-    return True
-
-
 def check_heart(graph: Multigraph, assignment: WeightAssignment) -> bool:
     """w(E(S)) + k(S) = delta (|S|-1) for every 2-connected S, V included.
 
     k(S) is the block count of the contraction of E(S); k(V) = 0.
     """
     delta = assignment.delta
-    for subset in matroid.two_connected_subsets(graph):
-        k = len(graph.contract_subset(subset).blocks())
-        if assignment.total(graph.edges_within(subset)) + k != delta * (len(subset) - 1):
+    for subset, edges, k in matroid.subset_pass(graph):
+        if assignment.total(edges) + k != delta * (len(subset) - 1):
             return False
     return True
 
@@ -125,7 +114,8 @@ def is_gorenstein(graph: Multigraph) -> tuple[int, WeightAssignment] | None:
 
     Returns the dilation and weight function of the first candidate
     passing the spade check, or None (also for non-2-connected input).
-    The heart check must agree whenever the spade check fires.
+    The heart check must agree whenever the spade check fires; a
+    disagreement raises RuntimeError.
     """
     if not graph.is_two_connected():
         return None
@@ -134,6 +124,7 @@ def is_gorenstein(graph: Multigraph) -> tuple[int, WeightAssignment] | None:
         if assignment is None:
             return None
         if check_spade(graph, assignment):
-            assert check_heart(graph, assignment), "spade/heart criteria disagree"
+            if not check_heart(graph, assignment):
+                raise RuntimeError("spade/heart criteria disagree")
             return delta, assignment
     return None

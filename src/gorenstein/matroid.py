@@ -1,17 +1,21 @@
 """Matroid-level queries on a multigraph.
 
-Rank, matroid connectivity, deletable edges (which index the type-1
-facets of the base polytope) and good flats (which index the type-2
-facets).  Good flats are enumerated over vertex subsets: a good flat is a
-proper subset S with 2 <= |S| < |V| whose induced subgraph and whose
-contraction are both 2-connected.
+Deletable edges index the type-1 facets of the base polytope; good flats
+index the type-2 facets.  One cached pass over vertex subsets
+(`subset_pass`) records every S with |S| >= 2 whose induced subgraph is
+2-connected, with its induced edges E(S) and the block count k(S) of the
+contraction G/E(S).  The good flats are the proper records with k(S) = 1
+(for proper S, G/E(S) is connected, so one block means 2-connected); the
+heart check reads all of them, V included with k(V) = 0.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .multigraph import Multigraph
 
@@ -22,71 +26,13 @@ class GoodFlat:
     induced_edge_ids: frozenset[int]
 
 
-def rank(graph: Multigraph, edge_ids: frozenset[int] | set[int]) -> int:
-    """Size of a maximal forest inside the edge set."""
-    edges = [graph.edge(eid) for eid in edge_ids]
-    verts = {v for e in edges for v in (e.u, e.v)}
-    parent = {v: v for v in verts}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = len(verts)
-    for e in edges:
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[rv] = ru
-            components -= 1
-    return len(verts) - components
-
-
-def is_matroid_connected(graph: Multigraph) -> bool:
-    """True iff every pair of edges lies on a common circuit.
-
-    A single-edge ground set counts as connected.  Brute force over edge
-    subsets; intended for graphs with at most ~12 edges.
-    """
-    m = graph.m
-    if m <= 1:
-        return True
-    ids = [e.eid for e in graph.edges]
-    parent = {i: i for i in ids}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for size in range(2, m + 1):
-        for combo in itertools.combinations(ids, size):
-            s = frozenset(combo)
-            if rank(graph, s) != size - 1:
-                continue
-            if all(rank(graph, s - {x}) == size - 1 for x in s):
-                # circuit: union all its members
-                root = find(combo[0])
-                for x in combo[1:]:
-                    parent[find(x)] = root
-    classes = {find(i) for i in ids}
-    return len(classes) == 1
-
-
-@lru_cache(maxsize=65536)
-def _subset_two_connected(graph: Multigraph, subset: frozenset[int]) -> bool:
-    return graph.induced_subgraph(subset).is_two_connected()
-
-
 @lru_cache(maxsize=16384)
-def edge_kinds(graph: Multigraph) -> dict[int, str | None]:
+def edge_kinds(graph: Multigraph) -> Mapping[int, str | None]:
     """Per-edge weight dichotomy, independent of the dilation.
 
     'del' if deleting the edge keeps 2-connectivity (weight 1; ties go
     here), else 'con' if contracting keeps 2-connectivity (weight
-    delta - 1), else None.
+    delta - 1), else None.  Read-only: every caller shares the cached map.
     """
     kinds: dict[int, str | None] = {}
     for e in graph.edges:
@@ -96,7 +42,7 @@ def edge_kinds(graph: Multigraph) -> dict[int, str | None]:
             kinds[e.eid] = "con"
         else:
             kinds[e.eid] = None
-    return kinds
+    return MappingProxyType(kinds)
 
 
 def deletable_edges(graph: Multigraph) -> frozenset[int]:
@@ -107,31 +53,31 @@ def deletable_edges(graph: Multigraph) -> frozenset[int]:
 
 
 @lru_cache(maxsize=16384)
-def good_flats(graph: Multigraph) -> tuple[GoodFlat, ...]:
-    """All good flats, in a deterministic order (type-2 facets)."""
-    if not graph.is_two_connected():
-        raise ValueError("graph is not 2-connected")
+def subset_pass(
+    graph: Multigraph,
+) -> tuple[tuple[frozenset[int], frozenset[int], int], ...]:
+    """(S, E(S), k(S)) for every 2-connected vertex subset S, V included.
+
+    Ordered by size, then in combinations order within a size.
+    """
     out = []
-    verts = range(graph.n)
-    for size in range(2, graph.n):
-        for combo in itertools.combinations(verts, size):
+    for size in range(2, graph.n + 1):
+        for combo in itertools.combinations(range(graph.n), size):
             s = frozenset(combo)
-            if not _subset_two_connected(graph, s):
-                continue
-            if not graph.contract_subset(s).is_two_connected():
-                continue
-            out.append(GoodFlat(s, graph.edges_within(s)))
+            if graph.induced_subgraph(s).is_two_connected():
+                k = len(graph.contract_subset(s).blocks())
+                out.append((s, graph.edges_within(s), k))
     return tuple(out)
 
 
 @lru_cache(maxsize=16384)
+def good_flats(graph: Multigraph) -> tuple[GoodFlat, ...]:
+    """All good flats, in a deterministic order (type-2 facets)."""
+    if not graph.is_two_connected():
+        raise ValueError("graph is not 2-connected")
+    return tuple(GoodFlat(s, edges) for s, edges, k in subset_pass(graph) if k == 1)
+
+
 def two_connected_subsets(graph: Multigraph) -> tuple[frozenset[int], ...]:
     """All vertex subsets (including V) inducing a 2-connected subgraph."""
-    out = []
-    verts = range(graph.n)
-    for size in range(2, graph.n + 1):
-        for combo in itertools.combinations(verts, size):
-            s = frozenset(combo)
-            if _subset_two_connected(graph, s):
-                out.append(s)
-    return tuple(out)
+    return tuple(s for s, _, _ in subset_pass(graph))

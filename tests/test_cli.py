@@ -108,13 +108,14 @@ class TestFacets:
 
 
 class TestGlue:
-    def spec_file(self, tmp_path, delta):
+    def spec_file(self, tmp_path, delta, **overrides):
         spec = {
             "delta": delta,
             "left": {"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
             "left_class": [0],
             "right": {"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
             "right_class": [0],
+            **overrides,
         }
         p = tmp_path / "glue.json"
         p.write_text(json.dumps(spec))
@@ -155,6 +156,19 @@ class TestGlue:
         p.write_text("{not json")
         code, _, _ = run_cli(capsys, "glue", str(p))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "delta, overrides, message",
+        [
+            ("3", {}, "delta must be an integer"),
+            (3, {"right_class": [7]}, "unknown edge id 7"),
+        ],
+    )
+    def test_bad_spec_value_exit_two(self, capsys, tmp_path, delta, overrides, message):
+        path = self.spec_file(tmp_path, delta, **overrides)
+        code, _, err = run_cli(capsys, "glue", path)
+        assert code == 2
+        assert message in err
 
 
 class TestDecompose:

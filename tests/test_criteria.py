@@ -1,10 +1,9 @@
 import pytest
 
-from gorenstein import matroid
+from gorenstein import criteria, matroid
 from gorenstein.criteria import (
     check_heart,
     check_spade,
-    check_spade_delta2,
     delta_candidates,
     is_gorenstein,
     weight_function,
@@ -68,15 +67,6 @@ class TestCheckSpade:
 
     def test_k4_passes_at_two(self):
         assert check_spade(complete_graph(4), weight_function(complete_graph(4), 2))
-
-    def test_delta2_specialization_agrees(self, census_small):
-        for g in census_small:
-            w = weight_function(g, 2)
-            general = w is not None and check_spade(g, w)
-            if w is not None:
-                assert check_spade_delta2(g) == general
-            else:
-                assert not check_spade_delta2(g) or g.m != 2 * (g.n - 1)
 
 
 class TestCheckHeart:
@@ -144,6 +134,11 @@ class TestIsGorenstein:
 
     def test_k2_absent(self):
         assert is_gorenstein(complete_graph(2)) is None
+
+    def test_heart_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(criteria, "check_heart", lambda graph, assignment: False)
+        with pytest.raises(RuntimeError, match="disagree"):
+            is_gorenstein(DIAMOND)
 
     def test_unique_delta_on_census(self, census_small):
         for g in census_small:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gorenstein import matroid
@@ -7,42 +9,43 @@ from gorenstein.multigraph import (
     complete_graph,
     cycle_graph,
 )
+from oracles import is_matroid_connected, rank
 
 
 class TestRank:
     def test_spanning_set(self):
         g = complete_graph(4)
-        assert matroid.rank(g, {e.eid for e in g.edges}) == 3
+        assert rank(g, {e.eid for e in g.edges}) == 3
 
     def test_circuit(self):
         g = cycle_graph(4)
-        assert matroid.rank(g, {0, 1, 2, 3}) == 3
+        assert rank(g, {0, 1, 2, 3}) == 3
 
     def test_parallel_pair(self):
-        assert matroid.rank(banana_graph(3), {0, 1}) == 1
+        assert rank(banana_graph(3), {0, 1}) == 1
 
     def test_empty(self):
-        assert matroid.rank(cycle_graph(3), frozenset()) == 0
+        assert rank(cycle_graph(3), frozenset()) == 0
 
 
 class TestMatroidConnected:
     def test_single_edge(self):
-        assert matroid.is_matroid_connected(complete_graph(2))
+        assert is_matroid_connected(complete_graph(2))
 
     def test_cycle(self):
-        assert matroid.is_matroid_connected(cycle_graph(4))
+        assert is_matroid_connected(cycle_graph(4))
 
     def test_two_blocks_disconnected(self):
         g = Multigraph.from_edge_list(
             5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
         )
-        assert not matroid.is_matroid_connected(g)
+        assert not is_matroid_connected(g)
 
     def test_agrees_with_two_connectivity_on_census(self, census_small):
         # for loop-free graphs with >= 2 edges the two notions coincide
         for g in census_small:
             if g.m >= 2:
-                assert matroid.is_matroid_connected(g) == g.is_two_connected()
+                assert is_matroid_connected(g) == g.is_two_connected()
 
 
 class TestDeletableEdges:
@@ -75,6 +78,12 @@ class TestEdgeKinds:
 
     def test_k2_edge_has_no_kind(self):
         assert matroid.edge_kinds(complete_graph(2)) == {0: None}
+
+    def test_cached_map_is_read_only(self):
+        kinds = matroid.edge_kinds(cycle_graph(4))
+        with pytest.raises(TypeError):
+            kinds[0] = "del"
+        assert matroid.edge_kinds(cycle_graph(4))[0] == "con"
 
 
 class TestGoodFlats:
@@ -116,3 +125,26 @@ class TestTwoConnectedSubsets:
 
     def test_c2(self):
         assert matroid.two_connected_subsets(cycle_graph(2)) == (frozenset({0, 1}),)
+
+
+class TestSubsetPass:
+    def test_matches_direct_definitions_on_census(self, census_full):
+        for g in census_full:
+            subsets = [
+                frozenset(c)
+                for size in range(2, g.n + 1)
+                for c in itertools.combinations(range(g.n), size)
+            ]
+            two_connected = [s for s in subsets if g.induced_subgraph(s).is_two_connected()]
+            flats = [
+                s
+                for s in two_connected
+                if len(s) < g.n and g.contract_subset(s).is_two_connected()
+            ]
+            records = matroid.subset_pass(g)
+            assert [f.subset for f in matroid.good_flats(g)] == flats
+            assert matroid.two_connected_subsets(g) == tuple(s for s, _, _ in records)
+            assert list(records) == [
+                (s, g.edges_within(s), len(g.contract_subset(s).blocks()))
+                for s in two_connected
+            ]
