@@ -1,8 +1,11 @@
 """Isomorphism-free census of small 2-connected multigraphs.
 
-Enumeration fills in multiplicity matrices cell by cell with degree and
-edge-budget pruning, then deduplicates by canonical form.  On top of the
-census sit the two verification harnesses: criterion equivalence (the
+Enumeration is orderly (Read 1978; Faradzev 1978): multiplicity
+matrices are filled column by column in the cell order of the canonical
+sequence, and a partial matrix survives only while it is canonical for
+the vertices placed so far.  Each isomorphism class is therefore built
+once, already in canonical form, and nothing is deduplicated.  On top of
+the census sit the two verification harnesses: criterion equivalence (the
 weight checks against the polyhedral oracle, every dilation in range)
 and classification (spade verdict against the decomposition search).
 """
@@ -20,7 +23,7 @@ from .criteria import (
     is_gorenstein,
     weight_function,
 )
-from .multigraph import Multigraph
+from .multigraph import Multigraph, is_canonical_order
 
 
 @dataclass(frozen=True)
@@ -44,41 +47,50 @@ class CensusRecord:
 
 
 def _graphs_on(n: int, bounds: CensusBounds):
-    """All 2-connected multiplicity fillings on exactly n vertices."""
+    """Canonical 2-connected multiplicity matrices on exactly n vertices.
+
+    Orderly generation: cells are filled column by column in the order
+    (0,1), (0,2), (1,2), (0,3), ..., the cell order of the canonical
+    sequence, and a partial matrix on vertices 0..j survives only if it is
+    canonical itself.  Every prefix of a canonical matrix is canonical for
+    the subgraph it induces, so each isomorphism class is reached exactly
+    once, in its canonical form.  A connected graph's canonical ordering
+    adds each vertex next to an earlier one, so an all-zero column is
+    pruned as well.
+    """
     if n == 2:
         for k in range(1, min(bounds.max_edges, bounds.max_multiplicity) + 1):
             yield Multigraph.from_edge_list(2, [(0, 1)] * k)
         return
-    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    # row-major order: vertex i's degree is final once row i is filled
-    row_end = {i: max(k for k, (a, _) in enumerate(cells) if a == i) for i in range(n - 1)}
-    counts = [0] * len(cells)
-    deg = [0] * n
+    mat = [[0] * n for _ in range(n)]
     out = []
 
-    def rec(idx: int, total: int) -> None:
-        if idx == len(cells):
-            if deg[n - 1] >= 2 and total >= n:
-                pairs = []
-                for (i, j), c in zip(cells, counts):
-                    pairs.extend([(i, j)] * c)
-                g = Multigraph.from_edge_list(n, pairs)
-                if g.is_two_connected():
-                    out.append(g)
+    def leaf(total: int) -> None:
+        if total < n or min(map(sum, mat)) < 2:
             return
-        i, j = cells[idx]
-        for c in range(min(bounds.max_multiplicity, bounds.max_edges - total) + 1):
-            counts[idx] = c
-            deg[i] += c
-            deg[j] += c
-            # vertex i's degree is final at the end of its row: needs >= 2
-            if row_end.get(i) != idx or deg[i] >= 2:
-                rec(idx + 1, total + c)
-            deg[i] -= c
-            deg[j] -= c
-        counts[idx] = 0
+        pairs = [
+            (i, j) for i in range(n) for j in range(i + 1, n) for _ in range(mat[i][j])
+        ]
+        # edges sorted by endpoints: this is the graph's canonicalize()[0]
+        g = Multigraph.from_edge_list(n, pairs)
+        if g.is_two_connected():
+            out.append(g)
 
-    rec(0, 0)
+    def fill(i: int, j: int, total: int, column: int) -> None:
+        """Choose mat[i][j]; column is the sum of column j so far."""
+        if i == j:
+            if column and is_canonical_order(mat, j + 1):
+                if j == n - 1:
+                    leaf(total)
+                else:
+                    fill(0, j + 1, total, 0)
+            return
+        for c in range(min(bounds.max_multiplicity, bounds.max_edges - total) + 1):
+            mat[i][j] = mat[j][i] = c
+            fill(i + 1, j, total + c, column + c)
+        mat[i][j] = mat[j][i] = 0
+
+    fill(0, 1, 0, 0)
     yield from out
 
 
@@ -86,18 +98,11 @@ def enumerate_census(bounds: CensusBounds) -> list[Multigraph]:
     """Every 2-connected multigraph within bounds, once up to isomorphism.
 
     Returns canonical representatives, sorted by (vertices, edges,
-    canonical form) so downstream reports are deterministic.
+    canonical form) so downstream reports are deterministic.  Each
+    representative's multiplicity matrix is its canonical form.
     """
-    seen = set()
-    out = []
-    for n in range(2, bounds.max_vertices + 1):
-        for g in _graphs_on(n, bounds):
-            canon = g.canonicalize()[0]
-            key = canon.canonical_form
-            if key not in seen:
-                seen.add(key)
-                out.append(canon)
-    out.sort(key=lambda g: (g.n, g.m, g.canonical_form))
+    out = [g for n in range(2, bounds.max_vertices + 1) for g in _graphs_on(n, bounds)]
+    out.sort(key=lambda g: (g.n, g.m, g.multiplicity_matrix))
     return out
 
 

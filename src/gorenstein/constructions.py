@@ -55,7 +55,9 @@ class GluingError(ValueError):
 
 
 def _edge_weight(graph: Multigraph, eid: int, delta: int) -> int:
-    kind = matroid.edge_kinds(graph)[eid]
+    kind = matroid.edge_kinds(graph).get(eid)
+    if kind is None:
+        raise GluingError(f"unknown edge id {eid}")
     if kind == "del":
         return 1
     if kind == "con":
@@ -238,9 +240,10 @@ def simplify(graph: Multigraph, delta: int) -> Multigraph:
     for eid in targets:
         cur, _ = subdivide_edge(cur, eid, delta)
     out = weight_function(cur, delta)
-    assert out is not None and check_spade(cur, out)
-    if delta >= 3:
-        assert not cur.has_parallel_edges()
+    if out is None or not check_spade(cur, out):
+        raise RuntimeError("simplify broke the spade equalities")
+    if delta >= 3 and cur.has_parallel_edges():
+        raise RuntimeError("simplify left parallel edges")
     return cur
 
 

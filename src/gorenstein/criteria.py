@@ -22,7 +22,11 @@ class WeightAssignment:
     weights: tuple[tuple[int, int], ...]  # sorted (edge_id, weight) pairs
 
     def __post_init__(self):
-        assert all(w in (1, self.delta - 1) for _, w in self.weights)
+        for eid, w in self.weights:
+            if w not in (1, self.delta - 1):
+                raise ValueError(
+                    f"edge {eid}: weight {w} is neither 1 nor delta - 1 = {self.delta - 1}"
+                )
 
     def weight(self, eid: int) -> int:
         return dict(self.weights)[eid]

@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Edge(NamedTuple):
@@ -59,7 +59,11 @@ class Multigraph:
 
     @classmethod
     def parse(cls, text: str) -> "Multigraph":
-        """Parse the text edge-list format: "n m" then m lines "u v"."""
+        """Parse the text edge-list format: "n m" then m lines "u v".
+
+        Blank lines may appear anywhere; any other text after the m-th
+        edge line is an error.
+        """
         lines = text.splitlines()
         if not lines:
             raise GraphParseError(1, 1, "empty input")
@@ -101,6 +105,10 @@ class Multigraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphParseError(lineno, 1, f"vertex out of range [0, {n})")
             pairs.append((u, v))
+        for extra, raw in enumerate(lines[lineno:], start=lineno + 1):
+            if raw.strip():
+                col = len(raw) - len(raw.lstrip()) + 1
+                raise GraphParseError(extra, col, f"unexpected text after {m} edge lines")
         return cls.from_edge_list(n, pairs)
 
     def format(self) -> str:
@@ -438,7 +446,21 @@ def _int_determinant(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _canonical_ordering(mult: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
+def is_canonical_order(mult: Sequence[Sequence[int]], n: int) -> bool:
+    """True iff the identity ordering of vertices 0..n-1 is maximal.
+
+    That is, the upper triangle of `mult` restricted to its first n
+    vertices is already the canonical sequence of the graph it induces.
+    Every prefix of a canonical matrix passes this test, which is what
+    makes orderly census generation exact.
+    """
+    identity = tuple(mult[i][j] for j in range(n) for i in range(j))
+    return _canonical_ordering(mult, n, identity) is None
+
+
+def _canonical_ordering(
+    mult: Sequence[Sequence[int]], n: int, incumbent: tuple[int, ...] | None = None
+) -> tuple[int, ...] | None:
     """Vertex ordering maximizing the column-wise upper-triangle sequence.
 
     Cells (i, j) with i < j are compared in order (j, i), so placing the
@@ -446,19 +468,24 @@ def _canonical_ordering(mult: tuple[tuple[int, ...], ...], n: int) -> tuple[int,
     sound.  Any fixed total order on cells gives a valid canonical form;
     the maximizing one keeps adjacent vertices early, which prunes well on
     the sparse, path-heavy graphs produced by subdivision.
+
+    Given an incumbent sequence instead, the branch-and-bound stops at the
+    first ordering prefix whose sequence beats the incumbent's prefix of
+    the same length and returns it, or returns None when none does.
     """
-    best_seq: tuple[int, ...] | None = None
+    stop_on_gain = incumbent is not None
+    best_seq = incumbent
     best_ord: tuple[int, ...] | None = None
     used = [False] * n
     order: list[int] = []
 
-    def rec(seq: tuple[int, ...]) -> None:
+    def rec(seq: tuple[int, ...]) -> bool:
+        """Search below the current prefix; True once a gain ends the search."""
         nonlocal best_seq, best_ord
-        k = len(order)
-        if k == n:
+        if len(order) == n:
             if best_seq is None or seq > best_seq:
                 best_seq, best_ord = seq, tuple(order)
-            return
+            return False
         groups: dict[tuple[int, ...], list[int]] = {}
         for v in range(n):
             if not used[v]:
@@ -466,17 +493,23 @@ def _canonical_ordering(mult: tuple[tuple[int, ...], ...], n: int) -> tuple[int,
                 groups.setdefault(col, []).append(v)
         for col in sorted(groups, reverse=True):
             ns = seq + col
-            if best_seq is not None and ns < best_seq[: len(ns)]:
-                break  # every remaining column is smaller still
+            if best_seq is not None:
+                prefix = best_seq[: len(ns)]
+                if ns < prefix:
+                    break  # every remaining column is smaller still
+                if stop_on_gain and ns > prefix:
+                    best_ord = tuple(order) + (groups[col][0],)
+                    return True
             for v in groups[col]:
                 used[v] = True
                 order.append(v)
-                rec(ns)
+                if rec(ns):
+                    return True
                 order.pop()
                 used[v] = False
+        return False
 
     rec(())
-    assert best_ord is not None
     return best_ord
 
 

@@ -378,7 +378,8 @@ def gorenstein_point_at(polytope: BasePolytope, dilation: int) -> tuple[int, ...
     point = rec(0)
     if point is None:
         return None
-    assert all(f.distance(point, dilation) == 1 for f in polytope.facets)
+    if any(f.distance(point, dilation) != 1 for f in polytope.facets):
+        raise RuntimeError("lattice point is not at distance 1 from every facet")
     return point
 
 

@@ -42,6 +42,64 @@ def enumerate_naive(bounds: CensusBounds) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(reps, key=lambda m: (len(m), sum(map(sum, m)), m))
 
 
+def enumerate_by_canonicalizing(bounds: CensusBounds) -> list[Multigraph]:
+    """Census by labelled fillings, deduplicated by canonical form.
+
+    Fills the multiplicity matrix row by row with degree and edge-budget
+    pruning, canonicalizes every 2-connected filling and keeps the first
+    of each class.  Returns canonical representatives sorted as
+    `enumerate_census` sorts them.
+    """
+    seen = set()
+    out = []
+    for n in range(2, bounds.max_vertices + 1):
+        for g in _labelled_fillings(n, bounds):
+            canon = g.canonicalize()[0]
+            if canon.canonical_form not in seen:
+                seen.add(canon.canonical_form)
+                out.append(canon)
+    out.sort(key=lambda g: (g.n, g.m, g.canonical_form))
+    return out
+
+
+def _labelled_fillings(n: int, bounds: CensusBounds):
+    """Every 2-connected labelled multiplicity filling on n vertices."""
+    if n == 2:
+        for k in range(1, min(bounds.max_edges, bounds.max_multiplicity) + 1):
+            yield Multigraph.from_edge_list(2, [(0, 1)] * k)
+        return
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # row-major order: vertex i's degree is final once row i is filled
+    row_end = {i: max(k for k, (a, _) in enumerate(cells) if a == i) for i in range(n - 1)}
+    counts = [0] * len(cells)
+    deg = [0] * n
+    out = []
+
+    def rec(idx: int, total: int) -> None:
+        if idx == len(cells):
+            if deg[n - 1] >= 2 and total >= n:
+                pairs = []
+                for (i, j), c in zip(cells, counts):
+                    pairs.extend([(i, j)] * c)
+                g = Multigraph.from_edge_list(n, pairs)
+                if g.is_two_connected():
+                    out.append(g)
+            return
+        i, j = cells[idx]
+        for c in range(min(bounds.max_multiplicity, bounds.max_edges - total) + 1):
+            counts[idx] = c
+            deg[i] += c
+            deg[j] += c
+            if row_end.get(i) != idx or deg[i] >= 2:
+                rec(idx + 1, total + c)
+            deg[i] -= c
+            deg[j] -= c
+        counts[idx] = 0
+
+    rec(0, 0)
+    yield from out
+
+
 def rank(graph: Multigraph, edge_ids: frozenset[int] | set[int]) -> int:
     """Size of a maximal forest inside the edge set."""
     edges = [graph.edge(eid) for eid in edge_ids]

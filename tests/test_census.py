@@ -15,7 +15,7 @@ from gorenstein.multigraph import (
     complete_graph,
     cycle_graph,
 )
-from oracles import enumerate_naive
+from oracles import enumerate_by_canonicalizing, enumerate_naive
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 
@@ -68,6 +68,19 @@ class TestEnumerate:
         a = enumerate_census(CensusBounds(4, 6, 3))
         b = enumerate_census(CensusBounds(4, 6, 3))
         assert [g.canonical_form for g in a] == [g.canonical_form for g in b]
+
+    @pytest.mark.parametrize("bounds", [(4, 6, 3), (5, 8, 4)])
+    def test_equals_canonicalizing_reference(self, bounds):
+        # same Multigraphs (canonical edges and ids), same order
+        b = CensusBounds(*bounds)
+        assert enumerate_census(b) == enumerate_by_canonicalizing(b)
+
+    def test_representatives_are_canonical(self, census_full):
+        for g in census_full:
+            assert g == g.canonicalize()[0]
+
+    def test_known_total_at_default_bounds(self):
+        assert len(enumerate_census(CensusBounds())) == 983
 
     def test_naive_cross_check(self, census_small):
         naive = enumerate_naive(CensusBounds(4, 6, 3))

@@ -55,6 +55,14 @@ class TestCheck:
         assert code == 2
         assert "line 2" in err
 
+    def test_trailing_text_exit_two(self, capsys, tmp_path):
+        p = tmp_path / "trailing.txt"
+        p.write_text(K4_TEXT + "garbage here\n")
+        code, out, err = run_cli(capsys, "check", str(p))
+        assert code == 2
+        assert out == ""
+        assert "line 8, column 1" in err
+
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "check", str(tmp_path / "nope.txt"))
         assert code == 2
@@ -162,6 +170,7 @@ class TestGlue:
         [
             ("3", {}, "delta must be an integer"),
             (3, {"right_class": [7]}, "unknown edge id 7"),
+            (3, {"left_class": [9]}, "unknown edge id 9"),
         ],
     )
     def test_bad_spec_value_exit_two(self, capsys, tmp_path, delta, overrides, message):

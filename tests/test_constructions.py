@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from gorenstein import constructions
 from gorenstein.constructions import (
     ConstructionTrace,
     GluingError,
@@ -85,6 +86,12 @@ class TestPathGluing:
     def test_requires_weight_one_on_left(self):
         with pytest.raises(GluingError, match="weight 1"):
             path_gluing(cycle_graph(3), 0, cycle_graph(3), 0, 3)
+
+    @pytest.mark.parametrize("left, e1, e2", [(3, 7, 0), (2, 0, 7)])
+    def test_unknown_edge_id_raises_gluing_error(self, left, e1, e2):
+        # a C_2 edge has weight 1, so the right-hand id is looked up too
+        with pytest.raises(GluingError, match="unknown edge id 7"):
+            path_gluing(cycle_graph(left), e1, cycle_graph(3), e2, 3)
 
     def test_c2_is_neutral_at_two(self):
         glued = path_gluing(cycle_graph(2), 0, cycle_graph(2), 0, 2)
@@ -207,6 +214,25 @@ class TestSimplify:
     def test_requires_spade(self):
         with pytest.raises(GluingError):
             simplify(banana_graph(3), 4)
+
+    def test_broken_result_spade_raises(self, monkeypatch):
+        real = constructions.weight_function
+        calls = []
+
+        def first_call_only(graph, delta):
+            calls.append(graph)
+            return real(graph, delta) if len(calls) == 1 else None
+
+        monkeypatch.setattr(constructions, "weight_function", first_call_only)
+        with pytest.raises(RuntimeError, match="spade"):
+            simplify(banana_graph(3), 3)
+
+    def test_parallel_edges_left_raise(self, monkeypatch):
+        monkeypatch.setattr(
+            constructions, "subdivide_edge", lambda graph, eid, delta: (graph, ())
+        )
+        with pytest.raises(RuntimeError, match="parallel"):
+            simplify(banana_graph(3), 3)
 
 
 class TestMultiGluing:

@@ -2,6 +2,7 @@ import pytest
 
 from gorenstein import criteria, matroid
 from gorenstein.criteria import (
+    WeightAssignment,
     check_heart,
     check_spade,
     delta_candidates,
@@ -43,6 +44,10 @@ class TestWeightFunction:
     def test_delta_below_two_rejected(self):
         with pytest.raises(ValueError):
             weight_function(cycle_graph(3), 1)
+
+    def test_assignment_rejects_foreign_weight(self):
+        with pytest.raises(ValueError, match="weight 5"):
+            WeightAssignment(3, ((0, 5),))
 
     def test_totals(self):
         w = weight_function(DIAMOND, 3)

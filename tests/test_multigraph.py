@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from gorenstein.multigraph import (
     banana_graph,
     complete_graph,
     cycle_graph,
+    is_canonical_order,
 )
 
 
@@ -82,6 +84,14 @@ class TestParse:
     def test_error_loop(self):
         with pytest.raises(GraphParseError, match="loop"):
             Multigraph.parse("2 1\n1 1\n")
+
+    def test_error_trailing_text(self):
+        with pytest.raises(GraphParseError, match="after 1 edge lines") as exc:
+            Multigraph.parse("2 1\n0 1\n\n  garbage here\n")
+        assert (exc.value.line, exc.value.column) == (4, 3)
+
+    def test_trailing_blank_lines_allowed(self):
+        assert Multigraph.parse("2 1\n0 1\n\n   \n").m == 1
 
     def test_error_empty(self):
         with pytest.raises(GraphParseError):
@@ -210,6 +220,22 @@ class TestCanonicalForm:
     @settings(max_examples=60, deadline=None)
     def test_invariant_under_permutation(self, g, seed):
         assert g.shuffled(random.Random(seed)).canonical_form == g.canonical_form
+
+    @given(small_multigraphs(), st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_canonicity_test(self, g, seed):
+        canon = g.canonicalize()[0].multiplicity_matrix
+        # every prefix of a canonical matrix is canonical: orderly generation
+        assert all(is_canonical_order(canon, k) for k in range(1, g.n + 1))
+        mat = g.shuffled(random.Random(seed)).multiplicity_matrix
+        assert is_canonical_order(mat, g.n) == (mat == canon)
+
+        def sequence(p):
+            return tuple(mat[p[i]][p[j]] for j in range(g.n) for i in range(j))
+
+        identity = sequence(range(g.n))
+        brute = all(identity >= sequence(p) for p in itertools.permutations(range(g.n)))
+        assert is_canonical_order(mat, g.n) == brute
 
     def test_non_isomorphic_same_degree_sequence(self):
         # two simple graphs on 6 vertices, both 2-regular: C_6 vs 2 x C_3

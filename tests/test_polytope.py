@@ -10,6 +10,7 @@ from gorenstein.multigraph import (
     cycle_graph,
 )
 from gorenstein.polytope import (
+    FacetInequality,
     build_polytope,
     default_delta_max,
     gorenstein_oracle,
@@ -197,6 +198,12 @@ class TestGorensteinOracle:
     def test_rejects_non_two_connected(self):
         with pytest.raises(ValueError):
             gorenstein_oracle(Multigraph.from_edge_list(3, [(0, 1), (1, 2)]))
+
+    def test_point_off_distance_one_raises(self, monkeypatch):
+        poly = build_polytope(complete_graph(4))
+        monkeypatch.setattr(FacetInequality, "distance", lambda self, point, dilation=1: 2)
+        with pytest.raises(RuntimeError, match="distance 1"):
+            gorenstein_point_at(poly, 2)
 
     def test_facet_free_polytope_has_no_index_in_scan(self):
         poly = build_polytope(complete_graph(2))
