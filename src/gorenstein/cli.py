@@ -195,7 +195,8 @@ def _cmd_census(args) -> int:
             "total": len(records),
             "graphs": [
                 {
-                    "canonical": [list(row) for row in r.graph.canonical_form],
+                    # census representatives are built in canonical form
+                    "canonical": [list(row) for row in r.graph.multiplicity_matrix],
                     "vertices": r.graph.n,
                     "edges": r.graph.m,
                     "delta": r.delta,

@@ -7,11 +7,20 @@ index the type-2 facets.  One cached pass over vertex subsets
 contraction G/E(S).  The good flats are the proper records with k(S) = 1
 (for proper S, G/E(S) is connected, so one block means 2-connected); the
 heart check reads all of them, V included with k(V) = 0.
+
+The pass works on bitmasks: a vertex subset is an int, each vertex has a
+neighbour mask and each edge an endpoint mask.  A 2-connected subset is
+connected, so the pass visits only the connected subsets, each grown once
+from its minimum vertex by reverse search (Avis and Fukuda 1996;
+Komusiewicz and Sorge 2015): C16 visits 241 subsets instead of 65,535.
+A visited S with |S| >= 3 is 2-connected when S minus any one vertex is
+still connected, tested by BFS over the masks; two adjacent vertices
+count as 2-connected.  Only the 2-connected records pay for E(S) and for
+k(S), which stays the block count of `contract_subset`.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,14 +69,81 @@ def subset_pass(
 
     Ordered by size, then in combinations order within a size.
     """
+    nbr = [0] * graph.n
+    for e in graph.edges:
+        nbr[e.u] |= 1 << e.v
+        nbr[e.v] |= 1 << e.u
+    edge_masks = [(e.eid, (1 << e.u) | (1 << e.v)) for e in graph.edges]
     out = []
-    for size in range(2, graph.n + 1):
-        for combo in itertools.combinations(range(graph.n), size):
-            s = frozenset(combo)
-            if graph.induced_subgraph(s).is_two_connected():
-                k = len(graph.contract_subset(s).blocks())
-                out.append((s, graph.edges_within(s), k))
+    for s in _connected_subsets(nbr):
+        if _two_connected(s, nbr):
+            verts = _bits(s)
+            fs = frozenset(verts)
+            k = len(graph.contract_subset(fs).blocks())
+            edges = frozenset(eid for eid, em in edge_masks if em & s == em)
+            out.append(((len(verts), verts), (fs, edges, k)))
+    out.sort(key=lambda rec: rec[0])
+    return tuple(rec for _, rec in out)
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
+
+
+def _connected_subsets(nbr: list[int]):
+    """Every nonempty vertex mask inducing a connected subgraph, once each.
+
+    Reverse search from the minimum vertex: a frame (S, N(S), F) grows S
+    by each vertex of N(S) outside F in turn, and adds that vertex to F
+    for the later siblings, so the branches partition the connected
+    supersets of S that avoid F.
+    """
+    stack = [(1 << v, nbr[v], (2 << v) - 1) for v in range(len(nbr))]
+    while stack:
+        s, near, banned = stack.pop()
+        yield s
+        ext = near & ~banned
+        while ext:
+            w = ext & -ext
+            ext ^= w
+            banned |= w
+            stack.append((s | w, near | nbr[w.bit_length() - 1], banned))
+
+
+def _connected(mask: int, nbr: list[int]) -> bool:
+    """BFS within the mask from its lowest vertex."""
+    seen = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        while frontier:
+            w = frontier & -frontier
+            frontier ^= w
+            reach |= nbr[w.bit_length() - 1]
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return seen == mask
+
+
+def _two_connected(s: int, nbr: list[int]) -> bool:
+    """Whether the connected subset S induces a 2-connected subgraph.
+
+    As in `Multigraph.is_two_connected`, one vertex is not 2-connected
+    and two adjacent vertices are; larger S must have no cut vertex.
+    """
+    size = s.bit_count()
+    if size <= 2:
+        return size == 2
+    verts = _bits(s)
+    # a vertex with one neighbour in S makes that neighbour a cut vertex
+    if any((nbr[v] & s).bit_count() < 2 for v in verts):
+        return False
+    return all(_connected(s & ~(1 << v), nbr) for v in verts)
 
 
 @lru_cache(maxsize=16384)

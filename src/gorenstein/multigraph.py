@@ -256,7 +256,9 @@ class Multigraph:
     # -- connectivity ------------------------------------------------------
 
     def is_connected(self) -> bool:
-        if self.n == 0:
+        # fewer than n - 1 edges cannot connect n vertices; answering
+        # before building the adjacency keeps huge edgeless inputs cheap
+        if self.n == 0 or self.m < self.n - 1:
             return False
         seen = {0}
         stack = [0]

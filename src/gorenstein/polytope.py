@@ -163,8 +163,8 @@ def hull_facets_oracle(points) -> tuple[FacetInequality, ...]:
         rel = [p[i] - x0[i] for i in range(n)]
         y = tuple(dot(d, rel) for d in duals)
         # saturation guarantee: rel must be recovered exactly
-        for i in range(n):
-            assert sum(basis[j][i] * y[j] for j in range(k)) == rel[i]
+        if any(sum(basis[j][i] * y[j] for j in range(k)) != rel[i] for i in range(n)):
+            raise RuntimeError(f"lattice basis does not recover point {p}")
         ys.append(y)
     rows = [(1,) + y for y in ys]
     rays, tights = _dual_cone_rays(rows, k + 1)
@@ -173,7 +173,8 @@ def hull_facets_oracle(points) -> tuple[FacetInequality, ...]:
         b, a = ray[0], ray[1:]
         m_y = tuple(-x for x in a)
         g = vec_gcd(m_y)
-        assert g > 0 and b % g == 0
+        if g <= 0 or b % g:
+            raise RuntimeError(f"dual ray {ray} has no integer primitive form")
         m_hat = tuple(x // g for x in m_y)
         b_hat = b // g
         c = [0] * n

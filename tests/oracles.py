@@ -100,6 +100,27 @@ def _labelled_fillings(n: int, bounds: CensusBounds):
     yield from out
 
 
+def subset_pass_by_combinations(
+    graph: Multigraph,
+) -> tuple[tuple[frozenset[int], frozenset[int], int], ...]:
+    """`matroid.subset_pass` by testing all 2^n vertex subsets.
+
+    Builds the induced subgraph of every subset with at least two
+    vertices, in `itertools.combinations` order by size, and keeps
+    (S, E(S), k(S)) for each 2-connected one.  k(S) is computed as the
+    library computes it; the enumeration, the 2-connectivity test and
+    E(S) are independent of the bitmask pass.
+    """
+    out = []
+    for size in range(2, graph.n + 1):
+        for combo in itertools.combinations(range(graph.n), size):
+            s = frozenset(combo)
+            if graph.induced_subgraph(s).is_two_connected():
+                k = len(graph.contract_subset(s).blocks())
+                out.append((s, graph.edges_within(s), k))
+    return tuple(out)
+
+
 def rank(graph: Multigraph, edge_ids: frozenset[int] | set[int]) -> int:
     """Size of a maximal forest inside the edge set."""
     edges = [graph.edge(eid) for eid in edge_ids]

@@ -41,6 +41,13 @@ class TestCheck:
         assert code == 0
         assert json.loads(out) == {"gorenstein": False, "reason": "not 2-connected"}
 
+    def test_huge_edgeless_not_two_connected(self, capsys, tmp_path):
+        p = tmp_path / "edgeless.txt"
+        p.write_text("100000000 0\n")
+        code, out, _ = run_cli(capsys, "check", str(p))
+        assert code == 0
+        assert json.loads(out) == {"gorenstein": False, "reason": "not 2-connected"}
+
     def test_oracle_flag(self, capsys, k4_file):
         code, out, _ = run_cli(capsys, "check", k4_file, "--oracle")
         assert code == 0

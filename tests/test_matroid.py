@@ -1,15 +1,53 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gorenstein import matroid
+from gorenstein.constructions import GluingError, delta_edge_gluing, path_gluing
 from gorenstein.multigraph import (
     Multigraph,
     banana_graph,
     complete_graph,
     cycle_graph,
 )
-from oracles import is_matroid_connected, rank
+from oracles import is_matroid_connected, rank, subset_pass_by_combinations
+
+
+@st.composite
+def multigraphs(draw):
+    """Loop-free multigraphs on 1..9 vertices, disconnected ones included."""
+    n = draw(st.integers(1, 9))
+    offsets = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)))
+    pairs = draw(st.lists(offsets, max_size=16 if n > 1 else 0))
+    return Multigraph.from_edge_list(n, [(u, (u + d) % n) for u, d in pairs])
+
+
+def glued_chain(delta: int, n: int) -> Multigraph:
+    """Copies of a piece (K4 at delta 2, else the delta-cycle) glued up to n vertices.
+
+    Each step takes the first valid path- or delta-edge-gluing at a
+    rotating edge of the graph built so far.
+    """
+    piece = complete_graph(4) if delta == 2 else cycle_graph(delta)
+    g = piece
+    step = 0
+    while g.n < n:
+        g = _glue_somewhere(g, piece, delta, 5 * step)
+        step += 1
+    return g
+
+
+def _glue_somewhere(g: Multigraph, piece: Multigraph, delta: int, start: int) -> Multigraph:
+    for k in range(g.m):
+        eid = g.edges[(start + k) % g.m].eid
+        for op in (path_gluing, delta_edge_gluing):
+            try:
+                return op(g, eid, piece, 0, delta)
+            except GluingError:
+                pass
+    raise AssertionError(f"no valid gluing at delta={delta}")
 
 
 class TestRank:
@@ -148,3 +186,23 @@ class TestSubsetPass:
                 (s, g.edges_within(s), len(g.contract_subset(s).blocks()))
                 for s in two_connected
             ]
+
+    def test_equals_combinations_reference_on_census(self, census_full):
+        for g in census_full:
+            assert matroid.subset_pass(g) == subset_pass_by_combinations(g)
+
+    @settings(deadline=None)
+    @given(multigraphs())
+    def test_equals_combinations_reference_on_random_multigraphs(self, g):
+        assert matroid.subset_pass(g) == subset_pass_by_combinations(g)
+
+    @pytest.mark.parametrize("delta, n", [(2, 12), (3, 13), (4, 14)])
+    def test_equals_combinations_reference_on_glued_graphs(self, delta, n):
+        g = glued_chain(delta, n)
+        assert g.n == n and g.is_two_connected()
+        assert matroid.subset_pass(g) == subset_pass_by_combinations(g)
+
+    def test_equals_combinations_reference_on_c16(self):
+        records = matroid.subset_pass(cycle_graph(16))
+        assert len(records) == 17  # the 16 edges and V
+        assert records == subset_pass_by_combinations(cycle_graph(16))

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from gorenstein.lattice import dot
+from gorenstein import polytope
+from gorenstein.lattice import dot, kernel_basis_with_dual
 from gorenstein.multigraph import (
     Multigraph,
     banana_graph,
@@ -121,6 +122,23 @@ class TestHullOracle:
             )
 
         assert {key(f) for f in poly.facets} == {key(f) for f in hull}
+
+    def test_unsaturated_basis_raises(self, monkeypatch):
+        def doubled(rows, n):
+            basis, duals = kernel_basis_with_dual(rows, n)
+            return [[2 * x for x in row] for row in basis], duals
+
+        monkeypatch.setattr(polytope, "kernel_basis_with_dual", doubled)
+        with pytest.raises(RuntimeError, match="does not recover"):
+            hull_facets_oracle([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+    def test_non_primitive_ray_raises(self, monkeypatch):
+        def even_ray(rows, dim):
+            return [(1,) + (2,) * (dim - 1)], [frozenset()]
+
+        monkeypatch.setattr(polytope, "_dual_cone_rays", even_ray)
+        with pytest.raises(RuntimeError, match="no integer primitive form"):
+            hull_facets_oracle([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
     def test_reduced_distances_agree(self):
         # matched facets must induce identical lattice distance functions
