@@ -142,6 +142,68 @@ def _cmd_facets(args) -> int:
     return EXIT_OK
 
 
+def _json_int(value, what: str) -> int:
+    # JSON true/false load as bool, a subclass of int
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _json_field(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, not {obj!r}")
+    if key not in obj:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return obj[key]
+
+
+def _json_ints(values, what: str) -> list[int]:
+    if not isinstance(values, list):
+        raise ValueError(f"{what}s must be a list, not {values!r}")
+    return [_json_int(v, what) for v in values]
+
+
+def _gluing_spec(data) -> GluingSpec:
+    """The gluing spec a `glue` file holds, every value type-checked.
+
+    Vertex counts, endpoints, edge ids and delta must be JSON integers
+    (booleans are not), each edge a pair of endpoints, and the optional
+    `flip` a boolean; anything else raises ValueError naming the value.
+    """
+    where = "gluing spec"
+    graphs = {}
+    for side in ("left", "right"):
+        obj = _json_field(data, side, where)
+        _json_int(_json_field(obj, "vertices", side), f"{side} vertices")
+        pairs = _json_field(obj, "edges", side)
+        if not isinstance(pairs, list):
+            raise ValueError(f"{side} edges must be a list, not {pairs!r}")
+        for pair in pairs:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"{side} edge must be a vertex pair, not {pair!r}")
+            _json_ints(pair, f"{side} edge endpoint")
+        if obj.get("edge_ids") is not None:
+            ids = _json_ints(obj["edge_ids"], f"{side} edge id")
+            if len(ids) != len(pairs):
+                raise ValueError(f"{side}: {len(ids)} edge ids for {len(pairs)} edges")
+        graphs[side] = graph_from_json(obj)
+    flip = data.get("flip", False)
+    if not isinstance(flip, bool):
+        raise ValueError(f"flip must be a boolean, not {flip!r}")
+    return GluingSpec(
+        left=graphs["left"],
+        left_parallel_class=frozenset(
+            _json_ints(_json_field(data, "left_class", where), "left_class edge id")
+        ),
+        right=graphs["right"],
+        right_parallel_class=frozenset(
+            _json_ints(_json_field(data, "right_class", where), "right_class edge id")
+        ),
+        delta=_json_int(_json_field(data, "delta", where), "delta"),
+        flip=flip,
+    )
+
+
 def _cmd_glue(args) -> int:
     try:
         with open(args.spec, encoding="utf-8") as fh:
@@ -152,19 +214,7 @@ def _cmd_glue(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: {args.spec}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        spec = GluingSpec(
-            left=graph_from_json(data["left"]),
-            left_parallel_class=frozenset(data["left_class"]),
-            right=graph_from_json(data["right"]),
-            right_parallel_class=frozenset(data["right_class"]),
-            delta=data["delta"],
-            flip=bool(data.get("flip", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed gluing spec: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    result = delta_gluing(spec)
+    result = delta_gluing(_gluing_spec(data))
     _print_graph(result, args.format)
     return EXIT_OK
 

@@ -1,19 +1,25 @@
 """Exact polyhedral layer for graphic-matroid base polytopes.
 
-V-representation from spanning trees, H-representation from the two
-facet families (nonnegativity for deletable edges, upper bounds for good
-flats), an independent double-description hull oracle over exact
-rationals, lattice-point enumeration in dilations, and the polyhedral
-Gorenstein oracle.  All arithmetic is arbitrary-precision integer or
-Fraction; the Gorenstein property is lattice-exact, so tolerances would
-be meaningless.
+H-representation from the two facet families (nonnegativity for
+deletable edges, upper bounds for good flats), an independent
+double-description hull oracle over exact rationals, lattice-point
+enumeration in dilations, and the polyhedral Gorenstein oracle.  All
+arithmetic is arbitrary-precision integer or Fraction; the Gorenstein
+property is lattice-exact, so tolerances would be meaningless.
+
+Each facet's reduced form is read off one lattice point on it, its
+witness: a spanning tree grown by matroid greedy (Edmonds 1971) over a
+union-find, avoiding the deletable edge or taking a spanning tree of the
+good flat's induced subgraph first.  The V-representation (every
+spanning tree) is listed only when `BasePolytope.vertices` is read; the
+oracle and the census never read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
 
 from . import matroid
 from .lattice import (
@@ -62,8 +68,18 @@ class BasePolytope:
     ambient_dim: int
     rank: int
     edge_ids: tuple[int, ...]  # coordinate index -> edge id
-    vertices: tuple[tuple[int, ...], ...]
     facets: tuple[FacetInequality, ...]
+    graph: Multigraph = field(repr=False)
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
+        """Spanning-tree indicator vectors, sorted; enumerated on first read."""
+        return tuple(
+            sorted(
+                tuple(1 if eid in tree else 0 for eid in self.edge_ids)
+                for tree in self.graph.spanning_trees()
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -77,32 +93,52 @@ def _slice_lattice(dim: int):
     return kernel_basis_with_dual([[1] * dim], dim)
 
 
-def _reduce_functional(normal, offset, basis, duals, witness):
+def _reduce_functional(normal, basis, duals, witness):
     """Primitive integer form of a supporting functional.
 
     `normal . x <= offset` must hold with equality at the integer point
-    `witness`, and `basis`/`duals` describe the direction lattice of the
-    affine span.  Returns integer (reduced_normal, reduced_offset) whose
-    value gap  reduced_offset - reduced_normal . x  equals
-    (offset - normal . x) / g on the affine span, g > 0 the lattice gcd.
+    `witness`, and `basis`/`duals` are integer vectors with
+    duals[j] . basis[i] = [i == j] that describe the direction lattice
+    of the affine span.  Returns integer (reduced_normal, reduced_offset)
+    whose value gap  reduced_offset - reduced_normal . x  equals
+    (offset - normal . x) / g on the affine span, g > 0 the gcd of the
+    functional's values on the basis.
     """
-    values = [Fraction(dot(normal, b)) for b in basis]
-    if all(v == 0 for v in values):
+    values = [dot(normal, b) for b in basis]
+    g = vec_gcd(values)
+    if g == 0:
         raise ValueError("functional vanishes on the affine span")
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in values]
-    g = vec_gcd(ints)
-    prim = [x // g for x in ints]
-    n = len(normal)
-    reduced = [0] * n
-    for p, d in zip(prim, duals):
-        for i in range(n):
-            reduced[i] += p * d[i]
+    reduced = [0] * len(normal)
+    for v, d in zip(values, duals):
+        if v:
+            for i, c in enumerate(d):
+                reduced[i] += v // g * c
     rnormal = tuple(reduced)
-    roffset = dot(rnormal, witness)
-    return rnormal, int(roffset)
+    return rnormal, dot(rnormal, witness)
+
+
+def _greedy_tree(graph: Multigraph, index, edges) -> tuple[int, ...]:
+    """Indicator vector of the spanning tree that matroid greedy grows from
+    `edges` in order: an edge is taken when it joins two components."""
+    parent = list(range(graph.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    x = [0] * len(index)
+    taken = 0
+    for e in edges:
+        ru, rv = find(e.u), find(e.v)
+        if ru != rv:
+            parent[rv] = ru
+            x[index[e.eid]] = 1
+            taken += 1
+    if taken != graph.n - 1:
+        raise RuntimeError("greedy witness is not a spanning tree")
+    return tuple(x)
 
 
 def build_polytope(graph: Multigraph) -> BasePolytope:
@@ -113,29 +149,35 @@ def build_polytope(graph: Multigraph) -> BasePolytope:
     index = {eid: i for i, eid in enumerate(edge_ids)}
     m = len(edge_ids)
     rank = graph.n - 1
-    verts = sorted(
-        tuple(1 if eid in tree else 0 for eid in edge_ids)
-        for tree in graph.spanning_trees()
-    )
     basis, duals = _slice_lattice(m)
     facets = []
     for eid in sorted(matroid.deletable_edges(graph), key=index.__getitem__):
         normal = tuple(-1 if i == index[eid] else 0 for i in range(m))
-        witness = next(v for v in verts if v[index[eid]] == 0)
-        rn, ro = _reduce_functional(normal, 0, basis, duals, witness)
+        # G - e is 2-connected, so a spanning tree avoids e
+        witness = _greedy_tree(graph, index, (e for e in graph.edges if e.eid != eid))
+        rn, ro = _reduce_functional(normal, basis, duals, witness)
         facets.append(
             FacetInequality(KIND_NONNEGATIVITY, eid, None, normal, 0, rn, ro)
         )
     for flat in matroid.good_flats(graph):
-        idxs = {index[eid] for eid in flat.induced_edge_ids}
+        inside = flat.induced_edge_ids
+        idxs = {index[eid] for eid in inside}
         normal = tuple(1 if i in idxs else 0 for i in range(m))
         offset = len(flat.subset) - 1
-        witness = next(v for v in verts if dot(normal, v) == offset)
-        rn, ro = _reduce_functional(normal, offset, basis, duals, witness)
+        # G[S] is connected, so taking E(S) first puts |S| - 1 of its edges in
+        witness = _greedy_tree(
+            graph,
+            index,
+            [e for e in graph.edges if e.eid in inside]
+            + [e for e in graph.edges if e.eid not in inside],
+        )
+        if dot(normal, witness) != offset:
+            raise RuntimeError(f"greedy witness is off the flat {sorted(flat.subset)}")
+        rn, ro = _reduce_functional(normal, basis, duals, witness)
         facets.append(
             FacetInequality(KIND_GOOD_FLAT, None, flat.subset, normal, offset, rn, ro)
         )
-    return BasePolytope(m, rank, edge_ids, tuple(verts), tuple(facets))
+    return BasePolytope(m, rank, edge_ids, tuple(facets), graph)
 
 
 # -- double description hull oracle ---------------------------------------

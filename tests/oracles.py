@@ -7,9 +7,20 @@ tiny inputs only.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
+from gorenstein import matroid
 from gorenstein.census import CensusBounds
+from gorenstein.lattice import dot, vec_gcd
 from gorenstein.multigraph import Multigraph
+from gorenstein.polytope import (
+    KIND_GOOD_FLAT,
+    KIND_NONNEGATIVITY,
+    FacetInequality,
+    _slice_lattice,
+)
 
 
 def enumerate_naive(bounds: CensusBounds) -> list[tuple[tuple[int, ...], ...]]:
@@ -119,6 +130,82 @@ def subset_pass_by_combinations(
                 k = len(graph.contract_subset(s).blocks())
                 out.append((s, graph.edges_within(s), k))
     return tuple(out)
+
+
+class ReferencePolytope(NamedTuple):
+    ambient_dim: int
+    rank: int
+    edge_ids: tuple[int, ...]
+    vertices: tuple[tuple[int, ...], ...]
+    facets: tuple[FacetInequality, ...]
+
+
+def build_polytope_by_enumeration(graph: Multigraph) -> ReferencePolytope:
+    """`polytope.build_polytope` with every facet witness picked from the
+    full list of spanning trees.
+
+    Lists all C(m, n - 1) edge subsets, keeps the spanning trees as the
+    sorted vertices, and reduces each facet functional at the first vertex
+    on it, over Fractions.  Deletable edges, good flats and the slice lattice
+    are the library's; the witnesses, the vertices and the reduction are
+    independent of `build_polytope`.
+    """
+    if not graph.is_two_connected():
+        raise ValueError("graph is not 2-connected")
+    edge_ids = tuple(e.eid for e in graph.edges)
+    index = {eid: i for i, eid in enumerate(edge_ids)}
+    m = len(edge_ids)
+    verts = sorted(
+        tuple(1 if eid in tree else 0 for eid in edge_ids)
+        for tree in graph.spanning_trees()
+    )
+    basis, duals = _slice_lattice(m)
+    facets = []
+    for eid in sorted(matroid.deletable_edges(graph), key=index.__getitem__):
+        normal = tuple(-1 if i == index[eid] else 0 for i in range(m))
+        witness = next(v for v in verts if v[index[eid]] == 0)
+        rn, ro = _reduce_by_fractions(normal, 0, basis, duals, witness)
+        facets.append(
+            FacetInequality(KIND_NONNEGATIVITY, eid, None, normal, 0, rn, ro)
+        )
+    for flat in matroid.good_flats(graph):
+        idxs = {index[eid] for eid in flat.induced_edge_ids}
+        normal = tuple(1 if i in idxs else 0 for i in range(m))
+        offset = len(flat.subset) - 1
+        witness = next(v for v in verts if dot(normal, v) == offset)
+        rn, ro = _reduce_by_fractions(normal, offset, basis, duals, witness)
+        facets.append(
+            FacetInequality(KIND_GOOD_FLAT, None, flat.subset, normal, offset, rn, ro)
+        )
+    return ReferencePolytope(m, graph.n - 1, edge_ids, tuple(verts), tuple(facets))
+
+
+def _reduce_by_fractions(normal, offset, basis, duals, witness):
+    """The facet reduction of `build_polytope_by_enumeration`, over Fractions.
+
+    `normal . x <= offset` must hold with equality at the integer point
+    `witness`, and `basis`/`duals` describe the direction lattice of the
+    affine span.  Returns integer (reduced_normal, reduced_offset) whose
+    value gap  reduced_offset - reduced_normal . x  equals
+    (offset - normal . x) / g on the affine span, g > 0 the lattice gcd.
+    """
+    values = [Fraction(dot(normal, b)) for b in basis]
+    if all(v == 0 for v in values):
+        raise ValueError("functional vanishes on the affine span")
+    denom = 1
+    for v in values:
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    ints = [int(v * denom) for v in values]
+    g = vec_gcd(ints)
+    prim = [x // g for x in ints]
+    n = len(normal)
+    reduced = [0] * n
+    for p, d in zip(prim, duals):
+        for i in range(n):
+            reduced[i] += p * d[i]
+    rnormal = tuple(reduced)
+    roffset = dot(rnormal, witness)
+    return rnormal, int(roffset)
 
 
 def rank(graph: Multigraph, edge_ids: frozenset[int] | set[int]) -> int:

@@ -166,6 +166,12 @@ class TestGlue:
         assert code == 2
         assert "negative" in err
 
+    def test_flip_false_and_true(self, capsys, tmp_path):
+        for flip in (False, True):
+            code, out, _ = run_cli(capsys, "glue", self.spec_file(tmp_path, 3, flip=flip))
+            assert code == 0
+            assert Multigraph.parse(out).m == 5
+
     def test_malformed_json_exit_two(self, capsys, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -178,6 +184,18 @@ class TestGlue:
             ("3", {}, "delta must be an integer"),
             (3, {"right_class": [7]}, "unknown edge id 7"),
             (3, {"left_class": [9]}, "unknown edge id 9"),
+            (
+                3,
+                {"left": {"vertices": 3.0, "edges": [[0, 1], [1, 2], [0, 2]]}},
+                "left vertices must be an integer, not 3.0",
+            ),
+            (
+                3,
+                {"right": {"vertices": 3, "edges": [[0.0, 1], [1, 2], [0, 2]]}},
+                "right edge endpoint must be an integer, not 0.0",
+            ),
+            (3, {"flip": "no"}, "flip must be a boolean, not 'no'"),
+            (3, {"left_class": [True]}, "left_class edge id must be an integer, not True"),
         ],
     )
     def test_bad_spec_value_exit_two(self, capsys, tmp_path, delta, overrides, message):

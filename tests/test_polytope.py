@@ -1,8 +1,12 @@
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gorenstein import polytope
+from gorenstein import cli, matroid, polytope
+from gorenstein.census import CensusBounds, census_record, verify_equivalence
 from gorenstein.lattice import dot, kernel_basis_with_dual
 from gorenstein.multigraph import (
     Multigraph,
@@ -19,7 +23,10 @@ from gorenstein.polytope import (
     hull_facets_oracle,
     lattice_points,
     never_delta_one,
+    polytope_to_json,
 )
+from glued import glued_chain
+from oracles import build_polytope_by_enumeration
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 
@@ -30,6 +37,39 @@ def polytope_dim(poly):
 
 def tight_vertices(poly, facet):
     return [v for v in poly.vertices if facet.distance(v, 1) == 0]
+
+
+@st.composite
+def two_connected_multigraphs(draw):
+    """2-connected multigraphs on 2..7 vertices by ear decomposition.
+
+    A cycle on 2..4 vertices, then up to four ears, each a path with 0..2
+    new interior vertices between two distinct placed vertices; every
+    2-connected multigraph has such a decomposition.  Edge ids follow a
+    random order of the edges.
+    """
+    n = draw(st.integers(2, 4))
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    for _ in range(draw(st.integers(0, 4))):
+        ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        u, v = draw(ends)
+        inner = draw(st.integers(0, min(2, 7 - n)))
+        path = [u, *range(n, n + inner), v]
+        n += inner
+        pairs.extend(zip(path, path[1:]))
+    return Multigraph.from_edge_list(n, draw(st.permutations(pairs)))
+
+
+def assert_equals_enumeration(graph):
+    poly = build_polytope(graph)
+    ref = build_polytope_by_enumeration(graph)
+    assert poly.ambient_dim == ref.ambient_dim
+    assert poly.rank == ref.rank
+    assert poly.edge_ids == ref.edge_ids
+    # FacetInequality equality covers kind, edge, subset, normal, offset
+    # and the reduced form; tuple equality covers the order
+    assert poly.facets == ref.facets
+    assert poly.vertices == ref.vertices
 
 
 class TestBuildPolytope:
@@ -81,6 +121,29 @@ class TestBuildPolytope:
                 continue
             for f in poly.facets:
                 assert len(tight_vertices(poly, f)) >= polytope_dim(poly)
+
+    def test_equals_enumeration_on_census(self, census_full):
+        for g in census_full:
+            assert_equals_enumeration(g)
+
+    @pytest.mark.parametrize("delta, n", [(2, 8), (3, 9), (4, 10)])
+    def test_equals_enumeration_on_glued_graphs(self, delta, n):
+        g = glued_chain(delta, n)
+        assert g.is_two_connected() and 12 <= g.m <= 14
+        assert_equals_enumeration(g)
+
+    @settings(deadline=None)
+    @given(two_connected_multigraphs())
+    def test_equals_enumeration_on_random_multigraphs(self, g):
+        assert g.is_two_connected()
+        assert_equals_enumeration(g)
+
+    def test_witness_off_flat_raises(self, monkeypatch):
+        # {0, 2} induces no edge of C4, so no tree has one edge inside it
+        fake = (matroid.GoodFlat(frozenset({0, 2}), frozenset()),)
+        monkeypatch.setattr(matroid, "good_flats", lambda graph: fake)
+        with pytest.raises(RuntimeError, match="off the flat"):
+            build_polytope(cycle_graph(4))
 
     def test_reduced_functionals_primitive(self, census_small):
         from gorenstein.polytope import _slice_lattice
@@ -249,3 +312,46 @@ class TestNeverDeltaOne:
     def test_requires_two_edges(self):
         with pytest.raises(ValueError):
             never_delta_one(complete_graph(2))
+
+
+class TestNoTreeEnumeration:
+    """The oracle path reads the facets only; the vertices are listed on request."""
+
+    @pytest.fixture
+    def no_trees(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("spanning trees enumerated")
+
+        monkeypatch.setattr(Multigraph, "spanning_trees", refuse)
+
+    def test_oracle(self, no_trees):
+        assert gorenstein_oracle(complete_graph(4)).delta == 2
+        assert gorenstein_oracle(DIAMOND).delta == 3
+        assert gorenstein_oracle(glued_chain(3, 9)).delta == 3
+
+    def test_census_record(self, no_trees, census_small):
+        for g in census_small:
+            assert census_record(g).facet_count == len(build_polytope(g).facets)
+
+    def test_never_delta_one(self, no_trees):
+        assert never_delta_one(DIAMOND)
+        assert never_delta_one(complete_graph(4))
+
+    def test_verify_equivalence(self, no_trees):
+        report = verify_equivalence(CensusBounds(4, 6, 3), include_traces=False)
+        assert report["mismatches"] == []
+
+    def test_check_oracle_command(self, no_trees, capsys, tmp_path):
+        p = tmp_path / "diamond.txt"
+        p.write_text(DIAMOND.format())
+        assert cli.run(["check", str(p), "--oracle"]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] == 3
+
+    @pytest.mark.parametrize("graph", [DIAMOND, complete_graph(4), glued_chain(3, 7)])
+    def test_facets_command_prints_enumerated_vertices(self, graph, capsys, tmp_path):
+        p = tmp_path / "graph.txt"
+        p.write_text(graph.format())
+        assert cli.run(["facets", str(p)]) == 0
+        parsed = Multigraph.parse(graph.format())  # edge ids as the file numbers them
+        reference = polytope_to_json(build_polytope_by_enumeration(parsed))
+        assert capsys.readouterr().out == cli._dumps(reference) + "\n"
