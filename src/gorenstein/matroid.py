@@ -8,25 +8,43 @@ contraction G/E(S).  The good flats are the proper records with k(S) = 1
 (for proper S, G/E(S) is connected, so one block means 2-connected); the
 heart check reads all of them, V included with k(V) = 0.
 
-The pass works on bitmasks: a vertex subset is an int, each vertex has a
-neighbour mask and each edge an endpoint mask.  A 2-connected subset is
-connected, so the pass visits only the connected subsets, each grown once
-from its minimum vertex by reverse search (Avis and Fukuda 1996;
-Komusiewicz and Sorge 2015): C16 visits 241 subsets instead of 65,535.
-A visited S with |S| >= 3 is 2-connected when S minus any one vertex is
-still connected, tested by BFS over the masks; two adjacent vertices
-count as 2-connected.  Only the 2-connected records pay for E(S) and for
-k(S), which stays the block count of `contract_subset`.
+Every connectivity question here is a BFS over bitmasks: a vertex subset
+is an int, each vertex has a neighbour mask and each edge an endpoint
+mask.  No minor is ever built.
+
+The pass visits only the connected subsets, since a 2-connected subset
+is connected, each grown once from its minimum vertex by reverse search
+(Avis and Fukuda 1996; Komusiewicz and Sorge 2015): C16 visits 241
+subsets instead of 65,535.  A visited S with |S| >= 3 is 2-connected
+when S minus any one vertex is still connected; two adjacent vertices
+count as 2-connected.  Only the 2-connected records pay for E(S) and
+k(S).  Such an S lies in one block B of G.  In B/E(S), a vertex w other
+than the contracted one is no cut vertex, because B - w stays connected
+and (B/E(S)) - w = (B - w)/E(S); so the blocks of B/E(S) are the
+components of B - S, each joined to the contracted vertex, and the other
+blocks of G are untouched: k(S) = (blocks of G) - 1 + (components of
+B - S).
+
+The edge kinds follow the same two facts:
+
+- "del": G - e is 2-connected.  That needs G 2-connected; then a
+  parallel copy of e keeps it so, and otherwise (n >= 3) G - e must pass
+  the mask 2-connectivity test.
+- "con": G/e is 2-connected, which needs n >= 3 and G connected.  For a
+  vertex w outside e, (G/e) - w = (G - w)/e, so w is a cut vertex of G/e
+  exactly when it is one of G; and the merged vertex is a cut vertex of
+  G/e exactly when G - {u, v} is disconnected.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .multigraph import Multigraph
+from .multigraph import Edge, Multigraph
 
 
 @dataclass(frozen=True)
@@ -43,11 +61,25 @@ def edge_kinds(graph: Multigraph) -> Mapping[int, str | None]:
     here), else 'con' if contracting keeps 2-connectivity (weight
     delta - 1), else None.  Read-only: every caller shares the cached map.
     """
+    n = graph.n
+    nbr = _neighbour_masks(graph)
+    full = (1 << n) - 1
+    connected = _connected(full, nbr)
+    cut = 0
+    if connected:
+        for v in range(n):
+            if not _connected(full & ~(1 << v), nbr):
+                cut |= 1 << v
+    two_connected = connected and n >= 2 and not cut
+    copies = Counter((e.u, e.v) for e in graph.edges)
     kinds: dict[int, str | None] = {}
     for e in graph.edges:
-        if graph.delete_edge(e.eid).is_two_connected():
+        ends = (1 << e.u) | (1 << e.v)
+        if two_connected and (
+            copies[e.u, e.v] > 1 or n >= 3 and _two_connected(full, _without(nbr, e))
+        ):
             kinds[e.eid] = "del"
-        elif graph.contract_edge(e.eid).is_two_connected():
+        elif n >= 3 and connected and not cut & ~ends and _connected(full & ~ends, nbr):
             kinds[e.eid] = "con"
         else:
             kinds[e.eid] = None
@@ -69,21 +101,36 @@ def subset_pass(
 
     Ordered by size, then in combinations order within a size.
     """
-    nbr = [0] * graph.n
-    for e in graph.edges:
-        nbr[e.u] |= 1 << e.v
-        nbr[e.v] |= 1 << e.u
+    nbr = _neighbour_masks(graph)
     edge_masks = [(e.eid, (1 << e.u) | (1 << e.v)) for e in graph.edges]
+    blocks = [sum(1 << v for v in b) for b in graph.blocks()]
     out = []
     for s in _connected_subsets(nbr):
         if _two_connected(s, nbr):
             verts = _bits(s)
-            fs = frozenset(verts)
-            k = len(graph.contract_subset(fs).blocks())
+            home = next(b for b in blocks if s & b == s)
+            k = len(blocks) - 1 + _components(home & ~s, nbr)
             edges = frozenset(eid for eid, em in edge_masks if em & s == em)
-            out.append(((len(verts), verts), (fs, edges, k)))
+            out.append(((len(verts), verts), (frozenset(verts), edges, k)))
     out.sort(key=lambda rec: rec[0])
     return tuple(rec for _, rec in out)
+
+
+def _neighbour_masks(graph: Multigraph) -> list[int]:
+    """One mask per vertex: the bits of its neighbours."""
+    nbr = [0] * graph.n
+    for e in graph.edges:
+        nbr[e.u] |= 1 << e.v
+        nbr[e.v] |= 1 << e.u
+    return nbr
+
+
+def _without(nbr: list[int], e: Edge) -> list[int]:
+    """The neighbour masks of G - e, for an edge without parallel copies."""
+    out = nbr.copy()
+    out[e.u] &= ~(1 << e.v)
+    out[e.v] &= ~(1 << e.u)
+    return out
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -116,8 +163,8 @@ def _connected_subsets(nbr: list[int]):
             stack.append((s | w, near | nbr[w.bit_length() - 1], banned))
 
 
-def _connected(mask: int, nbr: list[int]) -> bool:
-    """BFS within the mask from its lowest vertex."""
+def _reach(mask: int, nbr: list[int]) -> int:
+    """BFS within the mask from its lowest vertex: the vertices reached."""
     seen = frontier = mask & -mask
     while frontier:
         reach = 0
@@ -127,14 +174,29 @@ def _connected(mask: int, nbr: list[int]) -> bool:
             reach |= nbr[w.bit_length() - 1]
         frontier = reach & mask & ~seen
         seen |= frontier
-    return seen == mask
+    return seen
+
+
+def _connected(mask: int, nbr: list[int]) -> bool:
+    return _reach(mask, nbr) == mask
+
+
+def _components(mask: int, nbr: list[int]) -> int:
+    """The number of connected components of the subgraph the mask induces."""
+    count = 0
+    while mask:
+        mask &= ~_reach(mask, nbr)
+        count += 1
+    return count
 
 
 def _two_connected(s: int, nbr: list[int]) -> bool:
-    """Whether the connected subset S induces a 2-connected subgraph.
+    """Whether the subset S induces a 2-connected subgraph.
 
     As in `Multigraph.is_two_connected`, one vertex is not 2-connected
-    and two adjacent vertices are; larger S must have no cut vertex.
+    and two adjacent vertices are; larger S must have no cut vertex.  A
+    pair must be connected on entry; a larger S need not be, since S
+    minus any one vertex being connected makes S connected.
     """
     size = s.bit_count()
     if size <= 2:

@@ -1,9 +1,8 @@
 """Loop-free undirected multigraphs with stable edge identities.
 
 Vertices are integers 0..n-1.  Edges carry an opaque integer id that
-survives deletion of other edges; contraction renumbers vertices densely
-and reports the renaming.  All graphs are immutable values; every
-operation returns a new graph.
+survives relabelling and taking induced subgraphs.  All graphs are
+immutable values; every operation returns a new graph.
 """
 
 from __future__ import annotations
@@ -76,12 +75,14 @@ class Multigraph:
                     lineno, 1, f"expected {expected} integers, got {len(parts)}"
                 )
             out = []
+            pos = 0  # tokens are found left to right, so a repeat gets its own column
             for p in parts:
-                col = raw.index(p) + 1
+                pos = raw.index(p, pos)
                 try:
                     out.append(int(p))
                 except ValueError:
-                    raise GraphParseError(lineno, col, f"not an integer: {p!r}") from None
+                    raise GraphParseError(lineno, pos + 1, f"not an integer: {p!r}") from None
+                pos += len(p)
             return out
 
         n, m = split_ints(1, 2)
@@ -165,72 +166,7 @@ class Multigraph:
             seen.add((e.u, e.v))
         return False
 
-    # -- minors ------------------------------------------------------------
-
-    def delete_edge(self, eid: int) -> "Multigraph":
-        self.edge(eid)
-        return Multigraph(self.n, tuple(e for e in self.edges if e.eid != eid))
-
-    def contract_edge_with_map(self, eid: int) -> tuple["Multigraph", dict[int, int]]:
-        """Contract eid; parallel copies become loops and are dropped.
-
-        Returns the contracted graph and the dense old->new vertex renaming.
-        """
-        e = self.edge(eid)
-        merged = e.u  # e.v folds into e.u
-        renum: dict[int, int] = {}
-        nxt = 0
-        for v in range(self.n):
-            if v == e.v:
-                continue
-            renum[v] = nxt
-            nxt += 1
-        renum[e.v] = renum[merged]
-        edges = []
-        for f in self.edges:
-            if f.eid == eid:
-                continue
-            a, b = renum[f.u], renum[f.v]
-            if a == b:
-                continue  # loop created by contraction: dropped
-            edges.append(Edge(f.eid, min(a, b), max(a, b)))
-        return Multigraph(self.n - 1, tuple(edges)), renum
-
-    def contract_edge(self, eid: int) -> "Multigraph":
-        return self.contract_edge_with_map(eid)[0]
-
-    def contract_subset(self, subset: frozenset[int] | set[int]) -> "Multigraph":
-        """Contract every edge with both endpoints in the subset.
-
-        Equivalent to iterated contract_edge over E(S) in any order: each
-        connected component of the induced subgraph collapses to a point.
-        """
-        if not subset:
-            raise ValueError("empty subset")
-        if not all(0 <= v < self.n for v in subset):
-            raise ValueError("subset outside vertex range")
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            if e.u in subset and e.v in subset:
-                ru, rv = find(e.u), find(e.v)
-                if ru != rv:
-                    parent[rv] = ru
-        roots = sorted({find(v) for v in range(self.n)})
-        renum = {r: i for i, r in enumerate(roots)}
-        edges = []
-        for e in self.edges:
-            a, b = renum[find(e.u)], renum[find(e.v)]
-            if a == b:
-                continue
-            edges.append(Edge(e.eid, min(a, b), max(a, b)))
-        return Multigraph(len(roots), tuple(edges))
+    # -- subgraphs ---------------------------------------------------------
 
     def induced_subgraph(self, subset: frozenset[int] | set[int]) -> "Multigraph":
         """Restriction to the subset; edge ids are preserved."""

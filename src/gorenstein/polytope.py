@@ -7,12 +7,13 @@ enumeration in dilations, and the polyhedral Gorenstein oracle.  All
 arithmetic is arbitrary-precision integer or Fraction; the Gorenstein
 property is lattice-exact, so tolerances would be meaningless.
 
-Each facet's reduced form is read off one lattice point on it, its
-witness: a spanning tree grown by matroid greedy (Edmonds 1971) over a
-union-find, avoiding the deletable edge or taking a spanning tree of the
-good flat's induced subgraph first.  The V-representation (every
-spanning tree) is listed only when `BasePolytope.vertices` is read; the
-oracle and the census never read it.
+Each facet's reduced normal is closed-form, the differences
+normal_j - normal_0 over their gcd, and its reduced offset is read off
+one lattice point on it, its witness: a spanning tree grown by matroid
+greedy (Edmonds 1971) over a union-find, avoiding the deletable edge or
+taking a spanning tree of the good flat's induced subgraph first.  The
+V-representation (every spanning tree) is listed only when
+`BasePolytope.vertices` is read; the oracle and the census never read it.
 """
 
 from __future__ import annotations
@@ -88,32 +89,22 @@ class GorensteinPoint:
     coordinates: tuple[int, ...]
 
 
-def _slice_lattice(dim: int):
-    """Basis and duals for {z in Z^dim : sum z = 0}."""
-    return kernel_basis_with_dual([[1] * dim], dim)
-
-
-def _reduce_functional(normal, basis, duals, witness):
+def _reduce_functional(normal, witness):
     """Primitive integer form of a supporting functional.
 
     `normal . x <= offset` must hold with equality at the integer point
-    `witness`, and `basis`/`duals` are integer vectors with
-    duals[j] . basis[i] = [i == j] that describe the direction lattice
-    of the affine span.  Returns integer (reduced_normal, reduced_offset)
-    whose value gap  reduced_offset - reduced_normal . x  equals
-    (offset - normal . x) / g on the affine span, g > 0 the gcd of the
-    functional's values on the basis.
+    `witness`.  The direction lattice of the affine span, {z : sum z = 0},
+    has basis e_j - e_0 (j >= 1) with duals e_j, on which the functional
+    takes the values normal_j - normal_0; g > 0 is their gcd.  Returns
+    integer (reduced_normal, reduced_offset) whose value gap
+    reduced_offset - reduced_normal . x  equals  (offset - normal . x) / g
+    on the affine span.
     """
-    values = [dot(normal, b) for b in basis]
+    values = [a - normal[0] for a in normal[1:]]
     g = vec_gcd(values)
     if g == 0:
         raise ValueError("functional vanishes on the affine span")
-    reduced = [0] * len(normal)
-    for v, d in zip(values, duals):
-        if v:
-            for i, c in enumerate(d):
-                reduced[i] += v // g * c
-    rnormal = tuple(reduced)
+    rnormal = (0,) + tuple(v // g for v in values)
     return rnormal, dot(rnormal, witness)
 
 
@@ -149,13 +140,12 @@ def build_polytope(graph: Multigraph) -> BasePolytope:
     index = {eid: i for i, eid in enumerate(edge_ids)}
     m = len(edge_ids)
     rank = graph.n - 1
-    basis, duals = _slice_lattice(m)
     facets = []
     for eid in sorted(matroid.deletable_edges(graph), key=index.__getitem__):
         normal = tuple(-1 if i == index[eid] else 0 for i in range(m))
         # G - e is 2-connected, so a spanning tree avoids e
         witness = _greedy_tree(graph, index, (e for e in graph.edges if e.eid != eid))
-        rn, ro = _reduce_functional(normal, basis, duals, witness)
+        rn, ro = _reduce_functional(normal, witness)
         facets.append(
             FacetInequality(KIND_NONNEGATIVITY, eid, None, normal, 0, rn, ro)
         )
@@ -173,7 +163,7 @@ def build_polytope(graph: Multigraph) -> BasePolytope:
         )
         if dot(normal, witness) != offset:
             raise RuntimeError(f"greedy witness is off the flat {sorted(flat.subset)}")
-        rn, ro = _reduce_functional(normal, basis, duals, witness)
+        rn, ro = _reduce_functional(normal, witness)
         facets.append(
             FacetInequality(KIND_GOOD_FLAT, None, flat.subset, normal, offset, rn, ro)
         )

@@ -13,14 +13,9 @@ from typing import NamedTuple
 
 from gorenstein import matroid
 from gorenstein.census import CensusBounds
-from gorenstein.lattice import dot, vec_gcd
-from gorenstein.multigraph import Multigraph
-from gorenstein.polytope import (
-    KIND_GOOD_FLAT,
-    KIND_NONNEGATIVITY,
-    FacetInequality,
-    _slice_lattice,
-)
+from gorenstein.lattice import dot, kernel_basis_with_dual, vec_gcd
+from gorenstein.multigraph import Edge, Multigraph
+from gorenstein.polytope import KIND_GOOD_FLAT, KIND_NONNEGATIVITY, FacetInequality
 
 
 def enumerate_naive(bounds: CensusBounds) -> list[tuple[tuple[int, ...], ...]]:
@@ -118,18 +113,104 @@ def subset_pass_by_combinations(
 
     Builds the induced subgraph of every subset with at least two
     vertices, in `itertools.combinations` order by size, and keeps
-    (S, E(S), k(S)) for each 2-connected one.  k(S) is computed as the
-    library computes it; the enumeration, the 2-connectivity test and
-    E(S) are independent of the bitmask pass.
+    (S, E(S), k(S)) for each 2-connected one, with k(S) the block count
+    of the contracted graph `contract_subset(graph, S)`.  Nothing here
+    reads the bitmask pass.
     """
     out = []
     for size in range(2, graph.n + 1):
         for combo in itertools.combinations(range(graph.n), size):
             s = frozenset(combo)
             if graph.induced_subgraph(s).is_two_connected():
-                k = len(graph.contract_subset(s).blocks())
+                k = len(contract_subset(graph, s).blocks())
                 out.append((s, graph.edges_within(s), k))
     return tuple(out)
+
+
+def edge_kinds_by_minors(graph: Multigraph) -> dict[int, str | None]:
+    """`matroid.edge_kinds` by building G - e and G/e for every edge.
+
+    'del' if `delete_edge` leaves a 2-connected graph, else 'con' if
+    `contract_edge` does, else None.
+    """
+    kinds: dict[int, str | None] = {}
+    for e in graph.edges:
+        if delete_edge(graph, e.eid).is_two_connected():
+            kinds[e.eid] = "del"
+        elif contract_edge(graph, e.eid).is_two_connected():
+            kinds[e.eid] = "con"
+        else:
+            kinds[e.eid] = None
+    return kinds
+
+
+def delete_edge(graph: Multigraph, eid: int) -> Multigraph:
+    graph.edge(eid)
+    return Multigraph(graph.n, tuple(e for e in graph.edges if e.eid != eid))
+
+
+def contract_edge_with_map(graph: Multigraph, eid: int) -> tuple[Multigraph, dict[int, int]]:
+    """Contract eid; parallel copies become loops and are dropped.
+
+    Returns the contracted graph and the dense old->new vertex renaming.
+    """
+    e = graph.edge(eid)
+    merged = e.u  # e.v folds into e.u
+    renum: dict[int, int] = {}
+    nxt = 0
+    for v in range(graph.n):
+        if v == e.v:
+            continue
+        renum[v] = nxt
+        nxt += 1
+    renum[e.v] = renum[merged]
+    edges = []
+    for f in graph.edges:
+        if f.eid == eid:
+            continue
+        a, b = renum[f.u], renum[f.v]
+        if a == b:
+            continue  # loop created by contraction: dropped
+        edges.append(Edge(f.eid, min(a, b), max(a, b)))
+    return Multigraph(graph.n - 1, tuple(edges)), renum
+
+
+def contract_edge(graph: Multigraph, eid: int) -> Multigraph:
+    return contract_edge_with_map(graph, eid)[0]
+
+
+def contract_subset(graph: Multigraph, subset: frozenset[int] | set[int]) -> Multigraph:
+    """Contract every edge with both endpoints in the subset.
+
+    Equivalent to iterated contract_edge over E(S) in any order: each
+    connected component of the induced subgraph collapses to a point.
+    """
+    if not subset:
+        raise ValueError("empty subset")
+    if not all(0 <= v < graph.n for v in subset):
+        raise ValueError("subset outside vertex range")
+    parent = list(range(graph.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in graph.edges:
+        if e.u in subset and e.v in subset:
+            ru, rv = find(e.u), find(e.v)
+            if ru != rv:
+                parent[rv] = ru
+    roots = sorted({find(v) for v in range(graph.n)})
+    renum = {r: i for i, r in enumerate(roots)}
+    edges = []
+    for e in graph.edges:
+        a, b = renum[find(e.u)], renum[find(e.v)]
+        if a == b:
+            continue
+        edges.append(Edge(e.eid, min(a, b), max(a, b)))
+    return Multigraph(len(roots), tuple(edges))
 
 
 class ReferencePolytope(NamedTuple):
@@ -146,9 +227,10 @@ def build_polytope_by_enumeration(graph: Multigraph) -> ReferencePolytope:
 
     Lists all C(m, n - 1) edge subsets, keeps the spanning trees as the
     sorted vertices, and reduces each facet functional at the first vertex
-    on it, over Fractions.  Deletable edges, good flats and the slice lattice
-    are the library's; the witnesses, the vertices and the reduction are
-    independent of `build_polytope`.
+    on it, over Fractions, in the slice-lattice basis that
+    `kernel_basis_with_dual` computes.  Deletable edges and good flats are
+    the library's; the witnesses, the vertices, the basis and the reduction
+    are independent of `build_polytope`.
     """
     if not graph.is_two_connected():
         raise ValueError("graph is not 2-connected")
@@ -159,7 +241,7 @@ def build_polytope_by_enumeration(graph: Multigraph) -> ReferencePolytope:
         tuple(1 if eid in tree else 0 for eid in edge_ids)
         for tree in graph.spanning_trees()
     )
-    basis, duals = _slice_lattice(m)
+    basis, duals = kernel_basis_with_dual([[1] * m], m)
     facets = []
     for eid in sorted(matroid.deletable_edges(graph), key=index.__getitem__):
         normal = tuple(-1 if i == index[eid] else 0 for i in range(m))

@@ -1,0 +1,68 @@
+"""Golden stdout digests of the CLI.
+
+Each case pins the sha256 of one command's stdout, so a library change
+that alters any output byte fails here rather than only in a comparison
+of two runs within one process.
+"""
+
+import hashlib
+
+import pytest
+
+from gorenstein import cli, constructions
+
+# the benchmark's census digest, copied from perfbench/check.py
+CENSUS_SHA256 = "85ff1781c2c632bed36dc74b24c63be5979d16afb2acd55d88bb320e2b1a98d9"
+
+GRAPHS = {
+    "k4": "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+    "diamond": "4 5\n0 1\n1 2\n2 3\n0 3\n0 2\n",
+    # C4 with two opposite edges doubled: parallel "del" and "con" edges
+    "doubled": "4 6\n0 1\n0 1\n1 2\n2 3\n2 3\n0 3\n",
+    # the delta-3 chain glued.glued_chain(3, 7)
+    "glued": "7 10\n0 2\n1 3\n0 3\n2 4\n1 4\n1 2\n1 5\n5 6\n0 6\n0 5\n",
+}
+
+DIGESTS = {
+    ("facets", "k4"): "1f14a293f0c92a7a3dc2a73411cfcea8b2408b980c3c0a75224a469a98fb07a4",
+    ("facets", "diamond"): "5d480accd839eafb0e885a9c9695165724a2313a9d8f56eb05fd066b166448e6",
+    ("facets", "doubled"): "05b45ae635ddfb0b88f218a9ee3c9245d0b440a273bb71d2514b4ae607309480",
+    ("check", "k4"): "0f018903470acdc305b7d055f94b133ea05f7b69f2245e9013beba47573df000",
+    ("check", "diamond"): "489f7dab547c1676ca063cadbc11c42513c56cc39a6898feaad86edf12582218",
+    ("check", "doubled"): "14263f07dc76a7e6b31aea0b259fa3256a96d8c4076841df460bb3ce27bdc524",
+    ("check --oracle", "k4"): "c0f5c23bc3828e290f4eedcb4d54f986475bfbf0fff901703de077c915369257",
+    ("check --oracle", "diamond"): "0b6cf21416fff47304715d4484ae8a36c4bf1cf1ea19de5d28656d4ecbcfd8a8",
+    ("check --oracle", "doubled"): "14263f07dc76a7e6b31aea0b259fa3256a96d8c4076841df460bb3ce27bdc524",
+    ("weights --delta 2", "k4"): "818f58348fde3976efe02af6522bece3b88c6deaf446b1385a68d73a574e3142",
+    ("weights --delta 2", "diamond"): "177d09f878d653402b39c8dd6c540ce67ea027d873254e898ccedf91a6a46586",
+    ("weights --delta 2", "doubled"): "818f58348fde3976efe02af6522bece3b88c6deaf446b1385a68d73a574e3142",
+    # at delta 2 both kinds weigh 1; delta 3 tells "del" (1) from "con" (2)
+    ("weights --delta 3", "doubled"): "33d0e87d256ac8a043b2da06782178f7de67a0be46421275354d660164629c8f",
+    ("decompose --delta 3", "glued"): "f4c277d6ff6b7dac7285f364ec0b43f765a4d21bcc9c5d60f5503d8c671d385d",
+}
+
+
+@pytest.fixture(autouse=True)
+def fresh_decompose_memo(monkeypatch):
+    # a fresh process starts with an empty memo; one filled by earlier
+    # searches can end the search at a different valid trace
+    monkeypatch.setattr(constructions, "_ok_cache", {})
+    monkeypatch.setattr(constructions, "_fail_cache", set())
+
+
+def stdout_sha256(capsys, argv) -> str:
+    assert cli.run(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+def test_census_digest(capsys):
+    argv = ["census", "--max-v", "6", "--max-e", "8", "--max-mult", "4"]
+    assert stdout_sha256(capsys, argv) == CENSUS_SHA256
+
+
+@pytest.mark.parametrize("command, graph", sorted(DIGESTS))
+def test_command_digest(capsys, tmp_path, command, graph):
+    path = tmp_path / f"{graph}.txt"
+    path.write_text(GRAPHS[graph])
+    sub, *flags = command.split()
+    assert stdout_sha256(capsys, [sub, str(path), *flags]) == DIGESTS[command, graph]

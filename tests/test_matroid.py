@@ -12,7 +12,13 @@ from gorenstein.multigraph import (
     cycle_graph,
 )
 from glued import glued_chain
-from oracles import is_matroid_connected, rank, subset_pass_by_combinations
+from oracles import (
+    contract_subset,
+    edge_kinds_by_minors,
+    is_matroid_connected,
+    rank,
+    subset_pass_by_combinations,
+)
 
 
 @st.composite
@@ -91,6 +97,21 @@ class TestEdgeKinds:
     def test_k2_edge_has_no_kind(self):
         assert matroid.edge_kinds(complete_graph(2)) == {0: None}
 
+    def test_equals_minor_reference_on_census(self, census_full):
+        for g in census_full:
+            assert matroid.edge_kinds(g) == edge_kinds_by_minors(g)
+
+    @settings(deadline=None)
+    @given(multigraphs())
+    def test_equals_minor_reference_on_random_multigraphs(self, g):
+        # not only 2-connected graphs: path_gluing reads kinds before any check
+        assert matroid.edge_kinds(g) == edge_kinds_by_minors(g)
+
+    @pytest.mark.parametrize("delta, n", [(2, 12), (3, 13), (4, 14)])
+    def test_equals_minor_reference_on_glued_graphs(self, delta, n):
+        g = glued_chain(delta, n)
+        assert matroid.edge_kinds(g) == edge_kinds_by_minors(g)
+
     def test_cached_map_is_read_only(self):
         kinds = matroid.edge_kinds(cycle_graph(4))
         with pytest.raises(TypeError):
@@ -151,13 +172,13 @@ class TestSubsetPass:
             flats = [
                 s
                 for s in two_connected
-                if len(s) < g.n and g.contract_subset(s).is_two_connected()
+                if len(s) < g.n and contract_subset(g, s).is_two_connected()
             ]
             records = matroid.subset_pass(g)
             assert [f.subset for f in matroid.good_flats(g)] == flats
             assert matroid.two_connected_subsets(g) == tuple(s for s, _, _ in records)
             assert list(records) == [
-                (s, g.edges_within(s), len(g.contract_subset(s).blocks()))
+                (s, g.edges_within(s), len(contract_subset(g, s).blocks()))
                 for s in two_connected
             ]
 

@@ -146,12 +146,12 @@ class TestBuildPolytope:
             build_polytope(cycle_graph(4))
 
     def test_reduced_functionals_primitive(self, census_small):
-        from gorenstein.polytope import _slice_lattice
         from math import gcd
 
         for g in census_small:
             poly = build_polytope(g)
-            basis, _ = _slice_lattice(poly.ambient_dim)
+            m = poly.ambient_dim
+            basis, _ = kernel_basis_with_dual([[1] * m], m)
             for f in poly.facets:
                 values = [dot(f.reduced_normal, b) for b in basis]
                 acc = 0
