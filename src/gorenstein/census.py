@@ -109,13 +109,14 @@ def enumerate_census(bounds: CensusBounds) -> list[Multigraph]:
 def census_record(graph: Multigraph) -> CensusRecord:
     verdict = is_gorenstein(graph)
     delta, weights = verdict if verdict is not None else (None, None)
-    poly = polytope.build_polytope(graph)
+    good_flats = len(matroid.good_flats(graph))
     return CensusRecord(
         graph=graph,
         delta=delta,
         weights=weights,
-        good_flat_count=len(matroid.good_flats(graph)),
-        facet_count=len(poly.facets),
+        good_flat_count=good_flats,
+        # build_polytope makes one facet per deletable edge and per good flat
+        facet_count=len(matroid.deletable_edges(graph)) + good_flats,
     )
 
 
@@ -142,6 +143,7 @@ def verify_equivalence(bounds: CensusBounds, include_traces: bool = True) -> dic
     graphs = enumerate_census(bounds)
     gorenstein = []
     mismatches = []
+    memo = {}
     for g in graphs:
         poly = polytope.build_polytope(g)
         found = None
@@ -165,7 +167,7 @@ def verify_equivalence(bounds: CensusBounds, include_traces: bool = True) -> dic
         if found is not None:
             entry = {"canonical": _canonical_json(g), "delta": found, "trace": None}
             if include_traces:
-                trace = decompose(g, found)
+                trace = decompose(g, found, memo=memo)
                 if trace is not None:
                     entry["trace"] = trace_to_json(trace)
             gorenstein.append(entry)
@@ -188,10 +190,11 @@ def verify_classification(delta: int, bounds: CensusBounds) -> dict:
     graphs = enumerate_census(bounds)
     gorenstein = []
     mismatches = []
+    memo = {}
     for g in graphs:
         assignment = weight_function(g, delta)
         spade = assignment is not None and check_spade(g, assignment)
-        trace = decompose(g, delta)
+        trace = decompose(g, delta, memo=memo)
         if trace is not None and replay(trace).canonical_form != g.canonical_form:
             mismatches.append(
                 {"canonical": _canonical_json(g), "delta": delta, "error": "replay"}

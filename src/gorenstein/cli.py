@@ -22,7 +22,6 @@ from .census import (
     verify_equivalence,
 )
 from .constructions import (
-    GluingError,
     GluingSpec,
     decompose,
     delta_gluing,
@@ -30,7 +29,7 @@ from .constructions import (
     trace_to_json,
 )
 from .criteria import is_gorenstein, weight_function
-from .multigraph import GraphParseError, Multigraph
+from .multigraph import Multigraph
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -332,13 +331,7 @@ def run(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GluingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except ValueError as exc:  # GraphParseError and GluingError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

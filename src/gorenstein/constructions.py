@@ -290,8 +290,8 @@ def multi_gluing(graphs, edges, delta: int) -> Multigraph:
 
 # -- decomposition search --------------------------------------------------
 
-_ok_cache: dict[tuple[int, Multigraph], tuple[str, tuple[TraceStep, ...]]] = {}
-_fail_cache: set[tuple[int, Multigraph]] = set()
+# (delta, canonical graph) -> (seed, steps to the graph), or None if unreachable
+Memo = dict[tuple[int, Multigraph], tuple[str, tuple[TraceStep, ...]] | None]
 
 
 def _seeds(delta: int) -> dict[Multigraph, str]:
@@ -446,14 +446,21 @@ def _subdivision_predecessors(state: Multigraph, delta: int, max_vertices: int):
         yield pred, TraceStep("path_contract", path=mapped)
 
 
-def decompose(graph: Multigraph, delta: int) -> ConstructionTrace | None:
+def decompose(
+    graph: Multigraph, delta: int, *, memo: Memo | None = None
+) -> ConstructionTrace | None:
     """Search for a construction of the graph from the seed at this delta.
 
     Backtracking over inverse construction moves (undo a gluing by
     splitting at a merged vertex pair; undo a path contraction by
-    subdividing a parallel-class edge), memoized on canonical form across
-    calls.  Returns a replayable trace, or None when the seed is
-    unreachable.
+    subdividing a parallel-class edge).  Returns a replayable trace, or
+    None when the seed is unreachable.
+
+    The search records the canonical graphs it settles in `memo`, and
+    stops at the first predecessor the memo already knows.  Without a
+    memo each call starts a fresh one, so the trace depends on the input
+    alone.  A caller running many searches in a fixed order, as the
+    census harnesses do, passes one dict to all of them.
 
     Every search state must satisfy the spade equalities: the gluing
     propositions preserve them only within that class, and unrestricted
@@ -465,24 +472,20 @@ def decompose(graph: Multigraph, delta: int) -> ConstructionTrace | None:
         raise ValueError("delta must be >= 2")
     if not graph.is_two_connected() or not _spade_holds(graph, delta):
         return None
-    target = graph.canonicalize()[0]
-    found = _search(target, delta)
+    found = _search(graph.canonicalize()[0], delta, {} if memo is None else memo)
     if found is None:
         return None
     seed, steps = found
-    return ConstructionTrace(seed, delta, tuple(steps))
+    return ConstructionTrace(seed, delta, steps)
 
 
-def _search(target: Multigraph, delta: int):
+def _search(target: Multigraph, delta: int, memo: Memo):
     seeds = _seeds(delta)
     if target in seeds:
-        return seeds[target], []
+        return seeds[target], ()
     key = (delta, target)
-    if key in _ok_cache:
-        seed, steps = _ok_cache[key]
-        return seed, list(steps)
-    if key in _fail_cache:
-        return None
+    if key in memo:
+        return memo[key]
     max_vertices = target.n + (delta - 2) * target.m + 2
     came_from: dict[Multigraph, tuple[Multigraph, TraceStep]] = {}
     discovered = {target}
@@ -495,33 +498,28 @@ def _search(target: Multigraph, delta: int):
             _subdivision_predecessors(state, delta, max_vertices),
         )
         for pred, step in preds:
-            if pred in discovered:
-                continue
             pkey = (delta, pred)
-            if pkey in _fail_cache:
+            if pred in discovered or (pkey in memo and memo[pkey] is None):
                 continue
             if not _spade_holds(pred, delta):
                 continue
             came_from[pred] = (state, step)
             discovered.add(pred)
             if pred in seeds:
-                found = (pred, seeds[pred], [])
+                found = (pred, seeds[pred], ())
                 break
-            if pkey in _ok_cache:
-                seed, prefix = _ok_cache[pkey]
-                found = (pred, seed, list(prefix))
+            if pkey in memo:
+                found = (pred, *memo[pkey])
                 break
             queue.append(pred)
     if found is None:
-        _fail_cache.update((delta, s) for s in discovered)
+        memo.update(dict.fromkeys((delta, s) for s in discovered))
         return None
-    start, seed, steps = found
-    cur = start
+    cur, seed, steps = found
     while cur != target:
-        nxt, step = came_from[cur]
-        steps.append(step)
-        _ok_cache[(delta, nxt)] = (seed, tuple(steps))
-        cur = nxt
+        cur, step = came_from[cur]
+        steps += (step,)
+        memo[(delta, cur)] = (seed, steps)
     return seed, steps
 
 

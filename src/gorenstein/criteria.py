@@ -28,9 +28,6 @@ class WeightAssignment:
                     f"edge {eid}: weight {w} is neither 1 nor delta - 1 = {self.delta - 1}"
                 )
 
-    def weight(self, eid: int) -> int:
-        return dict(self.weights)[eid]
-
     def total(self, edge_ids=None) -> int:
         if edge_ids is None:
             return sum(w for _, w in self.weights)

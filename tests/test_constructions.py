@@ -30,6 +30,8 @@ from gorenstein.multigraph import (
     cycle_graph,
 )
 
+from glued import glued_chain
+
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 
 
@@ -325,6 +327,13 @@ class TestDecompose:
 
     def test_not_two_connected(self):
         assert decompose(Multigraph.from_edge_list(3, [(0, 1), (1, 2)]), 2) is None
+
+    def test_trace_depends_on_input_alone(self):
+        # a search ends at the first predecessor its memo knows, so a memo
+        # kept from the call before would change the trace
+        chain = glued_chain(3, 7)
+        decompose(banana_graph(3), 3)
+        assert decompose(chain, 3) == decompose(chain, 3, memo={})
 
 
 class TestTraceSerialization:

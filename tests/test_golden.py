@@ -9,10 +9,13 @@ import hashlib
 
 import pytest
 
-from gorenstein import cli, constructions
+from gorenstein import cli
 
 # the benchmark's census digest, copied from perfbench/check.py
 CENSUS_SHA256 = "85ff1781c2c632bed36dc74b24c63be5979d16afb2acd55d88bb320e2b1a98d9"
+# verify classification --delta 3 at (5, 8, 4): the harness passes one
+# search memo to every decompose call over the census
+CLASSIFICATION_SHA256 = "eafe317bf1d0fc2fbf0e5eae825fc92078f3da919d6c31de72ab0b114487bd73"
 
 GRAPHS = {
     "k4": "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
@@ -42,14 +45,6 @@ DIGESTS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def fresh_decompose_memo(monkeypatch):
-    # a fresh process starts with an empty memo; one filled by earlier
-    # searches can end the search at a different valid trace
-    monkeypatch.setattr(constructions, "_ok_cache", {})
-    monkeypatch.setattr(constructions, "_fail_cache", set())
-
-
 def stdout_sha256(capsys, argv) -> str:
     assert cli.run(argv) == 0
     return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -58,6 +53,12 @@ def stdout_sha256(capsys, argv) -> str:
 def test_census_digest(capsys):
     argv = ["census", "--max-v", "6", "--max-e", "8", "--max-mult", "4"]
     assert stdout_sha256(capsys, argv) == CENSUS_SHA256
+
+
+def test_classification_digest(capsys):
+    argv = ["verify", "classification", "--delta", "3"]
+    argv += ["--max-v", "5", "--max-e", "8", "--max-mult", "4"]
+    assert stdout_sha256(capsys, argv) == CLASSIFICATION_SHA256
 
 
 @pytest.mark.parametrize("command, graph", sorted(DIGESTS))

@@ -329,8 +329,8 @@ class TestNoTreeEnumeration:
         assert gorenstein_oracle(DIAMOND).delta == 3
         assert gorenstein_oracle(glued_chain(3, 9)).delta == 3
 
-    def test_census_record(self, no_trees, census_small):
-        for g in census_small:
+    def test_census_record(self, no_trees, census_full):
+        for g in census_full:
             assert census_record(g).facet_count == len(build_polytope(g).facets)
 
     def test_never_delta_one(self, no_trees):
