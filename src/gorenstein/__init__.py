@@ -60,9 +60,6 @@ from .polytope import (
     build_polytope,
     gorenstein_oracle,
     gorenstein_point_at,
-    hull_facets_oracle,
-    lattice_points,
-    never_delta_one,
 )
 
 __all__ = [
@@ -97,11 +94,8 @@ __all__ = [
     "good_flats",
     "gorenstein_oracle",
     "gorenstein_point_at",
-    "hull_facets_oracle",
     "is_gorenstein",
-    "lattice_points",
     "multi_gluing",
-    "never_delta_one",
     "path_gluing",
     "replay",
     "simplify",

@@ -12,7 +12,7 @@ and classification (spade verdict against the decomposition search).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import matroid, polytope
 from .constructions import decompose, replay, trace_to_json
@@ -122,19 +122,11 @@ def census_record(graph: Multigraph) -> CensusRecord:
 
 # -- verification harnesses ------------------------------------------------
 
-def _bounds_json(bounds: CensusBounds) -> dict:
-    return {
-        "max_vertices": bounds.max_vertices,
-        "max_edges": bounds.max_edges,
-        "max_multiplicity": bounds.max_multiplicity,
-    }
-
-
 def _canonical_json(graph: Multigraph) -> list[list[int]]:
     return [list(row) for row in graph.canonical_form]
 
 
-def verify_equivalence(bounds: CensusBounds, include_traces: bool = True) -> dict:
+def verify_equivalence(bounds: CensusBounds) -> dict:
     """Check spade = heart = polyhedral oracle on every census graph.
 
     Scans every dilation in [2, |E|+1] per graph; any disagreement lands
@@ -165,14 +157,13 @@ def verify_equivalence(bounds: CensusBounds, include_traces: bool = True) -> dic
             if spade and found is None:
                 found = delta
         if found is not None:
+            trace = decompose(g, found, memo=memo)
             entry = {"canonical": _canonical_json(g), "delta": found, "trace": None}
-            if include_traces:
-                trace = decompose(g, found, memo=memo)
-                if trace is not None:
-                    entry["trace"] = trace_to_json(trace)
+            if trace is not None:
+                entry["trace"] = trace_to_json(trace)
             gorenstein.append(entry)
     return {
-        "bounds": _bounds_json(bounds),
+        "bounds": asdict(bounds),
         "total": len(graphs),
         "gorenstein": gorenstein,
         "mismatches": mismatches,
@@ -219,7 +210,7 @@ def verify_classification(delta: int, bounds: CensusBounds) -> dict:
                 }
             )
     return {
-        "bounds": _bounds_json(bounds),
+        "bounds": asdict(bounds),
         "delta": delta,
         "total": len(graphs),
         "gorenstein": gorenstein,

@@ -8,6 +8,7 @@ Exit codes: 0 success/verdict, 1 verification mismatch, 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -233,14 +234,11 @@ def _bounds_from(args) -> CensusBounds:
 
 
 def _cmd_census(args) -> int:
-    records = [census_record(g) for g in enumerate_census(_bounds_from(args))]
+    bounds = _bounds_from(args)
+    records = [census_record(g) for g in enumerate_census(bounds)]
     _print_json(
         {
-            "bounds": {
-                "max_vertices": args.max_v,
-                "max_edges": args.max_e,
-                "max_multiplicity": args.max_mult,
-            },
+            "bounds": dataclasses.asdict(bounds),
             "total": len(records),
             "graphs": [
                 {
@@ -272,10 +270,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not report["mismatches"] else EXIT_MISMATCH
 
 
-def _add_bounds(parser, defaults=(6, 10, 5)) -> None:
-    parser.add_argument("--max-v", type=int, default=defaults[0])
-    parser.add_argument("--max-e", type=int, default=defaults[1])
-    parser.add_argument("--max-mult", type=int, default=defaults[2])
+def _add_bounds(parser) -> None:
+    defaults = CensusBounds()
+    parser.add_argument("--max-v", type=int, default=defaults.max_vertices)
+    parser.add_argument("--max-e", type=int, default=defaults.max_edges)
+    parser.add_argument("--max-mult", type=int, default=defaults.max_multiplicity)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -173,14 +173,11 @@ def subdivide_edge(
     return Multigraph(graph.n + delta - 2, tuple(edges)), tuple(chain)
 
 
-def contract_path_with_edge(
-    graph: Multigraph, path: tuple[int, ...], delta: int
-) -> tuple[Multigraph, int]:
+def contract_path(graph: Multigraph, path: tuple[int, ...], delta: int) -> Multigraph:
     """Substitute a path of delta - 1 edges by a single fresh edge.
 
     The path's interior vertices must all have degree exactly 2; they are
-    removed and the endpoints joined directly.  Returns the graph and the
-    new edge's id (before dense renumbering the endpoints are the path's).
+    removed and the endpoints joined directly by an edge with a fresh id.
     """
     if len(path) != delta:
         raise GluingError(f"path must have {delta - 1} edges")
@@ -216,11 +213,7 @@ def contract_path_with_edge(
     new_id = max((e.eid for e in graph.edges)) + 1
     a, b = renum[v1], renum[v2]
     edges.append(Edge(new_id, min(a, b), max(a, b)))
-    return Multigraph(len(keep), tuple(edges)), new_id
-
-
-def contract_path(graph: Multigraph, path: tuple[int, ...], delta: int) -> Multigraph:
-    return contract_path_with_edge(graph, path, delta)[0]
+    return Multigraph(len(keep), tuple(edges))
 
 
 def simplify(graph: Multigraph, delta: int) -> Multigraph:
@@ -336,18 +329,17 @@ def _pieces(graph: Multigraph, u: int, v: int):
 
 def _side_graph(graph: Multigraph, eids, u: int, v: int) -> tuple[Multigraph, int]:
     """Subgraph on the given edges plus one fresh edge joining u and v."""
+    picked = []
     verts = {u, v}
     for eid in eids:
         e = graph.edge(eid)
+        picked.append(e)
         verts.update((e.u, e.v))
     order = sorted(verts)
     renum = {w: i for i, w in enumerate(order)}
-    edges = [
-        Edge(graph.edge(eid).eid, renum[graph.edge(eid).u], renum[graph.edge(eid).v])
-        for eid in eids
-    ]
-    edges = [Edge(e.eid, min(e.u, e.v), max(e.u, e.v)) for e in edges]
-    new_id = max((e.eid for e in edges), default=-1) + 1
+    # renum is increasing and every edge has u < v, so endpoints stay ordered
+    edges = [Edge(e.eid, renum[e.u], renum[e.v]) for e in picked]
+    new_id = max(eids, default=-1) + 1
     a, b = renum[u], renum[v]
     edges.append(Edge(new_id, min(a, b), max(a, b)))
     return Multigraph(len(order), tuple(edges)), new_id

@@ -34,9 +34,6 @@ class WeightAssignment:
         wanted = set(edge_ids)
         return sum(w for eid, w in self.weights if eid in wanted)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.weights)
-
 
 def weight_function(graph: Multigraph, delta: int) -> WeightAssignment | None:
     """The forced weight function at the given dilation, if it exists.

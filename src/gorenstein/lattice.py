@@ -1,13 +1,16 @@
-"""Exact integer/rational linear algebra for the polyhedral layer.
+"""Exact integer linear algebra for the polyhedral layer.
 
-Everything here works over arbitrary-precision integers and Fractions;
-no floating point.  Sizes are desk scale (dimension <= ~10), so the
-implementations favour clarity over asymptotics.
+`vec_gcd` and `dot` serve the closed-form facet reduction in
+`polytope.py`.  `kernel_basis_with_dual` has had no library caller since
+that reduction replaced the slice-lattice basis; it stays because the
+benchmark's tracer wraps it by name, and the test oracles build their
+independent reference basis with it.  The rational elimination helpers
+of the double-description hull oracle live with that oracle in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -18,70 +21,8 @@ def vec_gcd(values) -> int:
     return g
 
 
-def dot(a, b) -> int | Fraction:
+def dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b, strict=True))
-
-
-def primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
-    g = vec_gcd(vec)
-    if g <= 1:
-        return vec
-    return tuple(v // g for v in vec)
-
-
-def rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over Q, by Gaussian elimination on a copy."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank_ = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    while rank_ < len(mat) and col < ncols:
-        pivot = next((i for i in range(rank_, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank_], mat[pivot] = mat[pivot], mat[rank_]
-        pv = mat[rank_][col]
-        for i in range(rank_ + 1, len(mat)):
-            if mat[i][col] != 0:
-                f = mat[i][col] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank_])]
-        rank_ += 1
-        col += 1
-    return rank_
-
-
-def rational_nullspace_int(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
-    """Integer-cleared basis of {x in Q^n : rows . x = 0}."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][col]
-        mat[r] = [a / pv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        denom = 1
-        for v in vec:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        ivec = tuple(int(v * denom) for v in vec)
-        basis.append(primitive(ivec))
-    return basis
 
 
 def kernel_basis_with_dual(
@@ -132,37 +73,3 @@ def kernel_basis_with_dual(
     basis = [tuple(u[r][j] for r in range(n)) for j in range(pivot_col, n)]
     duals = [tuple(v[j]) for j in range(pivot_col, n)]
     return basis, duals
-
-
-def fraction_matrix_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix (raises on singular)."""
-    n = len(mat)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def scale_to_primitive_int(vec) -> tuple[int, ...]:
-    """Scale a rational vector by a positive rational to a primitive integer vector."""
-    denom = 1
-    for x in vec:
-        f = Fraction(x)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ivec = [int(Fraction(x) * denom) for x in vec]
-    g = vec_gcd(ivec)
-    if g > 1:
-        ivec = [x // g for x in ivec]
-    return tuple(ivec)

@@ -183,12 +183,6 @@ class Multigraph:
         )
         return Multigraph(len(verts), edges)
 
-    def edges_within(self, subset: frozenset[int] | set[int]) -> frozenset[int]:
-        """E(S): ids of edges with both endpoints in the subset."""
-        return frozenset(
-            e.eid for e in self.edges if e.u in subset and e.v in subset
-        )
-
     # -- connectivity ------------------------------------------------------
 
     def is_connected(self) -> bool:
@@ -296,19 +290,6 @@ class Multigraph:
                 out.append(frozenset(e.eid for e in combo))
         return out
 
-    def spanning_tree_count(self) -> int:
-        """Matrix-Tree determinant of a Laplacian principal minor."""
-        if self.n == 1:
-            return 1
-        lap = [[0] * self.n for _ in range(self.n)]
-        for e in self.edges:
-            lap[e.u][e.u] += 1
-            lap[e.v][e.v] += 1
-            lap[e.u][e.v] -= 1
-            lap[e.v][e.u] -= 1
-        minor = [row[1:] for row in lap[1:]]
-        return _int_determinant(minor)
-
     # -- canonical form ----------------------------------------------------
 
     def canonicalize(self) -> tuple["Multigraph", tuple[int, ...], dict[int, int]]:
@@ -358,30 +339,6 @@ class Multigraph:
         p = list(range(self.n))
         rng.shuffle(p)
         return self.permuted(p)
-
-
-def _int_determinant(mat: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    a = [row[:] for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def is_canonical_order(mult: Sequence[Sequence[int]], n: int) -> bool:

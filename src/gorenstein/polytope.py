@@ -1,11 +1,13 @@
 """Exact polyhedral layer for graphic-matroid base polytopes.
 
 H-representation from the two facet families (nonnegativity for
-deletable edges, upper bounds for good flats), an independent
-double-description hull oracle over exact rationals, lattice-point
-enumeration in dilations, and the polyhedral Gorenstein oracle.  All
-arithmetic is arbitrary-precision integer or Fraction; the Gorenstein
-property is lattice-exact, so tolerances would be meaningless.
+deletable edges, upper bounds for good flats), each facet with its
+primitive lattice form, and the polyhedral Gorenstein oracle: a scan of
+dilations for the lattice point at distance 1 from every facet.  All
+arithmetic is arbitrary-precision integer; the Gorenstein property is
+lattice-exact, so tolerances would be meaningless.  The references the
+tests hold this layer to (a double-description hull oracle, lattice-point
+enumeration, the dilation-1 check) live in `tests/oracles.py`.
 
 Each facet's reduced normal is closed-form, the differences
 normal_j - normal_0 over their gcd, and its reduced offset is read off
@@ -19,24 +21,14 @@ V-representation (every spanning tree) is listed only when
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from . import matroid
-from .lattice import (
-    dot,
-    fraction_matrix_inverse,
-    kernel_basis_with_dual,
-    rational_nullspace_int,
-    rational_rank,
-    scale_to_primitive_int,
-    vec_gcd,
-)
+from .lattice import dot, vec_gcd
 from .multigraph import Multigraph
 
 KIND_NONNEGATIVITY = "nonnegativity"
 KIND_GOOD_FLAT = "good_flat"
-KIND_HULL = "hull"
 
 
 @dataclass(frozen=True)
@@ -170,170 +162,7 @@ def build_polytope(graph: Multigraph) -> BasePolytope:
     return BasePolytope(m, rank, edge_ids, tuple(facets), graph)
 
 
-# -- double description hull oracle ---------------------------------------
-
-def hull_facets_oracle(points) -> tuple[FacetInequality, ...]:
-    """Complete facet list of the convex hull of integer points.
-
-    Double description over exact rationals within the affine span; each
-    facet carries its primitive integer form obtained by lattice
-    reduction (Hermite-style kernel basis with integer duals).
-    """
-    pts = sorted(set(tuple(int(x) for x in p) for p in points))
-    if len(pts) < 2:
-        raise ValueError("degenerate input: need at least 2 distinct points")
-    n = len(pts[0])
-    x0 = pts[0]
-    diffs = [[p[i] - x0[i] for i in range(n)] for p in pts[1:]]
-    ortho = rational_nullspace_int([list(d) for d in diffs], n)
-    basis, duals = kernel_basis_with_dual([list(r) for r in ortho], n)
-    k = len(basis)
-    if k == 0:
-        raise ValueError("degenerate input: affine span is a point")
-    ys = []
-    for p in pts:
-        rel = [p[i] - x0[i] for i in range(n)]
-        y = tuple(dot(d, rel) for d in duals)
-        # saturation guarantee: rel must be recovered exactly
-        if any(sum(basis[j][i] * y[j] for j in range(k)) != rel[i] for i in range(n)):
-            raise RuntimeError(f"lattice basis does not recover point {p}")
-        ys.append(y)
-    rows = [(1,) + y for y in ys]
-    rays, tights = _dual_cone_rays(rows, k + 1)
-    facets = []
-    for ray in rays:
-        b, a = ray[0], ray[1:]
-        m_y = tuple(-x for x in a)
-        g = vec_gcd(m_y)
-        if g <= 0 or b % g:
-            raise RuntimeError(f"dual ray {ray} has no integer primitive form")
-        m_hat = tuple(x // g for x in m_y)
-        b_hat = b // g
-        c = [0] * n
-        for coef, d in zip(m_hat, duals):
-            for i in range(n):
-                c[i] += coef * d[i]
-        c = tuple(c)
-        o = b_hat + dot(c, x0)
-        facets.append(FacetInequality(KIND_HULL, None, None, c, int(o), c, int(o)))
-    facets.sort(key=lambda f: (f.normal, f.offset))
-    return tuple(facets)
-
-
-def _dual_cone_rays(rows, dim):
-    """Extreme rays of {z : row . z >= 0 for all rows} (assumed pointed).
-
-    Classic double description: seed with a simplicial subcone from
-    `dim` linearly independent rows, then insert the remaining
-    inequalities, combining adjacent positive/negative ray pairs.
-    """
-    selected = []
-    sel_rows: list[list[Fraction]] = []
-    for idx, row in enumerate(rows):
-        trial = sel_rows + [[Fraction(x) for x in row]]
-        if rational_rank(trial) > len(sel_rows):
-            selected.append(idx)
-            sel_rows = trial
-            if len(selected) == dim:
-                break
-    if len(selected) < dim:
-        raise ValueError("input not full-dimensional in its affine span")
-    minv = fraction_matrix_inverse([[Fraction(x) for x in rows[i]] for i in selected])
-    rays = [
-        scale_to_primitive_int([minv[r][j] for r in range(dim)]) for j in range(dim)
-    ]
-    processed = list(selected)
-
-    def tight_set(ray):
-        return frozenset(i for i in processed if dot(rows[i], ray) == 0)
-
-    tights = [tight_set(r) for r in rays]
-    remaining = [i for i in range(len(rows)) if i not in set(selected)]
-    for idx in remaining:
-        row = rows[idx]
-        vals = [dot(row, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            processed.append(idx)
-            tights = [
-                t | {idx} if v == 0 else t for t, v in zip(tights, vals)
-            ]
-            continue
-        keep = [i for i, v in enumerate(vals) if v >= 0]
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        minus = [i for i, v in enumerate(vals) if v < 0]
-        new_rays = []
-        for i in plus:
-            for j in minus:
-                common = tights[i] & tights[j]
-                adjacent = True
-                for l, t in enumerate(tights):
-                    if l not in (i, j) and common <= t:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                combo = tuple(
-                    vals[i] * rays[j][c] - vals[j] * rays[i][c] for c in range(dim)
-                )
-                new_rays.append(scale_to_primitive_int(combo))
-        processed.append(idx)
-        rays = [rays[i] for i in keep] + new_rays
-        tights = [
-            (tights[i] | {idx}) if vals[i] == 0 else tights[i] for i in keep
-        ] + [tight_set(r) for r in new_rays]
-    return rays, tights
-
-
-# -- lattice points and the Gorenstein oracle ------------------------------
-
-def lattice_points(polytope: BasePolytope, dilation: int) -> list[tuple[int, ...]]:
-    """All integer points of the dilated polytope.
-
-    Bounded coordinate recursion: 0 <= x_e <= dilation (the polytope has
-    0/1 vertices), coordinate sum dilation * rank, with partial-sum
-    pruning on the nonnegative-normal facets and a full facet check at
-    the leaves.
-    """
-    if dilation < 1:
-        raise ValueError("dilation must be >= 1")
-    m = polytope.ambient_dim
-    total = dilation * polytope.rank
-    pos = [
-        (f.normal, dilation * f.offset)
-        for f in polytope.facets
-        if all(c >= 0 for c in f.normal) and any(c > 0 for c in f.normal)
-    ]
-    out: list[tuple[int, ...]] = []
-    x = [0] * m
-    sums = [0] * len(pos)
-
-    def rec(i: int, rem: int) -> None:
-        if i == m:
-            if rem == 0 and all(f.holds(x, dilation) for f in polytope.facets):
-                out.append(tuple(x))
-            return
-        hi = min(dilation, rem)
-        for val in range(hi + 1):
-            if rem - val > dilation * (m - i - 1):
-                continue
-            x[i] = val
-            ok = True
-            touched = []
-            for fi, (normal, bound) in enumerate(pos):
-                if normal[i]:
-                    sums[fi] += normal[i] * val
-                    touched.append(fi)
-                    if sums[fi] > bound:
-                        ok = False
-            if ok:
-                rec(i + 1, rem - val)
-            for fi in touched:
-                sums[fi] -= pos[fi][0][i] * val
-        x[i] = 0
-
-    rec(0, total)
-    return out
-
+# -- the Gorenstein oracle -------------------------------------------------
 
 def gorenstein_point_at(polytope: BasePolytope, dilation: int) -> tuple[int, ...] | None:
     """Lattice point of the dilated polytope at distance 1 from every facet.
@@ -435,19 +264,6 @@ def gorenstein_oracle(
         if point is not None:
             return GorensteinPoint(delta, point)
     return None
-
-
-def never_delta_one(graph: Multigraph) -> bool:
-    """No dilation-1 lattice point is strictly inside every facet."""
-    if not graph.is_two_connected():
-        raise ValueError("graph is not 2-connected")
-    if graph.m < 2:
-        raise ValueError("need at least 2 edges")
-    polytope = build_polytope(graph)
-    for point in lattice_points(polytope, 1):
-        if all(f.distance(point, 1) >= 1 for f in polytope.facets):
-            return False
-    return True
 
 
 # -- serialization ---------------------------------------------------------

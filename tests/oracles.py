@@ -1,7 +1,9 @@
 """Brute-force reference implementations that the tests compare against.
 
 Each shares no code with the library path it checks and is meant for
-tiny inputs only.
+tiny inputs only.  The double-description hull oracle, lattice-point
+enumeration with the dilation-1 check, and the Matrix-Tree count back
+acceptance criteria 6, 9 and 8.
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ from gorenstein import matroid
 from gorenstein.census import CensusBounds
 from gorenstein.lattice import dot, kernel_basis_with_dual, vec_gcd
 from gorenstein.multigraph import Edge, Multigraph
-from gorenstein.polytope import KIND_GOOD_FLAT, KIND_NONNEGATIVITY, FacetInequality
+from gorenstein.polytope import (
+    KIND_GOOD_FLAT,
+    KIND_NONNEGATIVITY,
+    BasePolytope,
+    FacetInequality,
+    build_polytope,
+)
+
+KIND_HULL = "hull"
 
 
 def enumerate_naive(bounds: CensusBounds) -> list[tuple[tuple[int, ...], ...]]:
@@ -123,7 +133,7 @@ def subset_pass_by_combinations(
             s = frozenset(combo)
             if graph.induced_subgraph(s).is_two_connected():
                 k = len(contract_subset(graph, s).blocks())
-                out.append((s, graph.edges_within(s), k))
+                out.append((s, edges_within(graph, s), k))
     return tuple(out)
 
 
@@ -213,6 +223,13 @@ def contract_subset(graph: Multigraph, subset: frozenset[int] | set[int]) -> Mul
     return Multigraph(len(roots), tuple(edges))
 
 
+def edges_within(graph: Multigraph, subset: frozenset[int] | set[int]) -> frozenset[int]:
+    """E(S): ids of edges with both endpoints in the subset."""
+    return frozenset(
+        e.eid for e in graph.edges if e.u in subset and e.v in subset
+    )
+
+
 class ReferencePolytope(NamedTuple):
     ambient_dim: int
     rank: int
@@ -288,6 +305,314 @@ def _reduce_by_fractions(normal, offset, basis, duals, witness):
     rnormal = tuple(reduced)
     roffset = dot(rnormal, witness)
     return rnormal, int(roffset)
+
+
+def hull_facets_oracle(points) -> tuple[FacetInequality, ...]:
+    """Complete facet list of the convex hull of integer points.
+
+    Double description over exact rationals within the affine span; each
+    facet carries its primitive integer form obtained by lattice
+    reduction (Hermite-style kernel basis with integer duals).
+    """
+    pts = sorted(set(tuple(int(x) for x in p) for p in points))
+    if len(pts) < 2:
+        raise ValueError("degenerate input: need at least 2 distinct points")
+    n = len(pts[0])
+    x0 = pts[0]
+    diffs = [[p[i] - x0[i] for i in range(n)] for p in pts[1:]]
+    ortho = rational_nullspace_int([list(d) for d in diffs], n)
+    basis, duals = kernel_basis_with_dual([list(r) for r in ortho], n)
+    k = len(basis)
+    if k == 0:
+        raise ValueError("degenerate input: affine span is a point")
+    ys = []
+    for p in pts:
+        rel = [p[i] - x0[i] for i in range(n)]
+        y = tuple(dot(d, rel) for d in duals)
+        # saturation guarantee: rel must be recovered exactly
+        if any(sum(basis[j][i] * y[j] for j in range(k)) != rel[i] for i in range(n)):
+            raise RuntimeError(f"lattice basis does not recover point {p}")
+        ys.append(y)
+    rows = [(1,) + y for y in ys]
+    rays, tights = _dual_cone_rays(rows, k + 1)
+    facets = []
+    for ray in rays:
+        b, a = ray[0], ray[1:]
+        m_y = tuple(-x for x in a)
+        g = vec_gcd(m_y)
+        if g <= 0 or b % g:
+            raise RuntimeError(f"dual ray {ray} has no integer primitive form")
+        m_hat = tuple(x // g for x in m_y)
+        b_hat = b // g
+        c = [0] * n
+        for coef, d in zip(m_hat, duals):
+            for i in range(n):
+                c[i] += coef * d[i]
+        c = tuple(c)
+        o = b_hat + dot(c, x0)
+        facets.append(FacetInequality(KIND_HULL, None, None, c, int(o), c, int(o)))
+    facets.sort(key=lambda f: (f.normal, f.offset))
+    return tuple(facets)
+
+
+def _dual_cone_rays(rows, dim):
+    """Extreme rays of {z : row . z >= 0 for all rows} (assumed pointed).
+
+    Classic double description: seed with a simplicial subcone from
+    `dim` linearly independent rows, then insert the remaining
+    inequalities, combining adjacent positive/negative ray pairs.
+    """
+    selected = []
+    sel_rows: list[list[Fraction]] = []
+    for idx, row in enumerate(rows):
+        trial = sel_rows + [[Fraction(x) for x in row]]
+        if rational_rank(trial) > len(sel_rows):
+            selected.append(idx)
+            sel_rows = trial
+            if len(selected) == dim:
+                break
+    if len(selected) < dim:
+        raise ValueError("input not full-dimensional in its affine span")
+    minv = fraction_matrix_inverse([[Fraction(x) for x in rows[i]] for i in selected])
+    rays = [
+        scale_to_primitive_int([minv[r][j] for r in range(dim)]) for j in range(dim)
+    ]
+    processed = list(selected)
+
+    def tight_set(ray):
+        return frozenset(i for i in processed if dot(rows[i], ray) == 0)
+
+    tights = [tight_set(r) for r in rays]
+    remaining = [i for i in range(len(rows)) if i not in set(selected)]
+    for idx in remaining:
+        row = rows[idx]
+        vals = [dot(row, r) for r in rays]
+        if all(v >= 0 for v in vals):
+            processed.append(idx)
+            tights = [
+                t | {idx} if v == 0 else t for t, v in zip(tights, vals)
+            ]
+            continue
+        keep = [i for i, v in enumerate(vals) if v >= 0]
+        plus = [i for i, v in enumerate(vals) if v > 0]
+        minus = [i for i, v in enumerate(vals) if v < 0]
+        new_rays = []
+        for i in plus:
+            for j in minus:
+                common = tights[i] & tights[j]
+                adjacent = True
+                for l, t in enumerate(tights):
+                    if l not in (i, j) and common <= t:
+                        adjacent = False
+                        break
+                if not adjacent:
+                    continue
+                combo = tuple(
+                    vals[i] * rays[j][c] - vals[j] * rays[i][c] for c in range(dim)
+                )
+                new_rays.append(scale_to_primitive_int(combo))
+        processed.append(idx)
+        rays = [rays[i] for i in keep] + new_rays
+        tights = [
+            (tights[i] | {idx}) if vals[i] == 0 else tights[i] for i in keep
+        ] + [tight_set(r) for r in new_rays]
+    return rays, tights
+
+
+def lattice_points(polytope: BasePolytope, dilation: int) -> list[tuple[int, ...]]:
+    """All integer points of the dilated polytope.
+
+    Bounded coordinate recursion: 0 <= x_e <= dilation (the polytope has
+    0/1 vertices), coordinate sum dilation * rank, with partial-sum
+    pruning on the nonnegative-normal facets and a full facet check at
+    the leaves.
+    """
+    if dilation < 1:
+        raise ValueError("dilation must be >= 1")
+    m = polytope.ambient_dim
+    total = dilation * polytope.rank
+    pos = [
+        (f.normal, dilation * f.offset)
+        for f in polytope.facets
+        if all(c >= 0 for c in f.normal) and any(c > 0 for c in f.normal)
+    ]
+    out: list[tuple[int, ...]] = []
+    x = [0] * m
+    sums = [0] * len(pos)
+
+    def rec(i: int, rem: int) -> None:
+        if i == m:
+            if rem == 0 and all(f.holds(x, dilation) for f in polytope.facets):
+                out.append(tuple(x))
+            return
+        hi = min(dilation, rem)
+        for val in range(hi + 1):
+            if rem - val > dilation * (m - i - 1):
+                continue
+            x[i] = val
+            ok = True
+            touched = []
+            for fi, (normal, bound) in enumerate(pos):
+                if normal[i]:
+                    sums[fi] += normal[i] * val
+                    touched.append(fi)
+                    if sums[fi] > bound:
+                        ok = False
+            if ok:
+                rec(i + 1, rem - val)
+            for fi in touched:
+                sums[fi] -= pos[fi][0][i] * val
+        x[i] = 0
+
+    rec(0, total)
+    return out
+
+
+def never_delta_one(graph: Multigraph) -> bool:
+    """No dilation-1 lattice point is strictly inside every facet."""
+    if not graph.is_two_connected():
+        raise ValueError("graph is not 2-connected")
+    if graph.m < 2:
+        raise ValueError("need at least 2 edges")
+    polytope = build_polytope(graph)
+    for point in lattice_points(polytope, 1):
+        if all(f.distance(point, 1) >= 1 for f in polytope.facets):
+            return False
+    return True
+
+
+def primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
+    g = vec_gcd(vec)
+    if g <= 1:
+        return vec
+    return tuple(v // g for v in vec)
+
+
+def rational_rank(rows: list[list[Fraction]]) -> int:
+    """Rank over Q, by Gaussian elimination on a copy."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank_ = 0
+    ncols = len(mat[0]) if mat else 0
+    col = 0
+    while rank_ < len(mat) and col < ncols:
+        pivot = next((i for i in range(rank_, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        mat[rank_], mat[pivot] = mat[pivot], mat[rank_]
+        pv = mat[rank_][col]
+        for i in range(rank_ + 1, len(mat)):
+            if mat[i][col] != 0:
+                f = mat[i][col] / pv
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank_])]
+        rank_ += 1
+        col += 1
+    return rank_
+
+
+def rational_nullspace_int(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
+    """Integer-cleared basis of {x in Q^n : rows . x = 0}."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        pv = mat[r][col]
+        mat[r] = [a / pv for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][fc]
+        denom = 1
+        for v in vec:
+            denom = denom * v.denominator // gcd(denom, v.denominator)
+        ivec = tuple(int(v * denom) for v in vec)
+        basis.append(primitive(ivec))
+    return basis
+
+
+def fraction_matrix_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of a square rational matrix (raises on singular)."""
+    n = len(mat)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(mat)
+    ]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [a / pv for a in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def scale_to_primitive_int(vec) -> tuple[int, ...]:
+    """Scale a rational vector by a positive rational to a primitive integer vector."""
+    denom = 1
+    for x in vec:
+        f = Fraction(x)
+        denom = denom * f.denominator // gcd(denom, f.denominator)
+    ivec = [int(Fraction(x) * denom) for x in vec]
+    g = vec_gcd(ivec)
+    if g > 1:
+        ivec = [x // g for x in ivec]
+    return tuple(ivec)
+
+
+def spanning_tree_count(graph: Multigraph) -> int:
+    """Matrix-Tree determinant of a Laplacian principal minor."""
+    if graph.n == 1:
+        return 1
+    lap = [[0] * graph.n for _ in range(graph.n)]
+    for e in graph.edges:
+        lap[e.u][e.u] += 1
+        lap[e.v][e.v] += 1
+        lap[e.u][e.v] -= 1
+        lap[e.v][e.u] -= 1
+    minor = [row[1:] for row in lap[1:]]
+    return _int_determinant(minor)
+
+
+def _int_determinant(mat: list[list[int]]) -> int:
+    """Fraction-free Bareiss determinant of a square integer matrix."""
+    a = [row[:] for row in mat]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def rank(graph: Multigraph, edge_ids: frozenset[int] | set[int]) -> int:

@@ -117,13 +117,13 @@ class TestCensusRecord:
 
 class TestVerifyEquivalence:
     def test_small_census_clean(self):
-        report = verify_equivalence(CensusBounds(4, 6, 3), include_traces=False)
+        report = verify_equivalence(CensusBounds(4, 6, 3))
         assert report["total"] == 18
         assert report["mismatches"] == []
         assert len(report["gorenstein"]) == 11
 
     def test_banana_and_cycle_families_present(self):
-        report = verify_equivalence(CensusBounds(3, 4, 4), include_traces=False)
+        report = verify_equivalence(CensusBounds(3, 4, 4))
         assert report["mismatches"] == []
         entries = {
             (len(e["canonical"]), sum(map(sum, e["canonical"])) // 2): e["delta"]
@@ -184,7 +184,7 @@ class TestVerifyClassification:
 
 class TestFormatReport:
     def test_mentions_counts(self):
-        report = verify_equivalence(CensusBounds(3, 3, 1), include_traces=False)
+        report = verify_equivalence(CensusBounds(3, 3, 1))
         text = format_report(report)
         assert "mismatches: 0" in text
         assert "census: 2 graphs" in text

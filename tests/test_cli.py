@@ -79,7 +79,7 @@ class TestCheck:
         data = json.loads(out)
         delta, w = is_gorenstein(Multigraph.parse(K4_TEXT))
         assert data["delta"] == delta
-        assert data["weights"] == {str(k): v for k, v in w.as_dict().items()}
+        assert data["weights"] == {str(k): v for k, v in dict(w.weights).items()}
 
     def test_byte_deterministic(self, capsys, k4_file):
         _, out1, _ = run_cli(capsys, "check", k4_file)

@@ -26,18 +26,18 @@ class TestWeightFunction:
     def test_banana_all_ones(self, n):
         w = weight_function(banana_graph(n), n)
         assert w is not None
-        assert set(w.as_dict().values()) == {1}
+        assert set(dict(w.weights).values()) == {1}
 
     @pytest.mark.parametrize("delta", range(3, 7))
     def test_cycle_all_delta_minus_one(self, delta):
         w = weight_function(cycle_graph(delta), delta)
         assert w is not None
-        assert set(w.as_dict().values()) == {delta - 1}
+        assert set(dict(w.weights).values()) == {delta - 1}
 
     def test_k4_all_ones_at_two(self):
         w = weight_function(complete_graph(4), 2)
         assert w is not None
-        assert set(w.as_dict().values()) == {1}
+        assert set(dict(w.weights).values()) == {1}
 
     def test_k2_has_none(self):
         assert weight_function(complete_graph(2), 2) is None
@@ -130,7 +130,7 @@ class TestIsGorenstein:
     def test_c2(self):
         delta, w = is_gorenstein(cycle_graph(2))
         assert delta == 2
-        assert set(w.as_dict().values()) == {1}
+        assert set(dict(w.weights).values()) == {1}
 
     def test_diamond(self):
         assert is_gorenstein(DIAMOND)[0] == 3

@@ -21,3 +21,37 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     if lines:
         pytest.fail(f"{path.name}: assert on lines {lines}")
+
+
+def _module_imports(tree):
+    """Names bound by the module-level imports, `from __future__` aside."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                names[bound] = node.lineno
+    return names
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    unused = {
+        name: line for name, line in _module_imports(tree).items() if name not in used
+    }
+    if unused:
+        pytest.fail(f"{path.name}: unused imports {unused}")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gorenstein import cli, matroid, polytope
+from gorenstein import cli, matroid
 from gorenstein.census import CensusBounds, census_record, verify_equivalence
 from gorenstein.lattice import dot, kernel_basis_with_dual
 from gorenstein.multigraph import (
@@ -20,13 +20,16 @@ from gorenstein.polytope import (
     default_delta_max,
     gorenstein_oracle,
     gorenstein_point_at,
+    polytope_to_json,
+)
+import oracles
+from glued import glued_chain
+from oracles import (
+    build_polytope_by_enumeration,
     hull_facets_oracle,
     lattice_points,
     never_delta_one,
-    polytope_to_json,
 )
-from glued import glued_chain
-from oracles import build_polytope_by_enumeration
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 
@@ -191,7 +194,7 @@ class TestHullOracle:
             basis, duals = kernel_basis_with_dual(rows, n)
             return [[2 * x for x in row] for row in basis], duals
 
-        monkeypatch.setattr(polytope, "kernel_basis_with_dual", doubled)
+        monkeypatch.setattr(oracles, "kernel_basis_with_dual", doubled)
         with pytest.raises(RuntimeError, match="does not recover"):
             hull_facets_oracle([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
@@ -199,7 +202,7 @@ class TestHullOracle:
         def even_ray(rows, dim):
             return [(1,) + (2,) * (dim - 1)], [frozenset()]
 
-        monkeypatch.setattr(polytope, "_dual_cone_rays", even_ray)
+        monkeypatch.setattr(oracles, "_dual_cone_rays", even_ray)
         with pytest.raises(RuntimeError, match="no integer primitive form"):
             hull_facets_oracle([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
@@ -338,7 +341,7 @@ class TestNoTreeEnumeration:
         assert never_delta_one(complete_graph(4))
 
     def test_verify_equivalence(self, no_trees):
-        report = verify_equivalence(CensusBounds(4, 6, 3), include_traces=False)
+        report = verify_equivalence(CensusBounds(4, 6, 3))
         assert report["mismatches"] == []
 
     def test_check_oracle_command(self, no_trees, capsys, tmp_path):
