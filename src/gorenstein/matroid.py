@@ -17,13 +17,15 @@ is connected, each grown once from its minimum vertex by reverse search
 (Avis and Fukuda 1996; Komusiewicz and Sorge 2015): C16 visits 241
 subsets instead of 65,535.  A visited S with |S| >= 3 is 2-connected
 when S minus any one vertex is still connected; two adjacent vertices
-count as 2-connected.  Only the 2-connected records pay for E(S) and
-k(S).  Such an S lies in one block B of G.  In B/E(S), a vertex w other
-than the contracted one is no cut vertex, because B - w stays connected
-and (B/E(S)) - w = (B - w)/E(S); so the blocks of B/E(S) are the
-components of B - S, each joined to the contracted vertex, and the other
-blocks of G are untouched: k(S) = (blocks of G) - 1 + (components of
-B - S).
+count as 2-connected.  Only the inner vertices of one BFS tree of S need
+that test: a leaf of a spanning tree T of S is never a cut vertex, since
+T minus the leaf still spans the rest of S.  Only the 2-connected
+records pay for E(S) and k(S).  Such an S lies in one block B of G.  In
+B/E(S), a vertex w other than the contracted one is no cut vertex,
+because B - w stays connected and (B/E(S)) - w = (B - w)/E(S); so the
+blocks of B/E(S) are the components of B - S, each joined to the
+contracted vertex, and the other blocks of G are untouched: k(S) =
+(blocks of G) - 1 + (components of B - S).
 
 The edge kinds follow the same two facts:
 
@@ -195,17 +197,41 @@ def _two_connected(s: int, nbr: list[int]) -> bool:
 
     As in `Multigraph.is_two_connected`, one vertex is not 2-connected
     and two adjacent vertices are; larger S must have no cut vertex.  A
-    pair must be connected on entry; a larger S need not be, since S
-    minus any one vertex being connected makes S connected.
+    pair must be connected on entry; a larger S need not be, since the
+    BFS tree grown from its lowest vertex also gives the connectivity
+    verdict.  Only the tree's inner vertices are then removed and S
+    re-tested: a leaf of a spanning tree is never a cut vertex.
     """
     size = s.bit_count()
     if size <= 2:
         return size == 2
-    verts = _bits(s)
-    # a vertex with one neighbour in S makes that neighbour a cut vertex
-    if any((nbr[v] & s).bit_count() < 2 for v in verts):
+    # one BFS tree over S; a vertex that gains a child in it is inner
+    seen = frontier = s & -s
+    inner = 0
+    while frontier:
+        reach = 0
+        while frontier:
+            w = frontier & -frontier
+            frontier ^= w
+            near = nbr[w.bit_length() - 1] & s
+            # a vertex with one neighbour in S makes that neighbour a cut vertex
+            if not near & (near - 1):
+                return False
+            kids = near & ~seen
+            if kids:
+                inner |= w
+                seen |= kids
+                reach |= kids
+        frontier = reach
+    if seen != s:
         return False
-    return all(_connected(s & ~(1 << v), nbr) for v in verts)
+    # a leaf of a spanning tree of S is never a cut vertex of S
+    while inner:
+        w = inner & -inner
+        inner ^= w
+        if not _connected(s ^ w, nbr):
+            return False
+    return True
 
 
 @lru_cache(maxsize=16384)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from gorenstein import matroid
 from gorenstein.census import CensusBounds
@@ -114,6 +114,65 @@ def _labelled_fillings(n: int, bounds: CensusBounds):
 
     rec(0, 0)
     yield from out
+
+
+def canonical_ordering_by_columns(
+    mult: Sequence[Sequence[int]], n: int, incumbent: tuple[int, ...] | None = None
+) -> tuple[int, ...] | None:
+    """`multigraph._canonical_ordering` with every column rebuilt per node.
+
+    Each search node rebuilds the column of every unplaced vertex from
+    the placement order and sorts the distinct columns; there are no
+    cells.  The ordering maximizes the column-wise upper-triangle sequence.
+
+    Cells (i, j) with i < j are compared in order (j, i), so placing the
+    k-th vertex appends exactly k known entries; this makes prefix pruning
+    sound.  Any fixed total order on cells gives a valid canonical form;
+    the maximizing one keeps adjacent vertices early, which prunes well on
+    the sparse, path-heavy graphs produced by subdivision.
+
+    Given an incumbent sequence instead, the branch-and-bound stops at the
+    first ordering prefix whose sequence beats the incumbent's prefix of
+    the same length and returns it, or returns None when none does.
+    """
+    stop_on_gain = incumbent is not None
+    best_seq = incumbent
+    best_ord: tuple[int, ...] | None = None
+    used = [False] * n
+    order: list[int] = []
+
+    def rec(seq: tuple[int, ...]) -> bool:
+        """Search below the current prefix; True once a gain ends the search."""
+        nonlocal best_seq, best_ord
+        if len(order) == n:
+            if best_seq is None or seq > best_seq:
+                best_seq, best_ord = seq, tuple(order)
+            return False
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for v in range(n):
+            if not used[v]:
+                col = tuple(mult[u][v] for u in order)
+                groups.setdefault(col, []).append(v)
+        for col in sorted(groups, reverse=True):
+            ns = seq + col
+            if best_seq is not None:
+                prefix = best_seq[: len(ns)]
+                if ns < prefix:
+                    break  # every remaining column is smaller still
+                if stop_on_gain and ns > prefix:
+                    best_ord = tuple(order) + (groups[col][0],)
+                    return True
+            for v in groups[col]:
+                used[v] = True
+                order.append(v)
+                if rec(ns):
+                    return True
+                order.pop()
+                used[v] = False
+        return False
+
+    rec(())
+    return best_ord
 
 
 def subset_pass_by_combinations(

@@ -23,9 +23,9 @@ from oracles import (
 
 
 @st.composite
-def multigraphs(draw):
-    """Loop-free multigraphs on 1..9 vertices, disconnected ones included."""
-    n = draw(st.integers(1, 9))
+def multigraphs(draw, max_n=9):
+    """Loop-free multigraphs on 1..max_n vertices, disconnected ones included."""
+    n = draw(st.integers(1, max_n))
     offsets = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)))
     pairs = draw(st.lists(offsets, max_size=16 if n > 1 else 0))
     return Multigraph.from_edge_list(n, [(u, (u + d) % n) for u, d in pairs])
@@ -159,6 +159,48 @@ class TestTwoConnectedSubsets:
 
     def test_c2(self):
         assert matroid.two_connected_subsets(cycle_graph(2)) == (frozenset({0, 1}),)
+
+
+def assert_two_connected_agrees_on_every_subset(g: Multigraph) -> int:
+    """Compare the mask test with `is_two_connected` on every nonempty subset.
+
+    Returns how many disconnected subsets of three or more vertices were
+    compared.  A pair must be adjacent on entry, so other pairs are skipped.
+    """
+    nbr = matroid._neighbour_masks(g)
+    disconnected = 0
+    for mask in range(1, 1 << g.n):
+        subset = frozenset(v for v in range(g.n) if mask >> v & 1)
+        induced = g.induced_subgraph(subset)
+        if len(subset) == 2 and not induced.m:
+            continue
+        if len(subset) >= 3 and not induced.is_connected():
+            disconnected += 1
+        assert matroid._two_connected(mask, nbr) == induced.is_two_connected(), sorted(subset)
+    return disconnected
+
+
+class TestTwoConnectedMask:
+    @settings(deadline=None)
+    @given(multigraphs(max_n=8))
+    def test_equals_induced_subgraph_on_random_multigraphs(self, g):
+        assert_two_connected_agrees_on_every_subset(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # two triangles joined at vertex 2; two disjoint 4-cycles; a
+            # 2-cycle beside a triangle
+            Multigraph.from_edge_list(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]),
+            Multigraph.from_edge_list(
+                8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)]
+            ),
+            Multigraph.from_edge_list(5, [(0, 1), (0, 1), (2, 3), (3, 4), (2, 4)]),
+            glued_chain(3, 8),
+        ],
+    )
+    def test_equals_induced_subgraph_with_disconnected_subsets(self, g):
+        assert assert_two_connected_agrees_on_every_subset(g) > 0
 
 
 class TestSubsetPass:
