@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from . import matroid
 from .criteria import check_spade, weight_function
@@ -355,8 +356,10 @@ def _spade_holds(graph: Multigraph, delta: int) -> bool:
 def _split_predecessors(state: Multigraph, delta: int):
     """Undo one gluing: split at a merged vertex pair.
 
-    Yields (predecessor, forward step) pairs; every candidate is verified
-    by replaying the forward gluing and comparing canonical forms.
+    Yields (raw predecessor, verify) for each split into 2-connected sides
+    whose edge kinds fit the gluing.  verify() runs the costly rest (spade
+    on the partner, the forward gluing replayed on the canonical sides)
+    and returns (predecessor, forward step), or None.
     """
     for u, v in itertools.combinations(range(state.n), 2):
         pieces, direct = _pieces(state, u, v)
@@ -394,24 +397,31 @@ def _split_predecessors(state: Multigraph, delta: int):
                     else:
                         if delta > 2 and not (k1 == "con" and k2 == "con"):
                             continue
-                    if not _spade_holds(g2, delta):
-                        continue
-                    g1c, _, em1 = g1.canonicalize()
-                    g2c, _, em2 = g2.canonicalize()
-                    e1c, e2c = em1[e1], em2[e2]
-                    op = "path_glue" if style == "path" else "delta_glue"
-                    glue = path_gluing if style == "path" else delta_edge_gluing
-                    try:
-                        replayed = glue(g1c, e1c, g2c, e2c, delta)
-                    except GluingError:
-                        continue
-                    if replayed.canonical_form != state.canonical_form:
-                        continue
-                    yield g1c, TraceStep(op, partner=g2c, self_edge=e1c, partner_edge=e2c)
+                    yield g1, partial(_verify_split, state, delta, style, g1, e1, g2, e2)
+
+
+def _verify_split(state: Multigraph, delta: int, style: str, g1, e1: int, g2, e2: int):
+    if not _spade_holds(g2, delta):
+        return None
+    g1c, _, em1 = g1.canonicalize()
+    g2c, _, em2 = g2.canonicalize()
+    e1c, e2c = em1[e1], em2[e2]
+    op = "path_glue" if style == "path" else "delta_glue"
+    glue = path_gluing if style == "path" else delta_edge_gluing
+    try:
+        replayed = glue(g1c, e1c, g2c, e2c, delta)
+    except GluingError:
+        return None
+    if replayed.canonical_form != state.canonical_form:
+        return None
+    return g1c, TraceStep(op, partner=g2c, self_edge=e1c, partner_edge=e2c)
 
 
 def _subdivision_predecessors(state: Multigraph, delta: int, max_vertices: int):
-    """Undo one path contraction: subdivide a parallel-class edge."""
+    """Undo one path contraction: subdivide a parallel-class edge.
+
+    Yields (raw predecessor, verify); verify() contracts the path again.
+    """
     if delta < 3 or state.n + delta - 2 > max_vertices:
         return
     kinds = matroid.edge_kinds(state)
@@ -427,15 +437,19 @@ def _subdivision_predecessors(state: Multigraph, delta: int, max_vertices: int):
         if kinds[eid] != "del":
             continue
         raw, chain = subdivide_edge(state, eid, delta)
-        pred, vperm, _ = raw.canonicalize()
-        mapped = tuple(vperm[w] for w in chain)
-        try:
-            back = contract_path(pred, mapped, delta)
-        except GluingError:
-            continue
-        if back.canonical_form != state.canonical_form:
-            continue
-        yield pred, TraceStep("path_contract", path=mapped)
+        yield raw, partial(_verify_subdivision, state, delta, raw, chain)
+
+
+def _verify_subdivision(state: Multigraph, delta: int, raw: Multigraph, chain):
+    pred, vperm, _ = raw.canonicalize()
+    mapped = tuple(vperm[w] for w in chain)
+    try:
+        back = contract_path(pred, mapped, delta)
+    except GluingError:
+        return None
+    if back.canonical_form != state.canonical_form:
+        return None
+    return pred, TraceStep("path_contract", path=mapped)
 
 
 def decompose(
@@ -459,6 +473,12 @@ def decompose(
     path contraction escapes it (contracting a path of C_delta yields
     C_2, which fails spade for delta > 2).  The substance verified on the
     census is therefore completeness: spade implies a chain is found.
+
+    Predecessors are verified lazily: an expansion first verifies only
+    those that could end the search (a seed or a memo hit), and the rest,
+    in order, only if none does.  Every check is pure and ending depends
+    on the canonical predecessor alone, so trace and memo are those of
+    verifying every candidate in order, and every returned step is verified.
     """
     if delta < 2:
         raise ValueError("delta must be >= 2")
@@ -479,6 +499,10 @@ def _search(target: Multigraph, delta: int, memo: Memo):
     if key in memo:
         return memo[key]
     max_vertices = target.n + (delta - 2) * target.m + 2
+    # predecessors that end the search: the seeds and what the memo has reached
+    ends = {pred: (seed, ()) for pred, seed in seeds.items()}
+    ends.update((g, found) for (d, g), found in memo.items() if d == delta and found)
+    shapes = {(g.n, g.m) for g in ends}
     came_from: dict[Multigraph, tuple[Multigraph, TraceStep]] = {}
     discovered = {target}
     queue = deque([target])
@@ -489,21 +513,25 @@ def _search(target: Multigraph, delta: int, memo: Memo):
             _split_predecessors(state, delta),
             _subdivision_predecessors(state, delta, max_vertices),
         )
-        for pred, step in preds:
-            pkey = (delta, pred)
-            if pred in discovered or (pkey in memo and memo[pkey] is None):
+        candidates, verified = [], {}
+        for raw, verify in preds:  # pass 1: verify only what may end the search
+            candidates.append(verify)
+            if (raw.n, raw.m) not in shapes or memo and raw.canonicalize()[0] not in ends:
                 continue
-            if not _spade_holds(pred, delta):
-                continue
-            came_from[pred] = (state, step)
-            discovered.add(pred)
-            if pred in seeds:
-                found = (pred, seeds[pred], ())
+            hit = verified[verify] = verify()
+            if hit and hit[0] in ends and _spade_holds(hit[0], delta):
+                came_from[hit[0]] = (state, hit[1])
+                found = (hit[0], *ends[hit[0]])
                 break
-            if pkey in memo:
-                found = (pred, *memo[pkey])
-                break
-            queue.append(pred)
+        else:  # pass 2: nothing ends the search; any memo hit left is a dead end
+            for verify in candidates:
+                hit = verified[verify] if verify in verified else verify()
+                if hit is None or hit[0] in discovered or (delta, hit[0]) in memo:
+                    continue
+                if _spade_holds(hit[0], delta):
+                    came_from[hit[0]] = (state, hit[1])
+                    discovered.add(hit[0])
+                    queue.append(hit[0])
     if found is None:
         memo.update(dict.fromkeys((delta, s) for s in discovered))
         return None
@@ -563,6 +591,8 @@ def graph_from_json(data: dict) -> Multigraph:
     pairs = data["edges"]
     if ids is None:
         ids = list(range(len(pairs)))
+    elif len(ids) != len(pairs):
+        raise ValueError(f"{len(ids)} edge ids for {len(pairs)} edges")
     edges = tuple(
         Edge(i, min(u, v), max(u, v)) for i, (u, v) in zip(ids, pairs)
     )

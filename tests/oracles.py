@@ -3,18 +3,22 @@
 Each shares no code with the library path it checks and is meant for
 tiny inputs only.  The double-description hull oracle, lattice-point
 enumeration with the dilation-1 check, and the Matrix-Tree count back
-acceptance criteria 6, 9 and 8.
+acceptance criteria 6, 9 and 8.  The one exception is
+`decompose_eagerly`, which shares the predecessor generators with
+`constructions.decompose` and differs only in when it verifies.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from gorenstein import matroid
+from gorenstein import constructions, matroid
 from gorenstein.census import CensusBounds
+from gorenstein.constructions import ConstructionTrace, Memo, TraceStep
 from gorenstein.lattice import dot, kernel_basis_with_dual, vec_gcd
 from gorenstein.multigraph import Edge, Multigraph
 from gorenstein.polytope import (
@@ -726,3 +730,78 @@ def is_matroid_connected(graph: Multigraph) -> bool:
                     parent[find(x)] = root
     classes = {find(i) for i in ids}
     return len(classes) == 1
+
+
+def decompose_eagerly(
+    graph: Multigraph, delta: int, memo: Memo | None = None
+) -> ConstructionTrace | None:
+    """`constructions.decompose` with every predecessor verified as it comes.
+
+    The search loop that the lazy two-pass search replaced, unchanged: each
+    candidate of `_split_predecessors` and `_subdivision_predecessors` is
+    verified before the next, and the first accepted seed or memo hit
+    ends the search.  The lazy search must return the same trace and
+    leave the same memo.
+    """
+    if delta < 2:
+        raise ValueError("delta must be >= 2")
+    if not graph.is_two_connected() or not constructions._spade_holds(graph, delta):
+        return None
+    found = _search_eagerly(graph.canonicalize()[0], delta, {} if memo is None else memo)
+    if found is None:
+        return None
+    seed, steps = found
+    return ConstructionTrace(seed, delta, steps)
+
+
+def _verified(candidates):
+    for _, verify in candidates:
+        hit = verify()
+        if hit is not None:
+            yield hit
+
+
+def _search_eagerly(target: Multigraph, delta: int, memo: Memo):
+    seeds = constructions._seeds(delta)
+    if target in seeds:
+        return seeds[target], ()
+    key = (delta, target)
+    if key in memo:
+        return memo[key]
+    max_vertices = target.n + (delta - 2) * target.m + 2
+    came_from: dict[Multigraph, tuple[Multigraph, TraceStep]] = {}
+    discovered = {target}
+    queue = deque([target])
+    found = None
+    while queue and found is None:
+        state = queue.popleft()
+        preds = _verified(
+            itertools.chain(
+                constructions._split_predecessors(state, delta),
+                constructions._subdivision_predecessors(state, delta, max_vertices),
+            )
+        )
+        for pred, step in preds:
+            pkey = (delta, pred)
+            if pred in discovered or (pkey in memo and memo[pkey] is None):
+                continue
+            if not constructions._spade_holds(pred, delta):
+                continue
+            came_from[pred] = (state, step)
+            discovered.add(pred)
+            if pred in seeds:
+                found = (pred, seeds[pred], ())
+                break
+            if pkey in memo:
+                found = (pred, *memo[pkey])
+                break
+            queue.append(pred)
+    if found is None:
+        memo.update(dict.fromkeys((delta, s) for s in discovered))
+        return None
+    cur, seed, steps = found
+    while cur != target:
+        cur, step = came_from[cur]
+        steps += (step,)
+        memo[(delta, cur)] = (seed, steps)
+    return seed, steps

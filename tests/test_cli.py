@@ -196,6 +196,11 @@ class TestGlue:
             ),
             (3, {"flip": "no"}, "flip must be a boolean, not 'no'"),
             (3, {"left_class": [True]}, "left_class edge id must be an integer, not True"),
+            (
+                3,
+                {"left": {"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]], "edge_ids": [0]}},
+                "1 edge ids for 3 edges",
+            ),
         ],
     )
     def test_bad_spec_value_exit_two(self, capsys, tmp_path, delta, overrides, message):
@@ -217,6 +222,35 @@ class TestDecompose:
         code, out, _ = run_cli(capsys, "decompose", k4_file, "--delta", "3")
         assert code == 0
         assert out.strip() == "none"
+
+
+class TestInternalError:
+    @pytest.fixture
+    def crashing_decompose(self, monkeypatch, k4_file):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_decompose", crash)
+        return ["decompose", k4_file, "--delta", "2"]
+
+    def test_main_exits_three_with_traceback(self, capsys, monkeypatch, crashing_decompose):
+        monkeypatch.setattr("sys.argv", ["gorenstein", *crashing_decompose])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == cli.EXIT_INTERNAL == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
+
+    def test_run_still_raises(self, crashing_decompose):
+        with pytest.raises(RuntimeError, match="boom"):
+            cli.run(crashing_decompose)
+
+    def test_main_keeps_input_error_code(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("sys.argv", ["gorenstein", "check", str(tmp_path / "missing.txt")])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == cli.EXIT_INPUT
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestCensusCommand:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -30,6 +31,7 @@ from gorenstein.multigraph import (
 )
 
 from glued import glued_chain
+from oracles import decompose_eagerly
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 
@@ -335,6 +337,104 @@ class TestDecompose:
         assert decompose(chain, 3) == decompose(chain, 3, memo={})
 
 
+def same_as_eager(graph, delta, memo, eager_memo):
+    """Decompose lazily and eagerly; both traces and memos must agree."""
+    trace = decompose(graph, delta, memo=memo)
+    assert trace == decompose_eagerly(graph, delta, eager_memo)
+    assert list(memo.items()) == list(eager_memo.items())
+    return trace
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """States the search expands, one entry per `_split_predecessors` call."""
+    states = []
+    original = constructions._split_predecessors
+
+    def counting(state, delta):
+        states.append(state)
+        return original(state, delta)
+
+    monkeypatch.setattr(constructions, "_split_predecessors", counting)
+    return states
+
+
+class TestLazySearchEqualsEager:
+    """The two-pass search against the eager loop it replaced (`oracles`)."""
+
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_glued_chains_and_shuffles(self, delta):
+        rng = random.Random(delta)
+        for n in range(4, 12):
+            chain = glued_chain(delta, n)
+            for graph in (chain, chain.shuffled(rng), chain.shuffled(rng)):
+                trace = same_as_eager(graph, delta, {}, {})
+                assert replay(trace).canonical_form == graph.canonical_form
+
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_census_fresh_memo(self, census_full, delta, expansions):
+        deep = 0
+        for graph in census_full:
+            before = len(expansions)
+            same_as_eager(graph, delta, {}, {})
+            deep += len(expansions) - before > 1
+        # a search past its first expansion has run pass 2
+        assert deep > 0 or delta == 2
+
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_census_shared_memo(self, census_full, delta):
+        memo, eager_memo, steered = {}, {}, 0
+        for graph in census_full:
+            trace = same_as_eager(graph, delta, memo, eager_memo)
+            steered += trace != decompose(graph, delta)
+        # memo hits ended some searches before they reached the seed
+        assert steered > 0 or delta == 2
+
+    @pytest.mark.parametrize("delta", [3, 4])
+    def test_dead_end_memo_entries(self, census_full, delta):
+        # every search on the census succeeds, so mark the states of each
+        # fresh trace as dead ends to make the search route around them
+        rerouted = 0
+        for graph in census_full:
+            trace = decompose(graph, delta)
+            if trace is None or len(trace.steps) < 2:
+                continue
+            dead = {
+                (delta, replay(ConstructionTrace(trace.seed, delta, trace.steps[:k]))): None
+                for k in range(1, len(trace.steps))
+            }
+            other = same_as_eager(graph, delta, dict(dead), dict(dead))
+            rerouted += other is not None
+        assert rerouted > 0
+
+    @pytest.mark.parametrize("delta, n", [(3, 13), (4, 10)])
+    def test_verifies_only_the_step_it_returns(self, monkeypatch, delta, n):
+        graph = glued_chain(delta, n)
+        calls = {"glue": 0, "canonicalize": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("path_gluing", "delta_edge_gluing"):
+            monkeypatch.setattr(
+                constructions, name, counted("glue", getattr(constructions, name))
+            )
+        monkeypatch.setattr(
+            Multigraph, "canonicalize", counted("canonicalize", Multigraph.canonicalize)
+        )
+        eager = decompose_eagerly(graph, delta)
+        eager_calls = dict(calls)
+        calls.update(glue=0, canonicalize=0)
+        assert decompose(graph, delta) == eager
+        assert len(eager.steps) == 1
+        assert calls["glue"] == 1 < eager_calls["glue"]
+        assert calls["canonicalize"] < eager_calls["canonicalize"]
+
+
 class TestTraceSerialization:
     def test_graph_round_trip(self):
         data = graph_to_json(DIAMOND)
@@ -346,3 +446,15 @@ class TestTraceSerialization:
         back = trace_from_json(trace_to_json(trace))
         assert back == trace
         assert replay(back).canonical_form == banana_graph(4).canonical_form
+
+    def test_edge_id_count_must_match(self):
+        data = {"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]], "edge_ids": [0]}
+        with pytest.raises(ValueError, match="1 edge ids for 3 edges"):
+            graph_from_json(data)
+
+    def test_trace_partner_edge_id_count_must_match(self):
+        trace = trace_to_json(decompose(banana_graph(4), 4))
+        glued = [s for s in trace["steps"] if s["op"] != "path_contract"]
+        glued[0]["partner"]["edge_ids"].pop()
+        with pytest.raises(ValueError, match="edge ids for"):
+            trace_from_json(trace)

@@ -24,6 +24,11 @@ GRAPHS = {
     "doubled": "4 6\n0 1\n0 1\n1 2\n2 3\n2 3\n0 3\n",
     # the delta-3 chain glued.glued_chain(3, 7)
     "glued": "7 10\n0 2\n1 3\n0 3\n2 4\n1 4\n1 2\n1 5\n5 6\n0 6\n0 5\n",
+    # glued.glued_chain(2, 6) and glued.glued_chain(4, 8)
+    "glued2": "6 10\n0 2\n0 3\n1 2\n1 3\n2 3\n0 4\n0 5\n1 4\n1 5\n4 5\n",
+    "glued4": "8 12\n1 2\n2 3\n0 3\n1 4\n4 5\n0 1\n0 1\n5 6\n6 7\n0 7\n0 5\n0 5\n",
+    # a census graph whose delta-3 search expands six states before the seed
+    "deep": "4 8\n0 1\n0 1\n0 2\n0 2\n1 2\n1 3\n1 3\n2 3\n",
 }
 
 DIGESTS = {
@@ -42,6 +47,11 @@ DIGESTS = {
     # at delta 2 both kinds weigh 1; delta 3 tells "del" (1) from "con" (2)
     ("weights --delta 3", "doubled"): "33d0e87d256ac8a043b2da06782178f7de67a0be46421275354d660164629c8f",
     ("decompose --delta 3", "glued"): "f4c277d6ff6b7dac7285f364ec0b43f765a4d21bcc9c5d60f5503d8c671d385d",
+    # K4 is the second seed at delta 2, next to the 2-cycle
+    ("decompose --delta 2", "k4"): "07916c8aeaed3b37d509a0ce1334e9f7d2c0238576a3da28e41fce33ca30e8f5",
+    ("decompose --delta 2", "glued2"): "8e0c40678d9e5b6b839d5c38631fc1e06be095ed920d2d811d62f6b99684cf4f",
+    ("decompose --delta 4", "glued4"): "01128c00776dd99ba7abd3c060cb2fc0a494c6f0876e03ab99d55be607989388",
+    ("decompose --delta 3", "deep"): "f5164fa69fef8e45d84b10ac8634a9bb870681b3a58001f39297820ca0b89ec2",
 }
 
 
