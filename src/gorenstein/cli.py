@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -278,7 +279,12 @@ def _add_bounds(parser) -> None:
     parser.add_argument("--max-mult", type=int, default=defaults.max_multiplicity)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Each subcommand's handler is `_cmd_<command>`, looked up when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="gorenstein",
         description="Decide the Gorenstein property of 2-connected multigraphs.",
@@ -290,45 +296,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle", action="store_true", help="use the polyhedral oracle instead"
     )
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("weights", help="weight function at a dilation")
     p.add_argument("file")
     p.add_argument("--delta", type=int, required=True)
-    p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("facets", help="H-representation with reduced equations")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_facets)
 
     p = sub.add_parser("glue", help="apply a gluing spec (JSON file)")
     p.add_argument("spec")
     p.add_argument("--format", choices=("edgelist", "dot"), default="edgelist")
-    p.set_defaults(func=_cmd_glue)
 
     p = sub.add_parser("decompose", help="construction trace from the seed")
     p.add_argument("file")
     p.add_argument("--delta", type=int, required=True)
-    p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("census", help="enumerate the census with verdicts")
     _add_bounds(p)
-    p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("verify", help="run a verification harness")
     p.add_argument("kind", choices=("equivalence", "classification"))
     p.add_argument("--delta", type=int, default=2)
     p.add_argument("--table", action="store_true", help="human-readable output")
     _add_bounds(p)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     except ValueError as exc:  # GraphParseError and GluingError among them

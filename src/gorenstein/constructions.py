@@ -357,9 +357,10 @@ def _split_predecessors(state: Multigraph, delta: int):
     """Undo one gluing: split at a merged vertex pair.
 
     Yields (raw predecessor, verify) for each split into 2-connected sides
-    whose edge kinds fit the gluing.  verify() runs the costly rest (spade
-    on the partner, the forward gluing replayed on the canonical sides)
-    and returns (predecessor, forward step), or None.
+    whose edge kinds fit the gluing.  verify(canon) runs the costly rest
+    (spade on the partner, the forward gluing replayed on the canonical
+    sides) and returns (predecessor, forward step), or None; canon is the
+    raw predecessor's `canonicalize()` if the caller has it, else None.
     """
     for u, v in itertools.combinations(range(state.n), 2):
         pieces, direct = _pieces(state, u, v)
@@ -400,10 +401,12 @@ def _split_predecessors(state: Multigraph, delta: int):
                     yield g1, partial(_verify_split, state, delta, style, g1, e1, g2, e2)
 
 
-def _verify_split(state: Multigraph, delta: int, style: str, g1, e1: int, g2, e2: int):
+def _verify_split(
+    state: Multigraph, delta: int, style: str, g1, e1: int, g2, e2: int, canon=None
+):
     if not _spade_holds(g2, delta):
         return None
-    g1c, _, em1 = g1.canonicalize()
+    g1c, _, em1 = canon or g1.canonicalize()
     g2c, _, em2 = g2.canonicalize()
     e1c, e2c = em1[e1], em2[e2]
     op = "path_glue" if style == "path" else "delta_glue"
@@ -420,7 +423,7 @@ def _verify_split(state: Multigraph, delta: int, style: str, g1, e1: int, g2, e2
 def _subdivision_predecessors(state: Multigraph, delta: int, max_vertices: int):
     """Undo one path contraction: subdivide a parallel-class edge.
 
-    Yields (raw predecessor, verify); verify() contracts the path again.
+    Yields (raw predecessor, verify); verify(canon) contracts the path again.
     """
     if delta < 3 or state.n + delta - 2 > max_vertices:
         return
@@ -440,8 +443,8 @@ def _subdivision_predecessors(state: Multigraph, delta: int, max_vertices: int):
         yield raw, partial(_verify_subdivision, state, delta, raw, chain)
 
 
-def _verify_subdivision(state: Multigraph, delta: int, raw: Multigraph, chain):
-    pred, vperm, _ = raw.canonicalize()
+def _verify_subdivision(state: Multigraph, delta: int, raw: Multigraph, chain, canon=None):
+    pred, vperm, _ = canon or raw.canonicalize()
     mapped = tuple(vperm[w] for w in chain)
     try:
         back = contract_path(pred, mapped, delta)
@@ -513,19 +516,23 @@ def _search(target: Multigraph, delta: int, memo: Memo):
             _split_predecessors(state, delta),
             _subdivision_predecessors(state, delta, max_vertices),
         )
-        candidates, verified = [], {}
+        candidates, verified, canons = [], {}, {}
         for raw, verify in preds:  # pass 1: verify only what may end the search
             candidates.append(verify)
-            if (raw.n, raw.m) not in shapes or memo and raw.canonicalize()[0] not in ends:
+            if (raw.n, raw.m) not in shapes:
                 continue
-            hit = verified[verify] = verify()
+            if memo:  # canonicalized once: verify reuses it
+                canons[verify] = raw.canonicalize()
+                if canons[verify][0] not in ends:
+                    continue
+            hit = verified[verify] = verify(canons.get(verify))
             if hit and hit[0] in ends and _spade_holds(hit[0], delta):
                 came_from[hit[0]] = (state, hit[1])
                 found = (hit[0], *ends[hit[0]])
                 break
         else:  # pass 2: nothing ends the search; any memo hit left is a dead end
             for verify in candidates:
-                hit = verified[verify] if verify in verified else verify()
+                hit = verified[verify] if verify in verified else verify(canons.get(verify))
                 if hit is None or hit[0] in discovered or (delta, hit[0]) in memo:
                     continue
                 if _spade_holds(hit[0], delta):

@@ -8,26 +8,41 @@ contraction G/E(S).  The good flats are the proper records with k(S) = 1
 (for proper S, G/E(S) is connected, so one block means 2-connected); the
 heart check reads all of them, V included with k(V) = 0.
 
-Every connectivity question here is a BFS over bitmasks: a vertex subset
-is an int, each vertex has a neighbour mask and each edge an endpoint
-mask.  No minor is ever built.
+Every connectivity question here is a search over bitmasks: a vertex
+subset is an int, each vertex has a neighbour mask and each edge an
+endpoint mask.  No minor is ever built.
 
-The pass visits only the connected subsets, since a 2-connected subset
-is connected, each grown once from its minimum vertex by reverse search
-(Avis and Fukuda 1996; Komusiewicz and Sorge 2015): C16 visits 241
-subsets instead of 65,535.  A visited S with |S| >= 3 is 2-connected
-when S minus any one vertex is still connected; two adjacent vertices
-count as 2-connected.  Only the inner vertices of one BFS tree of S need
-that test: a leaf of a spanning tree T of S is never a cut vertex, since
-T minus the leaf still spans the rest of S.  Only the 2-connected
-records pay for E(S) and k(S).  Such an S lies in one block B of G.  In
-B/E(S), a vertex w other than the contracted one is no cut vertex,
+The pass is a flashlight search over blocks, the binary-partition
+backtrack of Read and Tarjan ("Bounds on backtrack algorithms for listing
+cycles, paths, and spanning trees", 1975).  A node is a pair (I, U) in
+which U induces a 2-connected subgraph and contains I; it stands for the
+2-connected S with I <= S <= U, and U is one of them.  The node branches
+on a vertex w of U - I: either w joins I, or w leaves U and the search
+descends into each block of G[U - w] that contains I.  That covers every
+S without w, since a 2-connected S inside U - w lies in one block of
+G[U - w], and each such block is a 2-connected subset itself (a block
+holds every edge G[U - w] has between its vertices).  A node emits I
+once U = I.  The search starts from each vertex v, in the blocks of
+G[{v, ..., n-1}] that contain v, so each S is found once, from its
+lowest vertex.  Each branch shrinks U - I, so a root-to-leaf path has at
+most n nodes; and every node lies on such a path to an output, the one
+that keeps adding w until I = U.  So there are at most n nodes per
+record, each paying one block computation: a single mask-native Tarjan
+DFS rooted at a vertex of I (`_blocks`).  On the glued delta = 3 graph
+with 28 vertices of the tests (`glued_chain(3, 28)`) that is 87,943
+nodes for 39,386 records, where testing each connected subset visited
+16.7 M of them.  Two adjacent vertices count as 2-connected, and
+parallel edges do not change the vertex sets of blocks.
+
+Each record then gets E(S) and k(S).  An S lies in one block B of G.
+In B/E(S), a vertex w other than the contracted one is no cut vertex,
 because B - w stays connected and (B/E(S)) - w = (B - w)/E(S); so the
 blocks of B/E(S) are the components of B - S, each joined to the
 contracted vertex, and the other blocks of G are untouched: k(S) =
 (blocks of G) - 1 + (components of B - S).
 
-The edge kinds follow the same two facts:
+The edge kinds follow from the mask 2-connectivity test `_two_connected`
+and the same fact about contractions:
 
 - "del": G - e is 2-connected.  That needs G 2-connected; then a
   parallel copy of e keeps it so, and otherwise (n >= 3) G - e must pass
@@ -105,17 +120,95 @@ def subset_pass(
     """
     nbr = _neighbour_masks(graph)
     edge_masks = [(e.eid, (1 << e.u) | (1 << e.v)) for e in graph.edges]
-    blocks = [sum(1 << v for v in b) for b in graph.blocks()]
+    blocks = []
+    rest = (1 << graph.n) - 1
+    while rest:  # the blocks of G, one component at a time
+        comp = _reach(rest, nbr)
+        blocks += _blocks(rest & -rest, comp, nbr)
+        rest ^= comp
+    found = []
+    for s in _two_connected_masks(nbr):
+        verts = _bits(s)
+        found.append((len(verts), verts, s))
+    found.sort()  # by size, then in combinations order
+    others = len(blocks) - 1
     out = []
-    for s in _connected_subsets(nbr):
-        if _two_connected(s, nbr):
-            verts = _bits(s)
-            home = next(b for b in blocks if s & b == s)
-            k = len(blocks) - 1 + _components(home & ~s, nbr)
-            edges = frozenset(eid for eid, em in edge_masks if em & s == em)
-            out.append(((len(verts), verts), (frozenset(verts), edges, k)))
-    out.sort(key=lambda rec: rec[0])
-    return tuple(rec for _, rec in out)
+    for _, verts, s in found:
+        for home in blocks:
+            if s & home == s:
+                break
+        edges = frozenset([eid for eid, em in edge_masks if em & s == em])
+        out.append((frozenset(verts), edges, others + _components(home & ~s, nbr)))
+    return tuple(out)
+
+
+def _two_connected_masks(nbr: list[int]) -> list[int]:
+    """Every vertex mask inducing a 2-connected subgraph, by flashlight search.
+
+    A frame (inner, outer) is a node (I, U) of the search in the module
+    docstring; the branch vertex w is the lowest of U - I.
+    """
+    out = []
+    above = (1 << len(nbr)) - 1
+    for v in range(len(nbr)):
+        low = 1 << v
+        stack = [(low, b) for b in _blocks(low, above, nbr) if b & low]
+        above ^= low
+        while stack:
+            inner, outer = stack.pop()
+            if inner == outer:
+                out.append(inner)
+                continue
+            w = outer & ~inner
+            w &= -w
+            stack.append((inner | w, outer))
+            rest = outer ^ w
+            if rest & (rest - 1):  # a block has two vertices
+                for b in _blocks(inner & -inner, rest, nbr):
+                    if b & inner == inner:
+                        stack.append((inner, b))
+    return out
+
+
+def _blocks(root: int, mask: int, nbr: list[int]) -> list[int]:
+    """The blocks of the component of G[mask] that holds the vertex bit root.
+
+    One Tarjan DFS over the neighbour masks.  Every non-tree edge of an
+    undirected DFS joins a vertex to one of its ancestors, so a finished
+    vertex closes a block with its parent p exactly when no vertex of its
+    subtree has a neighbour above p; the block is p and the part of the
+    subtree that no deeper block has closed off.
+    """
+    out = []
+    seen = root
+    near = nbr[root.bit_length() - 1] & mask
+    # per vertex on the tree path: its bit, its proper ancestors, its
+    # neighbours, its subtree's neighbours, its subtree's open part
+    path = [[root, 0, near, near, root]]
+    while path:
+        top = path[-1]
+        w = top[2] & ~seen
+        if w:
+            w &= -w
+            seen |= w
+            near = nbr[w.bit_length() - 1] & mask
+            if near & ~seen:
+                path.append([w, top[1] | top[0], near, near, w])
+            elif near & top[1]:  # a leaf, finished at once
+                top[3] |= near
+                top[4] |= w
+            else:
+                out.append(top[0] | w)
+            continue
+        path.pop()
+        if path:
+            parent = path[-1]
+            if top[3] & parent[1]:
+                parent[3] |= top[3]
+                parent[4] |= top[4]
+            else:
+                out.append(parent[0] | top[4])
+    return out
 
 
 def _neighbour_masks(graph: Multigraph) -> list[int]:
@@ -143,26 +236,6 @@ def _bits(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def _connected_subsets(nbr: list[int]):
-    """Every nonempty vertex mask inducing a connected subgraph, once each.
-
-    Reverse search from the minimum vertex: a frame (S, N(S), F) grows S
-    by each vertex of N(S) outside F in turn, and adds that vertex to F
-    for the later siblings, so the branches partition the connected
-    supersets of S that avoid F.
-    """
-    stack = [(1 << v, nbr[v], (2 << v) - 1) for v in range(len(nbr))]
-    while stack:
-        s, near, banned = stack.pop()
-        yield s
-        ext = near & ~banned
-        while ext:
-            w = ext & -ext
-            ext ^= w
-            banned |= w
-            stack.append((s | w, near | nbr[w.bit_length() - 1], banned))
 
 
 def _reach(mask: int, nbr: list[int]) -> int:

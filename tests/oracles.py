@@ -3,9 +3,11 @@
 Each shares no code with the library path it checks and is meant for
 tiny inputs only.  The double-description hull oracle, lattice-point
 enumeration with the dilation-1 check, and the Matrix-Tree count back
-acceptance criteria 6, 9 and 8.  The one exception is
-`decompose_eagerly`, which shares the predecessor generators with
+acceptance criteria 6, 9 and 8.  There are two exceptions.
+`decompose_eagerly` shares the predecessor generators with
 `constructions.decompose` and differs only in when it verifies.
+`subset_pass_by_reverse_search` shares the bitmask helpers of `matroid`
+but not its enumeration.
 """
 
 from __future__ import annotations
@@ -198,6 +200,54 @@ def subset_pass_by_combinations(
                 k = len(contract_subset(graph, s).blocks())
                 out.append((s, edges_within(graph, s), k))
     return tuple(out)
+
+
+def subset_pass_by_reverse_search(
+    graph: Multigraph,
+) -> tuple[tuple[frozenset[int], frozenset[int], int], ...]:
+    """`matroid.subset_pass` by testing every connected vertex subset.
+
+    The pass the flashlight search replaced: reverse search grows each
+    connected subset once from its minimum vertex, the mask test
+    `matroid._two_connected` keeps the 2-connected ones, and k(S) is
+    read off the block of `Multigraph.blocks` that holds S.  It shares
+    the mask helpers with the library, not the enumeration; unlike
+    `subset_pass_by_combinations` it is fast enough for 20 vertices.
+    """
+    nbr = matroid._neighbour_masks(graph)
+    edge_masks = [(e.eid, (1 << e.u) | (1 << e.v)) for e in graph.edges]
+    blocks = [sum(1 << v for v in b) for b in graph.blocks()]
+    out = []
+    for s in _connected_subsets(nbr):
+        if matroid._two_connected(s, nbr):
+            verts = matroid._bits(s)
+            home = next(b for b in blocks if s & b == s)
+            k = len(blocks) - 1 + matroid._components(home & ~s, nbr)
+            edges = frozenset(eid for eid, em in edge_masks if em & s == em)
+            out.append(((len(verts), verts), (frozenset(verts), edges, k)))
+    out.sort(key=lambda rec: rec[0])
+    return tuple(rec for _, rec in out)
+
+
+def _connected_subsets(nbr: list[int]):
+    """Every nonempty vertex mask inducing a connected subgraph, once each.
+
+    Reverse search from the minimum vertex (Avis and Fukuda 1996;
+    Komusiewicz and Sorge 2015): a frame (S, N(S), F) grows S by each
+    vertex of N(S) outside F in turn, and adds that vertex to F for the
+    later siblings, so the branches partition the connected supersets of
+    S that avoid F.
+    """
+    stack = [(1 << v, nbr[v], (2 << v) - 1) for v in range(len(nbr))]
+    while stack:
+        s, near, banned = stack.pop()
+        yield s
+        ext = near & ~banned
+        while ext:
+            w = ext & -ext
+            ext ^= w
+            banned |= w
+            stack.append((s | w, near | nbr[w.bit_length() - 1], banned))
 
 
 def edge_kinds_by_minors(graph: Multigraph) -> dict[int, str | None]:

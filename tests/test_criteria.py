@@ -16,6 +16,7 @@ from gorenstein.multigraph import (
     cycle_graph,
 )
 from gorenstein.polytope import gorenstein_oracle
+from glued import glued_chain
 from oracles import contract_subset
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
@@ -145,6 +146,12 @@ class TestIsGorenstein:
         monkeypatch.setattr(criteria, "check_heart", lambda graph, assignment: False)
         with pytest.raises(RuntimeError, match="disagree"):
             is_gorenstein(DIAMOND)
+
+    @pytest.mark.parametrize("delta, n", [(3, 24), (2, 20), (4, 22)])
+    def test_glued_graph_at_its_construction_delta(self, delta, n):
+        # sizes the flashlight subset pass makes affordable
+        verdict = is_gorenstein(glued_chain(delta, n))
+        assert verdict is not None and verdict[0] == delta
 
     def test_unique_delta_on_census(self, census_small):
         for g in census_small:

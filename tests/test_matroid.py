@@ -19,6 +19,7 @@ from oracles import (
     is_matroid_connected,
     rank,
     subset_pass_by_combinations,
+    subset_pass_by_reverse_search,
 )
 
 
@@ -239,6 +240,18 @@ class TestSubsetPass:
         g = glued_chain(delta, n)
         assert g.n == n and g.is_two_connected()
         assert matroid.subset_pass(g) == subset_pass_by_combinations(g)
+
+    @settings(deadline=None)
+    @given(multigraphs())
+    def test_equals_reverse_search_reference_on_random_multigraphs(self, g):
+        assert matroid.subset_pass(g) == subset_pass_by_reverse_search(g)
+
+    @pytest.mark.parametrize("delta, n", [(2, 18), (3, 20), (4, 20)])
+    def test_equals_reverse_search_reference_on_glued_graphs(self, delta, n):
+        # sizes where the 2^n combinations reference is too slow
+        g = glued_chain(delta, n)
+        assert g.n == n and g.is_two_connected()
+        assert matroid.subset_pass(g) == subset_pass_by_reverse_search(g)
 
     def test_equals_combinations_reference_on_c16(self):
         records = matroid.subset_pass(cycle_graph(16))
