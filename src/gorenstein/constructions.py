@@ -19,7 +19,7 @@ from functools import partial
 
 from . import matroid
 from .criteria import check_spade, weight_function
-from .multigraph import Edge, Multigraph, complete_graph, cycle_graph
+from .multigraph import Edge, Multigraph, _bits, _reach, complete_graph, cycle_graph
 
 SEED_CYCLE = "cycle"
 SEED_K4 = "k4"
@@ -302,29 +302,24 @@ def _pieces(graph: Multigraph, u: int, v: int):
     list of one connected component of the graph minus {u, v} together
     with its edges to u and v; direct edges join u and v themselves.
     """
-    others = [w for w in range(graph.n) if w not in (u, v)]
-    parent = {w: w for w in others}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    nbr = graph.neighbour_masks
+    ends = (1 << u) | (1 << v)
+    rest = ((1 << graph.n) - 1) & ~ends
+    part = [0] * graph.n  # vertex -> mask of its component of G - {u, v}
+    while rest:
+        comp = _reach(rest, nbr)
+        rest ^= comp
+        for w in _bits(comp):
+            part[w] = comp
     direct = []
-    for e in graph.edges:
-        if {e.u, e.v} == {u, v}:
-            direct.append(e.eid)
-        elif e.u in parent and e.v in parent:
-            ru, rv = find(e.u), find(e.v)
-            if ru != rv:
-                parent[rv] = ru
+    # pieces in order of first edge: it fixes which split the search tries first
     groups: dict[int, list[int]] = {}
     for e in graph.edges:
-        if {e.u, e.v} == {u, v}:
-            continue
-        anchor = e.u if e.u in parent else e.v
-        groups.setdefault(find(anchor), []).append(e.eid)
+        if (1 << e.u) | (1 << e.v) == ends:
+            direct.append(e.eid)
+        else:
+            anchor = e.v if e.u in (u, v) else e.u
+            groups.setdefault(part[anchor], []).append(e.eid)
     return list(groups.values()), direct
 
 

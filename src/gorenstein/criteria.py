@@ -11,6 +11,7 @@ subsets.  Both decide the same property as the polyhedral oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import matroid
 from .multigraph import Multigraph
@@ -28,11 +29,17 @@ class WeightAssignment:
                     f"edge {eid}: weight {w} is neither 1 nor delta - 1 = {self.delta - 1}"
                 )
 
+    @cached_property
+    def _weight_of(self) -> dict[int, int]:
+        return dict(self.weights)
+
     def total(self, edge_ids=None) -> int:
+        """w of the given edge ids, each counted once; ids outside the
+        assignment count 0.  All edges when none are given."""
         if edge_ids is None:
             return sum(w for _, w in self.weights)
-        wanted = set(edge_ids)
-        return sum(w for eid, w in self.weights if eid in wanted)
+        weight_of = self._weight_of
+        return sum([weight_of.get(eid, 0) for eid in set(edge_ids)])
 
 
 def weight_function(graph: Multigraph, delta: int) -> WeightAssignment | None:

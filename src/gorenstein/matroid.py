@@ -10,7 +10,9 @@ heart check reads all of them, V included with k(V) = 0.
 
 Every connectivity question here is a search over bitmasks: a vertex
 subset is an int, each vertex has a neighbour mask and each edge an
-endpoint mask.  No minor is ever built.
+endpoint mask.  The masks, the blocks of G and the searches over them
+come from the connectivity kernel of `multigraph`; no minor is ever
+built.
 
 The pass is a flashlight search over blocks, the binary-partition
 backtrack of Read and Tarjan ("Bounds on backtrack algorithms for listing
@@ -27,11 +29,11 @@ G[{v, ..., n-1}] that contain v, so each S is found once, from its
 lowest vertex.  Each branch shrinks U - I, so a root-to-leaf path has at
 most n nodes; and every node lies on such a path to an output, the one
 that keeps adding w until I = U.  So there are at most n nodes per
-record, each paying one block computation: a single mask-native Tarjan
-DFS rooted at a vertex of I (`_blocks`).  On the glued delta = 3 graph
-with 28 vertices of the tests (`glued_chain(3, 28)`) that is 87,943
-nodes for 39,386 records, where testing each connected subset visited
-16.7 M of them.  Two adjacent vertices count as 2-connected, and
+record, each paying one block computation: a single mask-native block
+DFS rooted at a vertex of I (`multigraph._blocks`).  On the glued
+delta = 3 graph with 28 vertices of the tests (`glued_chain(3, 28)`)
+that is 87,943 nodes for 39,386 records, where testing each connected
+subset visited 16.7 M of them.  Two adjacent vertices count as 2-connected, and
 parallel edges do not change the vertex sets of blocks.
 
 Each record then gets E(S) and k(S).  An S lies in one block B of G.
@@ -39,14 +41,16 @@ In B/E(S), a vertex w other than the contracted one is no cut vertex,
 because B - w stays connected and (B/E(S)) - w = (B - w)/E(S); so the
 blocks of B/E(S) are the components of B - S, each joined to the
 contracted vertex, and the other blocks of G are untouched: k(S) =
-(blocks of G) - 1 + (components of B - S).
+(blocks of G) - 1 + (components of B - S).  The blocks of G are the
+cached `Multigraph.block_masks`.
 
-The edge kinds follow from the mask 2-connectivity test `_two_connected`
-and the same fact about contractions:
+The edge kinds follow from the blocks of G and the same fact about
+contractions.  A cut vertex of G is a vertex that lies in two blocks.
 
-- "del": G - e is 2-connected.  That needs G 2-connected; then a
-  parallel copy of e keeps it so, and otherwise (n >= 3) G - e must pass
-  the mask 2-connectivity test.
+- "del": G - e is 2-connected.  That needs G 2-connected, i.e. its
+  blocks are the single full mask; then a parallel copy of e keeps it
+  so, and otherwise (n >= 3) the blocks of G - e must be the full mask
+  again.
 - "con": G/e is 2-connected, which needs n >= 3 and G connected.  For a
   vertex w outside e, (G/e) - w = (G - w)/e, so w is a cut vertex of G/e
   exactly when it is one of G; and the merged vertex is a cut vertex of
@@ -56,12 +60,12 @@ and the same fact about contractions:
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .multigraph import Edge, Multigraph
+from .multigraph import Edge, Multigraph, _bits, _blocks, _components, _reach
 
 
 @dataclass(frozen=True)
@@ -79,24 +83,24 @@ def edge_kinds(graph: Multigraph) -> Mapping[int, str | None]:
     delta - 1), else None.  Read-only: every caller shares the cached map.
     """
     n = graph.n
-    nbr = _neighbour_masks(graph)
+    nbr = graph.neighbour_masks
     full = (1 << n) - 1
-    connected = _connected(full, nbr)
-    cut = 0
-    if connected:
-        for v in range(n):
-            if not _connected(full & ~(1 << v), nbr):
-                cut |= 1 << v
-    two_connected = connected and n >= 2 and not cut
+    blocks = graph.block_masks
+    connected = graph.is_connected()
+    seen = cut = 0
+    for b in blocks:  # a vertex in two blocks is a cut vertex
+        cut |= seen & b
+        seen |= b
+    two_connected = blocks == (full,)
     copies = Counter((e.u, e.v) for e in graph.edges)
     kinds: dict[int, str | None] = {}
     for e in graph.edges:
-        ends = (1 << e.u) | (1 << e.v)
+        rest = full & ~((1 << e.u) | (1 << e.v))
         if two_connected and (
-            copies[e.u, e.v] > 1 or n >= 3 and _two_connected(full, _without(nbr, e))
+            copies[e.u, e.v] > 1 or n >= 3 and _blocks(1, full, _without(nbr, e)) == [full]
         ):
             kinds[e.eid] = "del"
-        elif n >= 3 and connected and not cut & ~ends and _connected(full & ~ends, nbr):
+        elif n >= 3 and connected and not cut & rest and _reach(rest, nbr) == rest:
             kinds[e.eid] = "con"
         else:
             kinds[e.eid] = None
@@ -118,14 +122,9 @@ def subset_pass(
 
     Ordered by size, then in combinations order within a size.
     """
-    nbr = _neighbour_masks(graph)
+    nbr = graph.neighbour_masks
     edge_masks = [(e.eid, (1 << e.u) | (1 << e.v)) for e in graph.edges]
-    blocks = []
-    rest = (1 << graph.n) - 1
-    while rest:  # the blocks of G, one component at a time
-        comp = _reach(rest, nbr)
-        blocks += _blocks(rest & -rest, comp, nbr)
-        rest ^= comp
+    blocks = graph.block_masks
     found = []
     for s in _two_connected_masks(nbr):
         verts = _bits(s)
@@ -142,7 +141,7 @@ def subset_pass(
     return tuple(out)
 
 
-def _two_connected_masks(nbr: list[int]) -> list[int]:
+def _two_connected_masks(nbr: Sequence[int]) -> list[int]:
     """Every vertex mask inducing a 2-connected subgraph, by flashlight search.
 
     A frame (inner, outer) is a node (I, U) of the search in the module
@@ -170,141 +169,12 @@ def _two_connected_masks(nbr: list[int]) -> list[int]:
     return out
 
 
-def _blocks(root: int, mask: int, nbr: list[int]) -> list[int]:
-    """The blocks of the component of G[mask] that holds the vertex bit root.
-
-    One Tarjan DFS over the neighbour masks.  Every non-tree edge of an
-    undirected DFS joins a vertex to one of its ancestors, so a finished
-    vertex closes a block with its parent p exactly when no vertex of its
-    subtree has a neighbour above p; the block is p and the part of the
-    subtree that no deeper block has closed off.
-    """
-    out = []
-    seen = root
-    near = nbr[root.bit_length() - 1] & mask
-    # per vertex on the tree path: its bit, its proper ancestors, its
-    # neighbours, its subtree's neighbours, its subtree's open part
-    path = [[root, 0, near, near, root]]
-    while path:
-        top = path[-1]
-        w = top[2] & ~seen
-        if w:
-            w &= -w
-            seen |= w
-            near = nbr[w.bit_length() - 1] & mask
-            if near & ~seen:
-                path.append([w, top[1] | top[0], near, near, w])
-            elif near & top[1]:  # a leaf, finished at once
-                top[3] |= near
-                top[4] |= w
-            else:
-                out.append(top[0] | w)
-            continue
-        path.pop()
-        if path:
-            parent = path[-1]
-            if top[3] & parent[1]:
-                parent[3] |= top[3]
-                parent[4] |= top[4]
-            else:
-                out.append(parent[0] | top[4])
-    return out
-
-
-def _neighbour_masks(graph: Multigraph) -> list[int]:
-    """One mask per vertex: the bits of its neighbours."""
-    nbr = [0] * graph.n
-    for e in graph.edges:
-        nbr[e.u] |= 1 << e.v
-        nbr[e.v] |= 1 << e.u
-    return nbr
-
-
-def _without(nbr: list[int], e: Edge) -> list[int]:
+def _without(nbr: Sequence[int], e: Edge) -> list[int]:
     """The neighbour masks of G - e, for an edge without parallel copies."""
-    out = nbr.copy()
+    out = list(nbr)
     out[e.u] &= ~(1 << e.v)
     out[e.v] &= ~(1 << e.u)
     return out
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """The set bits of a mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def _reach(mask: int, nbr: list[int]) -> int:
-    """BFS within the mask from its lowest vertex: the vertices reached."""
-    seen = frontier = mask & -mask
-    while frontier:
-        reach = 0
-        while frontier:
-            w = frontier & -frontier
-            frontier ^= w
-            reach |= nbr[w.bit_length() - 1]
-        frontier = reach & mask & ~seen
-        seen |= frontier
-    return seen
-
-
-def _connected(mask: int, nbr: list[int]) -> bool:
-    return _reach(mask, nbr) == mask
-
-
-def _components(mask: int, nbr: list[int]) -> int:
-    """The number of connected components of the subgraph the mask induces."""
-    count = 0
-    while mask:
-        mask &= ~_reach(mask, nbr)
-        count += 1
-    return count
-
-
-def _two_connected(s: int, nbr: list[int]) -> bool:
-    """Whether the subset S induces a 2-connected subgraph.
-
-    As in `Multigraph.is_two_connected`, one vertex is not 2-connected
-    and two adjacent vertices are; larger S must have no cut vertex.  A
-    pair must be connected on entry; a larger S need not be, since the
-    BFS tree grown from its lowest vertex also gives the connectivity
-    verdict.  Only the tree's inner vertices are then removed and S
-    re-tested: a leaf of a spanning tree is never a cut vertex.
-    """
-    size = s.bit_count()
-    if size <= 2:
-        return size == 2
-    # one BFS tree over S; a vertex that gains a child in it is inner
-    seen = frontier = s & -s
-    inner = 0
-    while frontier:
-        reach = 0
-        while frontier:
-            w = frontier & -frontier
-            frontier ^= w
-            near = nbr[w.bit_length() - 1] & s
-            # a vertex with one neighbour in S makes that neighbour a cut vertex
-            if not near & (near - 1):
-                return False
-            kids = near & ~seen
-            if kids:
-                inner |= w
-                seen |= kids
-                reach |= kids
-        frontier = reach
-    if seen != s:
-        return False
-    # a leaf of a spanning tree of S is never a cut vertex of S
-    while inner:
-        w = inner & -inner
-        inner ^= w
-        if not _connected(s ^ w, nbr):
-            return False
-    return True
 
 
 @lru_cache(maxsize=16384)

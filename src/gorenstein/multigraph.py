@@ -3,6 +3,14 @@
 Vertices are integers 0..n-1.  Edges carry an opaque integer id that
 survives relabelling and taking induced subgraphs.  All graphs are
 immutable values; every operation returns a new graph.
+
+This module is the only one that knows how connectivity is computed.
+A vertex subset is an int mask; each graph caches one neighbour mask
+per vertex (`neighbour_masks`) and the vertex masks of its blocks
+(`block_masks`), found by one mask-native block DFS (`_blocks`) per
+component.  `blocks`, `is_connected` and `is_two_connected` read those,
+and `matroid` and `constructions` import the mask helpers (`_bits`,
+`_reach`, `_components`, `_blocks`) instead of searching on their own.
 """
 
 from __future__ import annotations
@@ -146,12 +154,13 @@ class Multigraph:
         return sum(1 for e in self.edges if v in (e.u, e.v))
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """One mask per vertex: the bits of its neighbours."""
+        nbr = [0] * self.n
         for e in self.edges:
-            adj[e.u].append((e.v, e.eid))
-            adj[e.v].append((e.u, e.eid))
-        return tuple(tuple(a) for a in adj)
+            nbr[e.u] |= 1 << e.v
+            nbr[e.v] |= 1 << e.u
+        return tuple(nbr)
 
     def parallel_class(self, eid: int) -> tuple[int, ...]:
         """Ids of all edges sharing this edge's endpoint pair (incl. itself)."""
@@ -187,18 +196,24 @@ class Multigraph:
 
     def is_connected(self) -> bool:
         # fewer than n - 1 edges cannot connect n vertices; answering
-        # before building the adjacency keeps huge edgeless inputs cheap
+        # before building the masks keeps huge edgeless inputs cheap
         if self.n == 0 or self.m < self.n - 1:
             return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w, _ in self._adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        full = (1 << self.n) - 1
+        return _reach(full, self.neighbour_masks) == full
+
+    @cached_property
+    def block_masks(self) -> tuple[int, ...]:
+        """The blocks of every component as vertex masks, component by
+        component from the lowest vertex not yet reached."""
+        nbr = self.neighbour_masks
+        out: list[int] = []
+        rest = (1 << self.n) - 1
+        while rest:
+            comp = _reach(rest, nbr)
+            out += _blocks(rest & -rest, comp, nbr)
+            rest ^= comp
+        return tuple(out)
 
     def blocks(self) -> list[frozenset[int]]:
         """The 2-connected components (blocks), as vertex sets.
@@ -206,61 +221,16 @@ class Multigraph:
         A single vertex yields no block; a bridge is its own block.
         Parallel edges keep their endpoints in one block.
         """
-        disc = [-1] * self.n
-        low = [0] * self.n
-        stack: list[tuple[int, int, int]] = []
-        out: list[frozenset[int]] = []
-        counter = itertools.count()
-
-        def dfs(root: int) -> None:
-            # iterative DFS to keep deep paths safe
-            work: list[tuple[int, int, iter]] = [(root, -1, iter(self._adjacency[root]))]
-            disc[root] = low[root] = next(counter)
-            while work:
-                u, peid, it = work[-1]
-                advanced = False
-                for w, eid in it:
-                    if eid == peid:
-                        continue
-                    if disc[w] == -1:
-                        disc[w] = low[w] = next(counter)
-                        stack.append((u, w, eid))
-                        work.append((w, eid, iter(self._adjacency[w])))
-                        advanced = True
-                        break
-                    elif disc[w] < disc[u]:
-                        stack.append((u, w, eid))
-                        low[u] = min(low[u], disc[w])
-                if not advanced:
-                    work.pop()
-                    if work:
-                        pu = work[-1][0]
-                        low[pu] = min(low[pu], low[u])
-                        if low[u] >= disc[pu]:
-                            comp: set[int] = set()
-                            while True:
-                                a, b, eid = stack.pop()
-                                comp.add(a)
-                                comp.add(b)
-                                if (a, b) == (pu, u):
-                                    break
-                            out.append(frozenset(comp))
-
-        for r in range(self.n):
-            if disc[r] == -1 and self._adjacency[r]:
-                dfs(r)
-        return out
+        return [frozenset(_bits(b)) for b in self.block_masks]
 
     def is_two_connected(self) -> bool:
         """Connected, at least two vertices, and no cut vertex.
 
         K_2 and C_2 both count as 2-connected under this convention.
         """
-        if self.n < 2:
+        if self.n < 2 or self.m < self.n - 1:  # before any mask, as in is_connected
             return False
-        if not self.is_connected():
-            return False
-        return len(self.blocks()) == 1
+        return self.block_masks == ((1 << self.n) - 1,)
 
     # -- spanning trees ----------------------------------------------------
 
@@ -339,6 +309,83 @@ class Multigraph:
         p = list(range(self.n))
         rng.shuffle(p)
         return self.permuted(p)
+
+
+# -- connectivity kernel ---------------------------------------------------
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _reach(mask: int, nbr: Sequence[int]) -> int:
+    """BFS within the mask from its lowest vertex: the vertices reached."""
+    seen = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        while frontier:
+            w = frontier & -frontier
+            frontier ^= w
+            reach |= nbr[w.bit_length() - 1]
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def _components(mask: int, nbr: Sequence[int]) -> int:
+    """The number of connected components of the subgraph the mask induces."""
+    count = 0
+    while mask:
+        mask &= ~_reach(mask, nbr)
+        count += 1
+    return count
+
+
+def _blocks(root: int, mask: int, nbr: Sequence[int]) -> list[int]:
+    """The blocks of the component of G[mask] that holds the vertex bit root.
+
+    One DFS over the neighbour masks (Hopcroft and Tarjan, "Efficient
+    algorithms for graph manipulation", 1973).  Every non-tree edge of an
+    undirected DFS joins a vertex to one of its ancestors, so a finished
+    vertex closes a block with its parent p exactly when no vertex of its
+    subtree has a neighbour above p; the block is p and the part of the
+    subtree that no deeper block has closed off.
+    """
+    out = []
+    seen = root
+    near = nbr[root.bit_length() - 1] & mask
+    # per vertex on the tree path: its bit, its proper ancestors, its
+    # neighbours, its subtree's neighbours, its subtree's open part
+    path = [[root, 0, near, near, root]]
+    while path:
+        top = path[-1]
+        w = top[2] & ~seen
+        if w:
+            w &= -w
+            seen |= w
+            near = nbr[w.bit_length() - 1] & mask
+            if near & ~seen:
+                path.append([w, top[1] | top[0], near, near, w])
+            elif near & top[1]:  # a leaf, finished at once
+                top[3] |= near
+                top[4] |= w
+            else:
+                out.append(top[0] | w)
+            continue
+        path.pop()
+        if path:
+            parent = path[-1]
+            if top[3] & parent[1]:
+                parent[3] |= top[3]
+                parent[4] |= top[4]
+            else:
+                out.append(parent[0] | top[4])
+    return out
 
 
 def is_canonical_order(mult: Sequence[Sequence[int]], n: int) -> bool:

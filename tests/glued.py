@@ -1,4 +1,7 @@
-"""Larger 2-connected test graphs glued from small pieces."""
+"""2-connected test graphs: larger ones glued from small pieces, and
+random small ones by ear decomposition."""
+
+from hypothesis import strategies as st
 
 from gorenstein.constructions import GluingError, delta_edge_gluing, path_gluing
 from gorenstein.multigraph import Multigraph, complete_graph, cycle_graph
@@ -28,3 +31,24 @@ def _glue_somewhere(g: Multigraph, piece: Multigraph, delta: int, start: int) ->
             except GluingError:
                 pass
     raise AssertionError(f"no valid gluing at delta={delta}")
+
+
+@st.composite
+def two_connected_multigraphs(draw):
+    """2-connected multigraphs on 2..7 vertices by ear decomposition.
+
+    A cycle on 2..4 vertices, then up to four ears, each a path with 0..2
+    new interior vertices between two distinct placed vertices; every
+    2-connected multigraph has such a decomposition.  Edge ids follow a
+    random order of the edges.
+    """
+    n = draw(st.integers(2, 4))
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    for _ in range(draw(st.integers(0, 4))):
+        ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        u, v = draw(ends)
+        inner = draw(st.integers(0, min(2, 7 - n)))
+        path = [u, *range(n, n + inner), v]
+        n += inner
+        pairs.extend(zip(path, path[1:]))
+    return Multigraph.from_edge_list(n, draw(st.permutations(pairs)))

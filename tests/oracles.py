@@ -3,11 +3,17 @@
 Each shares no code with the library path it checks and is meant for
 tiny inputs only.  The double-description hull oracle, lattice-point
 enumeration with the dilation-1 check, and the Matrix-Tree count back
-acceptance criteria 6, 9 and 8.  There are two exceptions.
-`decompose_eagerly` shares the predecessor generators with
-`constructions.decompose` and differs only in when it verifies.
-`subset_pass_by_reverse_search` shares the bitmask helpers of `matroid`
-but not its enumeration.
+acceptance criteria 6, 9 and 8.  The edge-list block DFS
+(`blocks_by_edge_dfs` and the predicates on it) and the union-find
+`pieces_by_union_find` check the mask connectivity kernel of
+`multigraph`; the census, subset-pass and edge-kind references test
+2-connectivity with them.  There are three exceptions.  `decompose_eagerly` shares the
+predecessor generators with `constructions.decompose` and differs only
+in when it verifies.  `subset_pass_by_reverse_search` and
+`two_connected_mask` share the kernel's mask helpers `_bits`, `_reach`
+and `_components`, but not its block search or the flashlight
+enumeration.  `build_polytope_by_enumeration` reads the library's
+deletable edges and good flats.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from gorenstein import constructions, matroid
 from gorenstein.census import CensusBounds
 from gorenstein.constructions import ConstructionTrace, Memo, TraceStep
 from gorenstein.lattice import dot, kernel_basis_with_dual, vec_gcd
-from gorenstein.multigraph import Edge, Multigraph
+from gorenstein.multigraph import Edge, Multigraph, _bits, _components, _reach
 from gorenstein.polytope import (
     KIND_GOOD_FLAT,
     KIND_NONNEGATIVITY,
@@ -53,7 +59,7 @@ def enumerate_naive(bounds: CensusBounds) -> list[tuple[tuple[int, ...], ...]]:
             for (i, j), c in zip(cells, values):
                 pairs.extend([(i, j)] * c)
             g = Multigraph.from_edge_list(n, pairs)
-            if not g.is_two_connected():
+            if not is_two_connected_by_edge_dfs(g):
                 continue
             mat = g.multiplicity_matrix
             best = min(
@@ -104,7 +110,7 @@ def _labelled_fillings(n: int, bounds: CensusBounds):
                 for (i, j), c in zip(cells, counts):
                     pairs.extend([(i, j)] * c)
                 g = Multigraph.from_edge_list(n, pairs)
-                if g.is_two_connected():
+                if is_two_connected_by_edge_dfs(g):
                     out.append(g)
             return
         i, j = cells[idx]
@@ -181,6 +187,136 @@ def canonical_ordering_by_columns(
     return best_ord
 
 
+def blocks_by_edge_dfs(graph: Multigraph) -> list[frozenset[int]]:
+    """`Multigraph.blocks` by a Tarjan DFS over an edge-list adjacency.
+
+    The block search the mask kernel replaced, unchanged: an iterative DFS
+    that stacks tree and back edges by id and pops one block each time a
+    child's low point does not reach above its parent.
+    """
+    adjacency = _edge_adjacency(graph)
+    disc = [-1] * graph.n
+    low = [0] * graph.n
+    stack: list[tuple[int, int, int]] = []
+    out: list[frozenset[int]] = []
+    counter = itertools.count()
+
+    def dfs(root: int) -> None:
+        # iterative DFS to keep deep paths safe
+        work: list[tuple[int, int, iter]] = [(root, -1, iter(adjacency[root]))]
+        disc[root] = low[root] = next(counter)
+        while work:
+            u, peid, it = work[-1]
+            advanced = False
+            for w, eid in it:
+                if eid == peid:
+                    continue
+                if disc[w] == -1:
+                    disc[w] = low[w] = next(counter)
+                    stack.append((u, w, eid))
+                    work.append((w, eid, iter(adjacency[w])))
+                    advanced = True
+                    break
+                elif disc[w] < disc[u]:
+                    stack.append((u, w, eid))
+                    low[u] = min(low[u], disc[w])
+            if not advanced:
+                work.pop()
+                if work:
+                    pu = work[-1][0]
+                    low[pu] = min(low[pu], low[u])
+                    if low[u] >= disc[pu]:
+                        comp: set[int] = set()
+                        while True:
+                            a, b, eid = stack.pop()
+                            comp.add(a)
+                            comp.add(b)
+                            if (a, b) == (pu, u):
+                                break
+                        out.append(frozenset(comp))
+
+    for r in range(graph.n):
+        if disc[r] == -1 and adjacency[r]:
+            dfs(r)
+    return out
+
+
+def is_connected_by_edge_search(graph: Multigraph) -> bool:
+    """`Multigraph.is_connected` by a DFS over the edge-list adjacency."""
+    if graph.n == 0:
+        return False
+    adjacency = _edge_adjacency(graph)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w, _ in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == graph.n
+
+
+def is_two_connected_by_edge_dfs(graph: Multigraph) -> bool:
+    """`Multigraph.is_two_connected`: connected, n >= 2, one edge-DFS block."""
+    return (
+        graph.n >= 2
+        and is_connected_by_edge_search(graph)
+        and len(blocks_by_edge_dfs(graph)) == 1
+    )
+
+
+def _edge_adjacency(graph: Multigraph) -> list[list[tuple[int, int]]]:
+    """Per vertex, its (neighbour, edge id) pairs in edge order."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+    for e in graph.edges:
+        adjacency[e.u].append((e.v, e.eid))
+        adjacency[e.v].append((e.u, e.eid))
+    return adjacency
+
+
+def two_connected_mask(s: int, nbr: Sequence[int]) -> bool:
+    """Whether the vertex mask S induces a 2-connected subgraph.
+
+    The mask test that the flashlight pass replaced, unchanged.  As in
+    `Multigraph.is_two_connected`, one vertex is not 2-connected and two
+    adjacent vertices are; larger S must have no cut vertex.  A pair must
+    be connected on entry; a larger S need not be, since the BFS tree
+    grown from its lowest vertex also gives the connectivity verdict.
+    Only the tree's inner vertices are then removed and S re-tested: a
+    leaf of a spanning tree is never a cut vertex.
+    """
+    size = s.bit_count()
+    if size <= 2:
+        return size == 2
+    # one BFS tree over S; a vertex that gains a child in it is inner
+    seen = frontier = s & -s
+    inner = 0
+    while frontier:
+        reach = 0
+        while frontier:
+            w = frontier & -frontier
+            frontier ^= w
+            near = nbr[w.bit_length() - 1] & s
+            # a vertex with one neighbour in S makes that neighbour a cut vertex
+            if not near & (near - 1):
+                return False
+            kids = near & ~seen
+            if kids:
+                inner |= w
+                seen |= kids
+                reach |= kids
+        frontier = reach
+    if seen != s:
+        return False
+    # a leaf of a spanning tree of S is never a cut vertex of S
+    while inner:
+        w = inner & -inner
+        inner ^= w
+        if _reach(s ^ w, nbr) != s ^ w:
+            return False
+    return True
+
+
 def subset_pass_by_combinations(
     graph: Multigraph,
 ) -> tuple[tuple[frozenset[int], frozenset[int], int], ...]:
@@ -189,15 +325,16 @@ def subset_pass_by_combinations(
     Builds the induced subgraph of every subset with at least two
     vertices, in `itertools.combinations` order by size, and keeps
     (S, E(S), k(S)) for each 2-connected one, with k(S) the block count
-    of the contracted graph `contract_subset(graph, S)`.  Nothing here
-    reads the bitmask pass.
+    of the contracted graph `contract_subset(graph, S)`, both by the
+    edge-list DFS `blocks_by_edge_dfs`.  Nothing here reads the bitmask
+    pass or the mask kernel.
     """
     out = []
     for size in range(2, graph.n + 1):
         for combo in itertools.combinations(range(graph.n), size):
             s = frozenset(combo)
-            if graph.induced_subgraph(s).is_two_connected():
-                k = len(contract_subset(graph, s).blocks())
+            if is_two_connected_by_edge_dfs(graph.induced_subgraph(s)):
+                k = len(blocks_by_edge_dfs(contract_subset(graph, s)))
                 out.append((s, edges_within(graph, s), k))
     return tuple(out)
 
@@ -209,27 +346,28 @@ def subset_pass_by_reverse_search(
 
     The pass the flashlight search replaced: reverse search grows each
     connected subset once from its minimum vertex, the mask test
-    `matroid._two_connected` keeps the 2-connected ones, and k(S) is
-    read off the block of `Multigraph.blocks` that holds S.  It shares
-    the mask helpers with the library, not the enumeration; unlike
-    `subset_pass_by_combinations` it is fast enough for 20 vertices.
+    `two_connected_mask` keeps the 2-connected ones, and k(S) is read off
+    the block of `blocks_by_edge_dfs` that holds S.  It shares the mask
+    helpers `_bits`, `_reach` and `_components` with the library, not the
+    enumeration or the block search; unlike `subset_pass_by_combinations`
+    it is fast enough for 20 vertices.
     """
-    nbr = matroid._neighbour_masks(graph)
+    nbr = graph.neighbour_masks
     edge_masks = [(e.eid, (1 << e.u) | (1 << e.v)) for e in graph.edges]
-    blocks = [sum(1 << v for v in b) for b in graph.blocks()]
+    blocks = [sum(1 << v for v in b) for b in blocks_by_edge_dfs(graph)]
     out = []
     for s in _connected_subsets(nbr):
-        if matroid._two_connected(s, nbr):
-            verts = matroid._bits(s)
+        if two_connected_mask(s, nbr):
+            verts = _bits(s)
             home = next(b for b in blocks if s & b == s)
-            k = len(blocks) - 1 + matroid._components(home & ~s, nbr)
+            k = len(blocks) - 1 + _components(home & ~s, nbr)
             edges = frozenset(eid for eid, em in edge_masks if em & s == em)
             out.append(((len(verts), verts), (frozenset(verts), edges, k)))
     out.sort(key=lambda rec: rec[0])
     return tuple(rec for _, rec in out)
 
 
-def _connected_subsets(nbr: list[int]):
+def _connected_subsets(nbr: Sequence[int]):
     """Every nonempty vertex mask inducing a connected subgraph, once each.
 
     Reverse search from the minimum vertex (Avis and Fukuda 1996;
@@ -254,13 +392,14 @@ def edge_kinds_by_minors(graph: Multigraph) -> dict[int, str | None]:
     """`matroid.edge_kinds` by building G - e and G/e for every edge.
 
     'del' if `delete_edge` leaves a 2-connected graph, else 'con' if
-    `contract_edge` does, else None.
+    `contract_edge` does, else None; 2-connectivity is the edge-list
+    DFS `is_two_connected_by_edge_dfs`.
     """
     kinds: dict[int, str | None] = {}
     for e in graph.edges:
-        if delete_edge(graph, e.eid).is_two_connected():
+        if is_two_connected_by_edge_dfs(delete_edge(graph, e.eid)):
             kinds[e.eid] = "del"
-        elif contract_edge(graph, e.eid).is_two_connected():
+        elif is_two_connected_by_edge_dfs(contract_edge(graph, e.eid)):
             kinds[e.eid] = "con"
         else:
             kinds[e.eid] = None
@@ -780,6 +919,39 @@ def is_matroid_connected(graph: Multigraph) -> bool:
                     parent[find(x)] = root
     classes = {find(i) for i in ids}
     return len(classes) == 1
+
+
+def pieces_by_union_find(graph: Multigraph, u: int, v: int):
+    """`constructions._pieces` by a union-find over G - {u, v}.
+
+    The grouping the mask version replaced, unchanged: pieces come in the
+    order of their first edge in `graph.edges`, as do the edges within a
+    piece and the direct u-v edges.
+    """
+    others = [w for w in range(graph.n) if w not in (u, v)]
+    parent = {w: w for w in others}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    direct = []
+    for e in graph.edges:
+        if {e.u, e.v} == {u, v}:
+            direct.append(e.eid)
+        elif e.u in parent and e.v in parent:
+            ru, rv = find(e.u), find(e.v)
+            if ru != rv:
+                parent[rv] = ru
+    groups: dict[int, list[int]] = {}
+    for e in graph.edges:
+        if {e.u, e.v} == {u, v}:
+            continue
+        anchor = e.u if e.u in parent else e.v
+        groups.setdefault(find(anchor), []).append(e.eid)
+    return list(groups.values()), direct
 
 
 def decompose_eagerly(

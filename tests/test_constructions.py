@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gorenstein import constructions
 from gorenstein.constructions import (
@@ -30,8 +32,8 @@ from gorenstein.multigraph import (
     cycle_graph,
 )
 
-from glued import glued_chain
-from oracles import decompose_eagerly
+from glued import glued_chain, two_connected_multigraphs
+from oracles import decompose_eagerly, pieces_by_union_find
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 
@@ -357,6 +359,35 @@ def expansions(monkeypatch):
 
     monkeypatch.setattr(constructions, "_split_predecessors", counting)
     return states
+
+
+def split_pairs_checked(graph) -> int:
+    """Compare `_pieces` with the union-find reference at every vertex
+    pair; returns how many pairs split the graph into two or more pieces."""
+    split = 0
+    for u, v in itertools.combinations(range(graph.n), 2):
+        pieces, direct = constructions._pieces(graph, u, v)
+        assert (pieces, direct) == pieces_by_union_find(graph, u, v), (u, v)
+        split += len(pieces) >= 2
+    return split
+
+
+class TestPiecesEqualUnionFind:
+    """The order of the pieces and direct edges fixes which split the
+    search tries first, so it must be the reference's, not only the sets."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_connected_multigraphs(), st.integers(0, 2**31))
+    def test_random_two_connected_multigraphs(self, g, seed):
+        for h in (g, g.shuffled(random.Random(seed))):
+            split_pairs_checked(h)
+
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_glued_chains_and_shuffles(self, delta):
+        rng = random.Random(delta)
+        chain = glued_chain(delta, 12)
+        for graph in (chain, chain.shuffled(rng), chain.shuffled(rng)):
+            assert split_pairs_checked(graph) > 0
 
 
 class TestLazySearchEqualsEager:

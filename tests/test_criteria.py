@@ -56,6 +56,9 @@ class TestWeightFunction:
         assert w is not None
         assert w.total() == 3 * 3
         assert w.total([4]) == 1  # the chord is the only weight-1 edge
+        assert w.total([4, 4, 0]) == 1 + 2  # an id counts once
+        assert w.total([0, 99]) == 2  # an unknown id counts 0
+        assert w.total([]) == 0
 
 
 class TestCheckSpade:

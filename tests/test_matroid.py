@@ -20,6 +20,7 @@ from oracles import (
     rank,
     subset_pass_by_combinations,
     subset_pass_by_reverse_search,
+    two_connected_mask,
 )
 
 
@@ -163,12 +164,14 @@ class TestTwoConnectedSubsets:
 
 
 def assert_two_connected_agrees_on_every_subset(g: Multigraph) -> int:
-    """Compare the mask test with `is_two_connected` on every nonempty subset.
+    """Compare the reference mask test `two_connected_mask`, which the
+    reverse-search subset pass relies on, with `is_two_connected` on every
+    nonempty subset.
 
     Returns how many disconnected subsets of three or more vertices were
     compared.  A pair must be adjacent on entry, so other pairs are skipped.
     """
-    nbr = matroid._neighbour_masks(g)
+    nbr = g.neighbour_masks
     disconnected = 0
     for mask in range(1, 1 << g.n):
         subset = frozenset(v for v in range(g.n) if mask >> v & 1)
@@ -177,7 +180,7 @@ def assert_two_connected_agrees_on_every_subset(g: Multigraph) -> int:
             continue
         if len(subset) >= 3 and not induced.is_connected():
             disconnected += 1
-        assert matroid._two_connected(mask, nbr) == induced.is_two_connected(), sorted(subset)
+        assert two_connected_mask(mask, nbr) == induced.is_two_connected(), sorted(subset)
     return disconnected
 
 

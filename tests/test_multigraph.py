@@ -19,12 +19,15 @@ from gorenstein.multigraph import (
 )
 from glued import glued_chain
 from oracles import (
+    blocks_by_edge_dfs,
     canonical_ordering_by_columns,
     contract_edge,
     contract_edge_with_map,
     contract_subset,
     delete_edge,
     edges_within,
+    is_connected_by_edge_search,
+    is_two_connected_by_edge_dfs,
     spanning_tree_count,
 )
 
@@ -218,19 +221,48 @@ class TestMinors:
         assert edges_within(g, {0, 1, 2}) == {0, 1}
 
 
+@st.composite
+def multigraphs_in_parts(draw, max_n=9):
+    """Multigraphs on 0..max_n vertices whose edges stay inside up to three
+    vertex ranges, relabelled at random: isolated vertices, several
+    components and 2-connected parts all occur."""
+    n = draw(st.integers(0, max_n))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+    pairs = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        if hi - lo >= 2:
+            ends = st.lists(st.integers(lo, hi - 1), min_size=2, max_size=2, unique=True)
+            pairs += draw(st.lists(ends, max_size=8))
+    return Multigraph.from_edge_list(n, pairs).permuted(draw(st.permutations(range(n))))
+
+
+def assert_connectivity(g, blocks, connected, two_connected):
+    """The mask kernel and the edge-list references both give these answers."""
+    for found in (g.blocks(), blocks_by_edge_dfs(g)):
+        assert sorted(found, key=sorted) == sorted(blocks, key=sorted)
+    assert g.is_connected() == is_connected_by_edge_search(g) == connected
+    assert g.is_two_connected() == is_two_connected_by_edge_dfs(g) == two_connected
+
+
+# two triangles joined by the bridge 2-3
+BRIDGED = Multigraph.from_edge_list(
+    6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
+)
+
+
 class TestConnectivity:
     def test_k2_is_two_connected(self):
-        assert complete_graph(2).is_two_connected()
+        assert_connectivity(complete_graph(2), [{0, 1}], True, True)
 
     def test_c2_is_two_connected(self):
-        assert cycle_graph(2).is_two_connected()
+        assert_connectivity(cycle_graph(2), [{0, 1}], True, True)
 
     def test_single_vertex_is_not(self):
-        assert not Multigraph(1, ()).is_two_connected()
+        assert_connectivity(Multigraph(1, ()), [], True, False)
 
     def test_path_is_not(self):
         g = Multigraph.from_edge_list(3, [(0, 1), (1, 2)])
-        assert not g.is_two_connected()
+        assert_connectivity(g, [{0, 1}, {1, 2}], True, False)
 
     def test_blocks_of_path(self):
         g = Multigraph.from_edge_list(3, [(0, 1), (1, 2)])
@@ -238,18 +270,41 @@ class TestConnectivity:
 
     def test_blocks_parallel_edges_single_block(self):
         assert banana_graph(4).blocks() == [frozenset({0, 1})]
+        assert_connectivity(banana_graph(4), [{0, 1}], True, True)
 
     def test_two_triangles_at_cut_vertex(self):
         g = Multigraph.from_edge_list(
             5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
         )
-        assert len(g.blocks()) == 2
-        assert not g.is_two_connected()
+        assert_connectivity(g, [{0, 1, 2}, {2, 3, 4}], True, False)
+
+    def test_bridge_is_its_own_block(self):
+        assert_connectivity(BRIDGED, [{0, 1, 2}, {2, 3}, {3, 4, 5}], True, False)
 
     def test_disconnected(self):
         g = Multigraph.from_edge_list(4, [(0, 1), (2, 3)])
-        assert not g.is_connected()
-        assert not g.is_two_connected()
+        assert_connectivity(g, [{0, 1}, {2, 3}], False, False)
+
+    def test_edgeless(self):
+        assert_connectivity(Multigraph(3, ()), [], False, False)
+
+    def test_no_vertices(self):
+        assert_connectivity(Multigraph(0, ()), [], False, False)
+
+    def test_block_masks_follow_components(self):
+        # an isolated vertex, then the blocks of each component in turn
+        g = Multigraph.from_edge_list(7, [(1, 2), (2, 3), (1, 3), (3, 4), (5, 6), (5, 6)])
+        assert g.neighbour_masks == (0, 0b1100, 0b1010, 0b10110, 0b1000, 0b1000000, 0b100000)
+        assert g.block_masks == (0b11000, 0b1110, 0b1100000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(multigraphs_in_parts())
+    def test_kernel_equals_edge_dfs_reference(self, g):
+        blocks = blocks_by_edge_dfs(g)
+        assert len(g.blocks()) == len(blocks)
+        assert set(g.blocks()) == set(blocks)
+        assert g.is_connected() == is_connected_by_edge_search(g)
+        assert g.is_two_connected() == is_two_connected_by_edge_dfs(g)
 
 
 class TestSpanningTrees:

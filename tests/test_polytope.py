@@ -3,7 +3,6 @@ import json
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gorenstein import cli, matroid
 from gorenstein.census import CensusBounds, census_record, verify_equivalence
@@ -23,7 +22,7 @@ from gorenstein.polytope import (
     polytope_to_json,
 )
 import oracles
-from glued import glued_chain
+from glued import glued_chain, two_connected_multigraphs
 from oracles import (
     build_polytope_by_enumeration,
     hull_facets_oracle,
@@ -40,27 +39,6 @@ def polytope_dim(poly):
 
 def tight_vertices(poly, facet):
     return [v for v in poly.vertices if facet.distance(v, 1) == 0]
-
-
-@st.composite
-def two_connected_multigraphs(draw):
-    """2-connected multigraphs on 2..7 vertices by ear decomposition.
-
-    A cycle on 2..4 vertices, then up to four ears, each a path with 0..2
-    new interior vertices between two distinct placed vertices; every
-    2-connected multigraph has such a decomposition.  Edge ids follow a
-    random order of the edges.
-    """
-    n = draw(st.integers(2, 4))
-    pairs = [(i, (i + 1) % n) for i in range(n)]
-    for _ in range(draw(st.integers(0, 4))):
-        ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
-        u, v = draw(ends)
-        inner = draw(st.integers(0, min(2, 7 - n)))
-        path = [u, *range(n, n + inner), v]
-        n += inner
-        pairs.extend(zip(path, path[1:]))
-    return Multigraph.from_edge_list(n, draw(st.permutations(pairs)))
 
 
 def assert_equals_enumeration(graph):
