@@ -67,10 +67,14 @@ def _print_graph(graph: Multigraph, fmt: str) -> None:
 def _load_graph(path: str) -> Multigraph:
     try:
         with open(path, encoding="utf-8") as fh:
-            return Multigraph.parse(fh.read())
+            text = fh.read()
     except OSError as exc:
         print(f"error: {path}: {exc.strerror}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT) from exc
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT) from exc
+    return Multigraph.parse(text)
 
 
 def _delta_max_override() -> int | None:
@@ -212,6 +216,9 @@ def _cmd_glue(args) -> int:
             data = json.load(fh)
     except OSError as exc:
         print(f"error: {args.spec}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
+    except UnicodeDecodeError:
+        print(f"error: {args.spec}: not UTF-8 text", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as exc:
         print(f"error: {args.spec}: {exc}", file=sys.stderr)

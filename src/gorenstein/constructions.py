@@ -14,12 +14,22 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from types import MappingProxyType
 
 from . import matroid
 from .criteria import check_spade, weight_function
-from .multigraph import Edge, Multigraph, _bits, _reach, complete_graph, cycle_graph
+from .multigraph import (
+    Edge,
+    Multigraph,
+    _bits,
+    _blocks,
+    _reach,
+    complete_graph,
+    cycle_graph,
+)
 
 SEED_CYCLE = "cycle"
 SEED_K4 = "k4"
@@ -288,19 +298,22 @@ def multi_gluing(graphs, edges, delta: int) -> Multigraph:
 Memo = dict[tuple[int, Multigraph], tuple[str, tuple[TraceStep, ...]] | None]
 
 
-def _seeds(delta: int) -> dict[Multigraph, str]:
+@cache
+def _seeds(delta: int) -> Mapping[Multigraph, str]:
+    """The canonical seed graphs at this delta; read-only, built once per delta."""
     seeds = {cycle_graph(delta).canonicalize()[0]: SEED_CYCLE}
     if delta == 2:
         seeds[complete_graph(4).canonicalize()[0]] = SEED_K4
-    return seeds
+    return MappingProxyType(seeds)
 
 
 def _pieces(graph: Multigraph, u: int, v: int):
     """Edge groups of the graph split at the vertex pair.
 
-    Returns (component pieces, direct edges): each piece is the edge-id
-    list of one connected component of the graph minus {u, v} together
-    with its edges to u and v; direct edges join u and v themselves.
+    Returns (pieces, direct edges): pieces maps the vertex mask of each
+    connected component of the graph minus {u, v} to the edge-id list of
+    that component together with its edges to u and v, in the order of
+    each piece's first edge; direct edges join u and v themselves.
     """
     nbr = graph.neighbour_masks
     ends = (1 << u) | (1 << v)
@@ -320,7 +333,7 @@ def _pieces(graph: Multigraph, u: int, v: int):
         else:
             anchor = e.v if e.u in (u, v) else e.u
             groups.setdefault(part[anchor], []).append(e.eid)
-    return list(groups.values()), direct
+    return groups, direct
 
 
 def _side_graph(graph: Multigraph, eids, u: int, v: int) -> tuple[Multigraph, int]:
@@ -341,6 +354,33 @@ def _side_graph(graph: Multigraph, eids, u: int, v: int) -> tuple[Multigraph, in
     return Multigraph(len(order), tuple(edges)), new_id
 
 
+def _side_kinds(
+    side: int, ends: int, single: bool, joined: Sequence[int], apart: Sequence[int]
+) -> tuple[str | None, str | None]:
+    """The kinds of a side's fresh u-v edge: (with direct edges, without).
+
+    The side graph is G[side] with the fresh edge and the direct edges it
+    keeps in place of G's u-v edges; ends is the mask of u and v, single
+    says whether the side holds exactly one piece, and joined and apart
+    are the neighbour masks of G with u and v made adjacent and apart.
+    The pair is `matroid.edge_kinds(side graph)[fresh]` when the side keeps
+    at least one direct edge and when it keeps none.  A side that is not
+    2-connected gives (None, None); else a parallel copy gives "del".
+    Without one, two vertices give None; more give "del" if the side stays
+    2-connected without the u-v adjacency, else "con" if G[side] - {u, v}
+    is connected (one piece; a 2-connected side has no cut vertex), else
+    None.
+    """
+    root = ends & -ends
+    if _blocks(root, side, joined) != [side]:
+        return None, None
+    if side == ends:
+        return "del", None
+    if _blocks(root, side, apart) == [side]:
+        return "del", "del"
+    return "del", "con" if single else None
+
+
 def _spade_holds(graph: Multigraph, delta: int) -> bool:
     if not graph.is_two_connected():
         return False
@@ -352,20 +392,50 @@ def _split_predecessors(state: Multigraph, delta: int):
     """Undo one gluing: split at a merged vertex pair.
 
     Yields (raw predecessor, verify) for each split into 2-connected sides
-    whose edge kinds fit the gluing.  verify(canon) runs the costly rest
-    (spade on the partner, the forward gluing replayed on the canonical
-    sides) and returns (predecessor, forward step), or None; canon is the
-    raw predecessor's `canonicalize()` if the caller has it, else None.
+    whose fresh edges have the kinds the gluing needs.  verify(canon) runs
+    the costly rest (spade on the partner, the forward gluing replayed on
+    the canonical sides) and returns (predecessor, forward step), or None;
+    canon is the raw predecessor's `canonicalize()` if the caller has it,
+    else None.
+
+    A split at {u, v} gives each side some of the pieces (`_pieces`), a
+    share of the direct u-v edges (a "delta" split withholds delta - 2 of
+    them) and a fresh u-v edge.  A "path" split needs the raw side's fresh
+    edge "del" and the partner's "con" (not None at delta = 2); a "delta"
+    split needs both "con".  These filters run on vertex masks: per piece
+    subset, `_side_kinds` reads the side's 2-connectivity and its fresh
+    edge's kind, with and without direct edges, off at most two block
+    searches, for every style and share at once.  Only the raw side of a
+    candidate that passes is built as a graph; verify builds the partner.
     """
+    nbr = state.neighbour_masks
     for u, v in itertools.combinations(range(state.n), 2):
-        pieces, direct = _pieces(state, u, v)
-        units = len(pieces)
+        groups, direct = _pieces(state, u, v)
+        units = len(groups)
         if units + len(direct) < 2:
             continue
         styles = [("path", 0)]
         if delta >= 3 and len(direct) >= delta - 2:
             styles.append(("delta", delta - 2))
+        ends = (1 << u) | (1 << v)
+        joined, apart = list(nbr), list(nbr)
+        joined[u] |= 1 << v
+        joined[v] |= 1 << u
+        apart[u] &= ~(1 << v)
+        apart[v] &= ~(1 << u)
+        sides = [ends]  # piece subset -> its side's vertex mask
+        for piece in groups:
+            sides += [side | piece for side in sides]
+        kinds = [
+            _side_kinds(side, ends, side ^ ends in groups, joined, apart)
+            for side in sides
+        ]
+        pieces = list(groups.values())
+        every = (1 << units) - 1
         for mask in range(1 << units):
+            a_kinds, b_kinds = kinds[mask], kinds[every ^ mask]
+            if a_kinds[0] is None or b_kinds[0] is None:
+                continue
             side_a = [eid for i in range(units) if mask >> i & 1 for eid in pieces[i]]
             side_b = [
                 eid for i in range(units) if not mask >> i & 1 for eid in pieces[i]
@@ -373,32 +443,26 @@ def _split_predecessors(state: Multigraph, delta: int):
             for style, withheld in styles:
                 usable = len(direct) - withheld
                 for d_a in range(usable + 1):
-                    a_edges = side_a + direct[:d_a]
+                    if not (side_a or d_a) or not (side_b or d_a < usable):
+                        continue
+                    k1 = a_kinds[d_a == 0]
+                    if k1 != ("del" if style == "path" else "con"):
+                        continue
+                    k2 = b_kinds[d_a == usable]
+                    if k2 is None or delta > 2 and k2 != "con":
+                        continue
+                    g1, e1 = _side_graph(state, side_a + direct[:d_a], u, v)
                     b_edges = side_b + direct[d_a:usable]
-                    if not a_edges or not b_edges:
-                        continue
-                    g1, e1 = _side_graph(state, a_edges, u, v)
-                    g2, e2 = _side_graph(state, b_edges, u, v)
-                    if not (g1.is_two_connected() and g2.is_two_connected()):
-                        continue
-                    k1 = matroid.edge_kinds(g1)[e1]
-                    k2 = matroid.edge_kinds(g2)[e2]
-                    if style == "path":
-                        if k1 != "del":
-                            continue
-                        if delta > 2 and k2 != "con":
-                            continue
-                        if delta == 2 and k2 is None:
-                            continue
-                    else:
-                        if delta > 2 and not (k1 == "con" and k2 == "con"):
-                            continue
-                    yield g1, partial(_verify_split, state, delta, style, g1, e1, g2, e2)
+                    yield g1, partial(
+                        _verify_split, state, delta, style, g1, e1, b_edges, u, v
+                    )
 
 
 def _verify_split(
-    state: Multigraph, delta: int, style: str, g1, e1: int, g2, e2: int, canon=None
+    state: Multigraph, delta: int, style: str, g1, e1: int, b_edges, u: int, v: int,
+    canon=None,
 ):
+    g2, e2 = _side_graph(state, b_edges, u, v)
     if not _spade_holds(g2, delta):
         return None
     g1c, _, em1 = canon or g1.canonicalize()
@@ -471,6 +535,12 @@ def decompose(
     path contraction escapes it (contracting a path of C_delta yields
     C_2, which fails spade for delta > 2).  The substance verified on the
     census is therefore completeness: spade implies a chain is found.
+
+    Splits are filtered on vertex masks before any graph is built: a
+    side's fresh u-v edge is "del" when the side keeps a direct u-v edge
+    or stays 2-connected without the u-v adjacency, else "con" when it
+    holds one component of the graph minus {u, v}, else None; these are
+    the `matroid.edge_kinds` readings of the built side (`_side_kinds`).
 
     Predecessors are verified lazily: an expansion first verifies only
     those that could end the search (a seed or a memo hit), and the rest,

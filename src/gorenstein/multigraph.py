@@ -268,6 +268,8 @@ class Multigraph:
         Returns (canonical graph, vertex permutation old->new, edge id map
         old->new).  Canonical edge ids run 0..m-1 sorted by endpoint pair;
         within a parallel class, old ids are mapped in increasing order.
+        The canonical graph is its own canonical form, so it comes with
+        `canonical_form` already set.
         """
         order = _canonical_ordering(self.multiplicity_matrix, self.n)
         vperm = [0] * self.n
@@ -284,7 +286,10 @@ class Multigraph:
         for new_id, (u, v, old_id) in enumerate(relabeled):
             emap[old_id] = new_id
             edges.append(Edge(new_id, u, v))
-        return Multigraph(self.n, tuple(edges)), tuple(vperm), emap
+        canon = Multigraph(self.n, tuple(edges))
+        # cached_property stores into the instance dict, frozen or not
+        canon.__dict__["canonical_form"] = canon.multiplicity_matrix
+        return canon, tuple(vperm), emap
 
     @cached_property
     def canonical_form(self) -> tuple[tuple[int, ...], ...]:

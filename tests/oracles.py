@@ -7,9 +7,11 @@ acceptance criteria 6, 9 and 8.  The edge-list block DFS
 (`blocks_by_edge_dfs` and the predicates on it) and the union-find
 `pieces_by_union_find` check the mask connectivity kernel of
 `multigraph`; the census, subset-pass and edge-kind references test
-2-connectivity with them.  There are three exceptions.  `decompose_eagerly` shares the
-predecessor generators with `constructions.decompose` and differs only
-in when it verifies.  `subset_pass_by_reverse_search` and
+2-connectivity with them.  There are three exceptions.
+`decompose_eagerly` shares the subdivision generator with
+`constructions.decompose` and differs in when it verifies; its split
+generator, `split_predecessors_by_side_graphs`, builds every side graph
+and reads `matroid.edge_kinds`, where the library filters on masks.  `subset_pass_by_reverse_search` and
 `two_connected_mask` share the kernel's mask helpers `_bits`, `_reach`
 and `_components`, but not its block search or the flashlight
 enumeration.  `build_polytope_by_enumeration` reads the library's
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import partial
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
@@ -954,14 +957,85 @@ def pieces_by_union_find(graph: Multigraph, u: int, v: int):
     return list(groups.values()), direct
 
 
+def split_predecessors_by_side_graphs(state: Multigraph, delta: int):
+    """`constructions._split_predecessors` by building both side graphs.
+
+    The generator the mask filter replaced, unchanged but for taking its
+    pieces from `pieces_by_union_find`: every piece subset, style and
+    direct-edge share builds both sides as graphs, tests each for
+    2-connectivity and reads each fresh edge from `matroid.edge_kinds`.
+    The library generator must yield the same raw predecessors, with the
+    same verify results, in the same order.
+    """
+    for u, v in itertools.combinations(range(state.n), 2):
+        pieces, direct = pieces_by_union_find(state, u, v)
+        units = len(pieces)
+        if units + len(direct) < 2:
+            continue
+        styles = [("path", 0)]
+        if delta >= 3 and len(direct) >= delta - 2:
+            styles.append(("delta", delta - 2))
+        for mask in range(1 << units):
+            side_a = [eid for i in range(units) if mask >> i & 1 for eid in pieces[i]]
+            side_b = [
+                eid for i in range(units) if not mask >> i & 1 for eid in pieces[i]
+            ]
+            for style, withheld in styles:
+                usable = len(direct) - withheld
+                for d_a in range(usable + 1):
+                    a_edges = side_a + direct[:d_a]
+                    b_edges = side_b + direct[d_a:usable]
+                    if not a_edges or not b_edges:
+                        continue
+                    g1, e1 = constructions._side_graph(state, a_edges, u, v)
+                    g2, e2 = constructions._side_graph(state, b_edges, u, v)
+                    if not (g1.is_two_connected() and g2.is_two_connected()):
+                        continue
+                    k1 = matroid.edge_kinds(g1)[e1]
+                    k2 = matroid.edge_kinds(g2)[e2]
+                    if style == "path":
+                        if k1 != "del":
+                            continue
+                        if delta > 2 and k2 != "con":
+                            continue
+                        if delta == 2 and k2 is None:
+                            continue
+                    else:
+                        if delta > 2 and not (k1 == "con" and k2 == "con"):
+                            continue
+                    yield g1, partial(
+                        _verify_split_by_side_graphs, state, delta, style, g1, e1, g2, e2
+                    )
+
+
+def _verify_split_by_side_graphs(
+    state: Multigraph, delta: int, style: str, g1, e1: int, g2, e2: int, canon=None
+):
+    if not constructions._spade_holds(g2, delta):
+        return None
+    g1c, _, em1 = canon or g1.canonicalize()
+    g2c, _, em2 = g2.canonicalize()
+    e1c, e2c = em1[e1], em2[e2]
+    op = "path_glue" if style == "path" else "delta_glue"
+    glue = constructions.path_gluing if style == "path" else constructions.delta_edge_gluing
+    try:
+        replayed = glue(g1c, e1c, g2c, e2c, delta)
+    except constructions.GluingError:
+        return None
+    if replayed.canonical_form != state.canonical_form:
+        return None
+    return g1c, TraceStep(op, partner=g2c, self_edge=e1c, partner_edge=e2c)
+
+
 def decompose_eagerly(
     graph: Multigraph, delta: int, memo: Memo | None = None
 ) -> ConstructionTrace | None:
     """`constructions.decompose` with every predecessor verified as it comes.
 
-    The search loop that the lazy two-pass search replaced, unchanged: each
-    candidate of `_split_predecessors` and `_subdivision_predecessors` is
-    verified before the next, and the first accepted seed or memo hit
+    The search loop that the lazy two-pass search replaced, unchanged but
+    for generating splits by `split_predecessors_by_side_graphs`: each
+    candidate of that and of `_subdivision_predecessors` is verified
+    before the next, and the first accepted seed or memo hit
     ends the search.  The lazy search must return the same trace and
     leave the same memo.
     """
@@ -999,7 +1073,7 @@ def _search_eagerly(target: Multigraph, delta: int, memo: Memo):
         state = queue.popleft()
         preds = _verified(
             itertools.chain(
-                constructions._split_predecessors(state, delta),
+                split_predecessors_by_side_graphs(state, delta),
                 constructions._subdivision_predecessors(state, delta, max_vertices),
             )
         )

@@ -87,6 +87,25 @@ class TestCheck:
         assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["check", "--oracle"],
+        ["weights", "--delta", "2"],
+        ["facets"],
+        ["glue"],
+        ["decompose", "--delta", "2"],
+    ],
+)
+def test_not_utf8_input_exit_two(capsys, tmp_path, argv):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"4 6\n0 1 \xe9\n")
+    code, out, err = run_cli(capsys, argv[0], str(p), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {p}: not UTF-8 text\n"
+
+
 class TestWeights:
     def test_c5_at_five(self, capsys, tmp_path):
         p = tmp_path / "c5.txt"

@@ -1,11 +1,12 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gorenstein import constructions
+from gorenstein import constructions, matroid
 from gorenstein.constructions import (
     ConstructionTrace,
     GluingError,
@@ -33,7 +34,11 @@ from gorenstein.multigraph import (
 )
 
 from glued import glued_chain, two_connected_multigraphs
-from oracles import decompose_eagerly, pieces_by_union_find
+from oracles import (
+    decompose_eagerly,
+    pieces_by_union_find,
+    split_predecessors_by_side_graphs,
+)
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 
@@ -324,6 +329,13 @@ class TestDecompose:
         assert trace is not None
         assert replay(trace).canonical_form == DIAMOND.canonical_form
 
+    def test_seeds_built_once_and_read_only(self):
+        seeds = constructions._seeds(2)
+        assert seeds is constructions._seeds(2)
+        assert sorted(seeds.values()) == ["cycle", "k4"]
+        with pytest.raises(TypeError):
+            seeds[cycle_graph(3)] = "cycle"
+
     def test_non_spade_has_no_trace(self):
         assert decompose(complete_graph(4), 3) is None
         assert decompose(cycle_graph(2), 3) is None
@@ -363,12 +375,16 @@ def expansions(monkeypatch):
 
 def split_pairs_checked(graph) -> int:
     """Compare `_pieces` with the union-find reference at every vertex
-    pair; returns how many pairs split the graph into two or more pieces."""
+    pair, and each piece's mask with its edges' endpoints other than u
+    and v; returns how many pairs split the graph into two or more pieces."""
     split = 0
     for u, v in itertools.combinations(range(graph.n), 2):
-        pieces, direct = constructions._pieces(graph, u, v)
-        assert (pieces, direct) == pieces_by_union_find(graph, u, v), (u, v)
-        split += len(pieces) >= 2
+        groups, direct = constructions._pieces(graph, u, v)
+        assert (list(groups.values()), direct) == pieces_by_union_find(graph, u, v), (u, v)
+        for mask, eids in groups.items():
+            ends = {w for eid in eids for w in graph.edge(eid)[1:]} - {u, v}
+            assert mask == sum(1 << w for w in ends), (u, v)
+        split += len(groups) >= 2
     return split
 
 
@@ -388,6 +404,90 @@ class TestPiecesEqualUnionFind:
         chain = glued_chain(delta, 12)
         for graph in (chain, chain.shuffled(rng), chain.shuffled(rng)):
             assert split_pairs_checked(graph) > 0
+
+
+def fresh_kinds_checked(graph) -> Counter:
+    """Compare `_side_kinds` with `matroid.edge_kinds` of the built side
+    graph at every vertex pair, piece subset and direct-edge share, both
+    sides of the split and every number of withheld direct edges; counts
+    the two-vertex sides and the sides of splits that withhold edges."""
+    seen = Counter()
+    nbr = graph.neighbour_masks
+    for u, v in itertools.combinations(range(graph.n), 2):
+        groups, direct = constructions._pieces(graph, u, v)
+        ends = (1 << u) | (1 << v)
+        joined, apart = list(nbr), list(nbr)
+        joined[u] |= 1 << v
+        joined[v] |= 1 << u
+        apart[u] &= ~(1 << v)
+        apart[v] &= ~(1 << u)
+        for chosen in itertools.product((True, False), repeat=len(groups)):
+            sides = []
+            for pick in (True, False):
+                held = [m for m, c in zip(groups, chosen) if c == pick]
+                side = ends | sum(held)
+                kinds = constructions._side_kinds(side, ends, len(held) == 1, joined, apart)
+                sides.append((kinds, [eid for m in held for eid in groups[m]]))
+            (a_kinds, a_edges), (b_kinds, b_edges) = sides
+            for withheld in range(len(direct) + 1):
+                usable = len(direct) - withheld
+                for d_a in range(usable + 1):
+                    for kinds, eids, kept in (
+                        (a_kinds, a_edges + direct[:d_a], d_a),
+                        (b_kinds, b_edges + direct[d_a:usable], usable - d_a),
+                    ):
+                        side, fresh = constructions._side_graph(graph, eids, u, v)
+                        expected = matroid.edge_kinds(side)[fresh]
+                        assert kinds[kept == 0] == expected, (u, v, chosen, withheld, d_a)
+                        seen["two-vertex"] += side.n == 2
+                        seen["withheld"] += withheld > 0
+    return seen
+
+
+class TestFreshEdgeKinds:
+    """The mask reading of a side's fresh edge against `edge_kinds`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_connected_multigraphs())
+    def test_random_two_connected_multigraphs(self, g):
+        fresh_kinds_checked(g)
+
+    @pytest.mark.parametrize("delta", [3, 4])
+    def test_glued_chains_cover_two_vertex_sides_and_withheld_edges(self, delta):
+        # delta-edge gluings leave delta - 2 parallel edges: the direct
+        # edges a "delta" split withholds
+        seen = fresh_kinds_checked(glued_chain(delta, 9))
+        assert seen["two-vertex"] > 0 and seen["withheld"] > 0
+
+
+def same_splits(graph, delta) -> int:
+    """`_split_predecessors` against the side-graph generator it replaced:
+    the same raw predecessors, in order, with the same verify results."""
+    new = list(constructions._split_predecessors(graph, delta))
+    old = list(split_predecessors_by_side_graphs(graph, delta))
+    assert [raw for raw, _ in new] == [raw for raw, _ in old]
+    for (_, verify), (_, reference) in zip(new, old):
+        assert verify() == reference()
+    return len(new)
+
+
+class TestSplitsEqualSideGraphs:
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_glued_chains_and_shuffles(self, delta):
+        rng = random.Random(delta)
+        for n in range(4, 12):
+            chain = glued_chain(delta, n)
+            for graph in (chain, chain.shuffled(rng), chain.shuffled(rng)):
+                assert same_splits(graph, delta) > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_connected_multigraphs(), st.integers(2, 4))
+    def test_random_two_connected_multigraphs(self, g, delta):
+        same_splits(g, delta)
+
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_census(self, census_full, delta):
+        assert sum(same_splits(g, delta) for g in census_full) > 0
 
 
 class TestLazySearchEqualsEager:

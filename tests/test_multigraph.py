@@ -352,6 +352,10 @@ class TestCanonicalForm:
     @settings(max_examples=60, deadline=None)
     def test_invariant_under_permutation(self, g, seed):
         assert g.shuffled(random.Random(seed)).canonical_form == g.canonical_form
+        # the canonical graph carries its form; computing it afresh agrees
+        canon = g.canonicalize()[0]
+        assert canon.canonical_form == Multigraph(canon.n, canon.edges).canonical_form
+        assert canon.canonical_form == g.canonical_form
 
     @given(small_multigraphs(), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
