@@ -6,12 +6,15 @@ nonnegativity facet forces coordinate 1 at the Gorenstein point).  The
 spade check tests the two weight equalities over good flats; the heart
 check tests the block-count equality over all 2-connected vertex
 subsets.  Both decide the same property as the polyhedral oracle.
+
+Both read the mask records of `matroid.subset_pass`: with one mask of
+the weight-1 edges and one of the weight-(delta - 1) edges, w(E(S)) is
+two popcounts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import matroid
 from .multigraph import Multigraph
@@ -29,17 +32,9 @@ class WeightAssignment:
                     f"edge {eid}: weight {w} is neither 1 nor delta - 1 = {self.delta - 1}"
                 )
 
-    @cached_property
-    def _weight_of(self) -> dict[int, int]:
-        return dict(self.weights)
-
-    def total(self, edge_ids=None) -> int:
-        """w of the given edge ids, each counted once; ids outside the
-        assignment count 0.  All edges when none are given."""
-        if edge_ids is None:
-            return sum(w for _, w in self.weights)
-        weight_of = self._weight_of
-        return sum([weight_of.get(eid, 0) for eid in set(edge_ids)])
+    def total(self) -> int:
+        """w(E): the sum of every weight."""
+        return sum(w for _, w in self.weights)
 
 
 def weight_function(graph: Multigraph, delta: int) -> WeightAssignment | None:
@@ -63,13 +58,33 @@ def weight_function(graph: Multigraph, delta: int) -> WeightAssignment | None:
     return WeightAssignment(delta, tuple(weights))
 
 
+def _weight_masks(graph: Multigraph, assignment: WeightAssignment) -> tuple[int, int]:
+    """Edge-position masks of the weight-1 and the weight-(delta - 1)
+    edges; an edge the assignment lacks is in neither and counts 0."""
+    weight_of = dict(assignment.weights)
+    light = heavy = 0
+    for i, e in enumerate(graph.edges):
+        w = weight_of.get(e.eid)
+        if w == 1:
+            light |= 1 << i
+        elif w is not None:
+            heavy |= 1 << i
+    return light, heavy
+
+
 def check_spade(graph: Multigraph, assignment: WeightAssignment) -> bool:
     """w(E) = delta (|V|-1) and w(E(S)) + 1 = delta (|S|-1) per good flat."""
     delta = assignment.delta
     if assignment.total() != delta * (graph.n - 1):
         return False
-    for flat in matroid.good_flats(graph):
-        if assignment.total(flat.induced_edge_ids) + 1 != delta * (len(flat.subset) - 1):
+    if not graph.is_two_connected():
+        raise ValueError("graph is not 2-connected")
+    light, heavy = _weight_masks(graph, assignment)
+    for s, edges, k in matroid.subset_pass(graph):
+        if k != 1:  # the good flats are the records with k(S) = 1
+            continue
+        w = (edges & light).bit_count() + (delta - 1) * (edges & heavy).bit_count()
+        if w + 1 != delta * (s.bit_count() - 1):
             return False
     return True
 
@@ -80,8 +95,10 @@ def check_heart(graph: Multigraph, assignment: WeightAssignment) -> bool:
     k(S) is the block count of the contraction of E(S); k(V) = 0.
     """
     delta = assignment.delta
-    for subset, edges, k in matroid.subset_pass(graph):
-        if assignment.total(edges) + k != delta * (len(subset) - 1):
+    light, heavy = _weight_masks(graph, assignment)
+    for s, edges, k in matroid.subset_pass(graph):
+        w = (edges & light).bit_count() + (delta - 1) * (edges & heavy).bit_count()
+        if w + k != delta * (s.bit_count() - 1):
             return False
     return True
 

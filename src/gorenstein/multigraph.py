@@ -228,7 +228,10 @@ class Multigraph:
 
         K_2 and C_2 both count as 2-connected under this convention.
         """
-        if self.n < 2 or self.m < self.n - 1:  # before any mask, as in is_connected
+        # answered before any mask, as in is_connected: connecting n
+        # vertices takes n - 1 edges, and on n >= 3 vertices minimum
+        # degree 2 takes n
+        if self.n < 2 or self.m < (self.n if self.n >= 3 else 1):
             return False
         return self.block_masks == ((1 << self.n) - 1,)
 

@@ -7,7 +7,7 @@ acceptance criteria 6, 9 and 8.  The edge-list block DFS
 (`blocks_by_edge_dfs` and the predicates on it) and the union-find
 `pieces_by_union_find` check the mask connectivity kernel of
 `multigraph`; the census, subset-pass and edge-kind references test
-2-connectivity with them.  There are three exceptions.
+2-connectivity with them.  There are four exceptions.
 `decompose_eagerly` shares the subdivision generator with
 `constructions.decompose` and differs in when it verifies; its split
 generator, `split_predecessors_by_side_graphs`, builds every side graph
@@ -15,7 +15,12 @@ and reads `matroid.edge_kinds`, where the library filters on masks.  `subset_pas
 `two_connected_mask` share the kernel's mask helpers `_bits`, `_reach`
 and `_components`, but not its block search or the flashlight
 enumeration.  `build_polytope_by_enumeration` reads the library's
-deletable edges and good flats.
+deletable edges and good flats.  `records_as_sets` turns the library's
+mask records back into the set records the subset-pass references
+return; the set-based criteria `check_spade_by_sets` and
+`check_heart_by_sets` read the library's good flats and those records,
+and sum weights by edge id (`total_of`), where the library sums them by
+popcount.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import NamedTuple, Sequence
 from gorenstein import constructions, matroid
 from gorenstein.census import CensusBounds
 from gorenstein.constructions import ConstructionTrace, Memo, TraceStep
+from gorenstein.criteria import WeightAssignment
 from gorenstein.lattice import dot, kernel_basis_with_dual, vec_gcd
 from gorenstein.multigraph import Edge, Multigraph, _bits, _components, _reach
 from gorenstein.polytope import (
@@ -368,6 +374,54 @@ def subset_pass_by_reverse_search(
             out.append(((len(verts), verts), (frozenset(verts), edges, k)))
     out.sort(key=lambda rec: rec[0])
     return tuple(rec for _, rec in out)
+
+
+def records_as_sets(
+    graph: Multigraph,
+) -> tuple[tuple[frozenset[int], frozenset[int], int], ...]:
+    """The mask records of `matroid.subset_pass` as (S, E(S), k(S)) sets.
+
+    Vertex sets and edge-id sets, ordered by size, then in combinations
+    order within a size: the record format of the two subset-pass
+    references above.
+    """
+    ids = [e.eid for e in graph.edges]
+    out = []
+    for s, edges, k in matroid.subset_pass(graph):
+        verts = _bits(s)
+        edge_ids = frozenset(ids[i] for i in _bits(edges))
+        out.append(((len(verts), verts), (frozenset(verts), edge_ids, k)))
+    out.sort(key=lambda rec: rec[0])
+    return tuple(rec for _, rec in out)
+
+
+def total_of(assignment: WeightAssignment, edge_ids) -> int:
+    """w of the given edge ids, each counted once; ids outside the
+    assignment count 0."""
+    weight_of = dict(assignment.weights)
+    return sum(weight_of.get(eid, 0) for eid in set(edge_ids))
+
+
+def check_spade_by_sets(graph: Multigraph, assignment: WeightAssignment) -> bool:
+    """`criteria.check_spade` by summing weights over the edge ids of each
+    good flat of `matroid.good_flats`."""
+    delta = assignment.delta
+    if assignment.total() != delta * (graph.n - 1):
+        return False
+    for flat in matroid.good_flats(graph):
+        if total_of(assignment, flat.induced_edge_ids) + 1 != delta * (len(flat.subset) - 1):
+            return False
+    return True
+
+
+def check_heart_by_sets(graph: Multigraph, assignment: WeightAssignment) -> bool:
+    """`criteria.check_heart` by summing weights over the edge ids of each
+    record of `records_as_sets`."""
+    delta = assignment.delta
+    for subset, edges, k in records_as_sets(graph):
+        if total_of(assignment, edges) + k != delta * (len(subset) - 1):
+            return False
+    return True
 
 
 def _connected_subsets(nbr: Sequence[int]):

@@ -38,6 +38,7 @@ from oracles import (
     decompose_eagerly,
     pieces_by_union_find,
     split_predecessors_by_side_graphs,
+    total_of,
 )
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
@@ -299,7 +300,7 @@ class TestCounterexample:
                     if b.parallel_class(eb.eid)[0] != eb.eid:
                         continue
                     fb = frozenset(b.parallel_class(eb.eid))
-                    if wa.total(fa) + wb.total(fb) < 3:
+                    if total_of(wa, fa) + total_of(wb, fb) < 3:
                         continue
                     try:
                         glued = delta_gluing(GluingSpec(a, fa, b, fb, 3))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gorenstein import criteria, matroid
 from gorenstein.criteria import (
@@ -16,8 +18,8 @@ from gorenstein.multigraph import (
     cycle_graph,
 )
 from gorenstein.polytope import gorenstein_oracle
-from glued import glued_chain
-from oracles import contract_subset
+from glued import glued_chain, two_connected_multigraphs
+from oracles import check_heart_by_sets, check_spade_by_sets, contract_subset, total_of
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 
@@ -55,10 +57,10 @@ class TestWeightFunction:
         w = weight_function(DIAMOND, 3)
         assert w is not None
         assert w.total() == 3 * 3
-        assert w.total([4]) == 1  # the chord is the only weight-1 edge
-        assert w.total([4, 4, 0]) == 1 + 2  # an id counts once
-        assert w.total([0, 99]) == 2  # an unknown id counts 0
-        assert w.total([]) == 0
+        assert total_of(w, [4]) == 1  # the chord is the only weight-1 edge
+        assert total_of(w, [4, 4, 0]) == 1 + 2  # an id counts once
+        assert total_of(w, [0, 99]) == 2  # an unknown id counts 0
+        assert total_of(w, []) == 0
 
 
 class TestCheckSpade:
@@ -77,6 +79,43 @@ class TestCheckSpade:
 
     def test_k4_passes_at_two(self):
         assert check_spade(complete_graph(4), weight_function(complete_graph(4), 2))
+
+
+class TestCriteriaEqualSetReferences:
+    """The popcount sums over mask records against the edge-id sums over
+    set records, on forced and on arbitrary, also partial, assignments."""
+
+    def test_census_at_every_delta(self, census_full):
+        verdicts = set()
+        for g in census_full:
+            for delta in range(2, 6):
+                w = weight_function(g, delta)
+                if w is None:
+                    continue
+                verdicts.add(check_spade(g, w))
+                assert check_spade(g, w) == check_spade_by_sets(g, w)
+                assert check_heart(g, w) == check_heart_by_sets(g, w)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_connected_multigraphs(), st.integers(2, 6), st.data())
+    def test_random_assignments(self, g, delta, data):
+        # each edge: weight 1, weight delta - 1, or left out of the assignment
+        choice = st.sampled_from([1, delta - 1, None])
+        picks = [data.draw(choice) for _ in g.edges]
+        weights = tuple(sorted((e.eid, w) for e, w in zip(g.edges, picks) if w is not None))
+        w = WeightAssignment(delta, weights)
+        assert check_spade(g, w) == check_spade_by_sets(g, w)
+        assert check_heart(g, w) == check_heart_by_sets(g, w)
+
+    def test_spade_rejects_graph_that_is_not_two_connected(self):
+        # two triangles at a cut vertex, every weight delta - 1 = 2: the
+        # global equation 12 = 3 (5 - 1) holds, so only 2-connectivity fails
+        g = Multigraph.from_edge_list(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        w = WeightAssignment(3, tuple((eid, 2) for eid in range(6)))
+        for check in (check_spade, check_spade_by_sets):
+            with pytest.raises(ValueError, match="not 2-connected"):
+                check(g, w)
 
 
 class TestCheckHeart:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gorenstein import matroid
 from gorenstein.multigraph import (
+    Edge,
     Multigraph,
     banana_graph,
     complete_graph,
@@ -18,6 +19,7 @@ from oracles import (
     edges_within,
     is_matroid_connected,
     rank,
+    records_as_sets,
     subset_pass_by_combinations,
     subset_pass_by_reverse_search,
     two_connected_mask,
@@ -221,7 +223,7 @@ class TestSubsetPass:
                 for s in two_connected
                 if len(s) < g.n and contract_subset(g, s).is_two_connected()
             ]
-            records = matroid.subset_pass(g)
+            records = records_as_sets(g)
             assert [f.subset for f in matroid.good_flats(g)] == flats
             assert matroid.two_connected_subsets(g) == tuple(s for s, _, _ in records)
             assert list(records) == [
@@ -231,32 +233,52 @@ class TestSubsetPass:
 
     def test_equals_combinations_reference_on_census(self, census_full):
         for g in census_full:
-            assert matroid.subset_pass(g) == subset_pass_by_combinations(g)
+            assert records_as_sets(g) == subset_pass_by_combinations(g)
 
     @settings(deadline=None)
     @given(multigraphs())
     def test_equals_combinations_reference_on_random_multigraphs(self, g):
-        assert matroid.subset_pass(g) == subset_pass_by_combinations(g)
+        assert records_as_sets(g) == subset_pass_by_combinations(g)
 
     @pytest.mark.parametrize("delta, n", [(2, 12), (3, 13), (4, 14)])
     def test_equals_combinations_reference_on_glued_graphs(self, delta, n):
         g = glued_chain(delta, n)
         assert g.n == n and g.is_two_connected()
-        assert matroid.subset_pass(g) == subset_pass_by_combinations(g)
+        assert records_as_sets(g) == subset_pass_by_combinations(g)
 
     @settings(deadline=None)
     @given(multigraphs())
     def test_equals_reverse_search_reference_on_random_multigraphs(self, g):
-        assert matroid.subset_pass(g) == subset_pass_by_reverse_search(g)
+        assert records_as_sets(g) == subset_pass_by_reverse_search(g)
 
     @pytest.mark.parametrize("delta, n", [(2, 18), (3, 20), (4, 20)])
     def test_equals_reverse_search_reference_on_glued_graphs(self, delta, n):
         # sizes where the 2^n combinations reference is too slow
         g = glued_chain(delta, n)
         assert g.n == n and g.is_two_connected()
-        assert matroid.subset_pass(g) == subset_pass_by_reverse_search(g)
+        assert records_as_sets(g) == subset_pass_by_reverse_search(g)
 
     def test_equals_combinations_reference_on_c16(self):
-        records = matroid.subset_pass(cycle_graph(16))
+        records = records_as_sets(cycle_graph(16))
         assert len(records) == 17  # the 16 edges and V
         assert records == subset_pass_by_combinations(cycle_graph(16))
+
+    @settings(deadline=None)
+    @given(multigraphs())
+    def test_records_are_masks_without_repeats(self, g):
+        records = matroid.subset_pass(g)
+        assert all(type(x) is int for record in records for x in record)
+        assert len({s for s, _, _ in records}) == len(records)
+
+    @pytest.mark.parametrize("delta, n", [(2, 18), (3, 20), (4, 20)])
+    def test_no_mask_repeats_on_glued_graphs(self, delta, n):
+        records = matroid.subset_pass(glued_chain(delta, n))
+        assert len({s for s, _, _ in records}) == len(records)
+
+    def test_edge_mask_bits_are_edge_positions(self):
+        # edge ids in reverse of their positions: bit i is graph.edges[i]
+        pairs = [(0, 1), (1, 2), (0, 2), (0, 1)]
+        g = Multigraph(3, tuple(Edge(9 - i, u, v) for i, (u, v) in enumerate(pairs)))
+        by_vertices = {s: edges for s, edges, _ in matroid.subset_pass(g)}
+        assert by_vertices == {0b011: 0b1001, 0b110: 0b0010, 0b101: 0b0100, 0b111: 0b1111}
+        assert records_as_sets(g)[0] == (frozenset({0, 1}), frozenset({9, 6}), 1)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -305,6 +306,30 @@ class TestConnectivity:
         assert set(g.blocks()) == set(blocks)
         assert g.is_connected() == is_connected_by_edge_search(g)
         assert g.is_two_connected() == is_two_connected_by_edge_dfs(g)
+
+
+class TestTooFewEdges:
+    """A 2-connected graph on n >= 3 vertices has minimum degree 2, hence
+    at least n edges; `is_two_connected` answers fewer before any mask."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_multigraph_with_at_most_n_edges(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        for m in range(n + 1):
+            for chosen in itertools.combinations_with_replacement(pairs, m):
+                g = Multigraph.from_edge_list(n, chosen)
+                assert g.is_two_connected() == is_two_connected_by_edge_dfs(g), chosen
+
+    def test_long_path_builds_no_masks(self):
+        path = Multigraph.from_edge_list(20_000, [(i, i + 1) for i in range(19_999)])
+        tracemalloc.start()
+        try:
+            assert not path.is_two_connected()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert "neighbour_masks" not in path.__dict__
 
 
 class TestSpanningTrees:
