@@ -109,7 +109,7 @@ def enumerate_census(bounds: CensusBounds) -> list[Multigraph]:
 def census_record(graph: Multigraph) -> CensusRecord:
     verdict = is_gorenstein(graph)
     delta, weights = verdict if verdict is not None else (None, None)
-    good_flats = sum(1 for _, _, k in matroid.subset_pass(graph) if k == 1)
+    good_flats = len(matroid.good_flat_masks(graph))
     return CensusRecord(
         graph=graph,
         delta=delta,

@@ -7,13 +7,15 @@ spade check tests the two weight equalities over good flats; the heart
 check tests the block-count equality over all 2-connected vertex
 subsets.  Both decide the same property as the polyhedral oracle.
 
-Both read the mask records of `matroid.subset_pass`: with one mask of
-the weight-1 edges and one of the weight-(delta - 1) edges, w(E(S)) is
-two popcounts.
+Spade reads `matroid.good_flats` and heart the records of
+`matroid.subset_pass`; both carry E(S) as an edge-position mask, so with
+one mask of the weight-1 edges and one of the weight-(delta - 1) edges,
+w(E(S)) is two popcounts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import matroid
@@ -58,9 +60,10 @@ def weight_function(graph: Multigraph, delta: int) -> WeightAssignment | None:
     return WeightAssignment(delta, tuple(weights))
 
 
-def _weight_masks(graph: Multigraph, assignment: WeightAssignment) -> tuple[int, int]:
-    """Edge-position masks of the weight-1 and the weight-(delta - 1)
-    edges; an edge the assignment lacks is in neither and counts 0."""
+def _weigher(graph: Multigraph, assignment: WeightAssignment) -> Callable[[int], int]:
+    """w of an edge-position mask, as popcounts against the weight-1 and
+    the weight-(delta - 1) edges; an edge the assignment lacks is in
+    neither and counts 0."""
     weight_of = dict(assignment.weights)
     light = heavy = 0
     for i, e in enumerate(graph.edges):
@@ -69,7 +72,12 @@ def _weight_masks(graph: Multigraph, assignment: WeightAssignment) -> tuple[int,
             light |= 1 << i
         elif w is not None:
             heavy |= 1 << i
-    return light, heavy
+    heavy_weight = assignment.delta - 1
+
+    def weigh(edges: int) -> int:
+        return (edges & light).bit_count() + heavy_weight * (edges & heavy).bit_count()
+
+    return weigh
 
 
 def check_spade(graph: Multigraph, assignment: WeightAssignment) -> bool:
@@ -77,14 +85,10 @@ def check_spade(graph: Multigraph, assignment: WeightAssignment) -> bool:
     delta = assignment.delta
     if assignment.total() != delta * (graph.n - 1):
         return False
-    if not graph.is_two_connected():
-        raise ValueError("graph is not 2-connected")
-    light, heavy = _weight_masks(graph, assignment)
-    for s, edges, k in matroid.subset_pass(graph):
-        if k != 1:  # the good flats are the records with k(S) = 1
-            continue
-        w = (edges & light).bit_count() + (delta - 1) * (edges & heavy).bit_count()
-        if w + 1 != delta * (s.bit_count() - 1):
+    flats = matroid.good_flats(graph)
+    weigh = _weigher(graph, assignment)
+    for flat in flats:
+        if weigh(flat.edge_mask) + 1 != delta * (len(flat.subset) - 1):
             return False
     return True
 
@@ -95,10 +99,9 @@ def check_heart(graph: Multigraph, assignment: WeightAssignment) -> bool:
     k(S) is the block count of the contraction of E(S); k(V) = 0.
     """
     delta = assignment.delta
-    light, heavy = _weight_masks(graph, assignment)
+    weigh = _weigher(graph, assignment)
     for s, edges, k in matroid.subset_pass(graph):
-        w = (edges & light).bit_count() + (delta - 1) * (edges & heavy).bit_count()
-        if w + k != delta * (s.bit_count() - 1):
+        if weigh(edges) + k != delta * (s.bit_count() - 1):
             return False
     return True
 

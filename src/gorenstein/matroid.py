@@ -11,9 +11,11 @@ heart check reads all of them, V included with k(V) = 0.
 A record is three ints: S as a vertex mask, E(S) as an edge-position
 mask (bit i stands for `graph.edges[i]`) and k(S), in the order the
 search finds them.  The criteria sum weights over E(S) by popcount.
+`good_flat_masks` keeps the records with k(S) = 1 as (S, E(S)) pairs;
 `good_flats` and `two_connected_subsets` are the frozenset views that the
-polytope and the CLI output read, sorted by size, then in combinations
-order within a size; they are built only when called.
+criteria, the polytope and the CLI output read, sorted by size, then in
+combinations order within a size, and built only when called.  A
+`GoodFlat` keeps its E(S) mask beside the edge ids.
 
 Every connectivity question here is a search over bitmasks: a vertex
 subset is an int, each vertex has a neighbour mask and a mask of its
@@ -42,14 +44,6 @@ delta = 3 graph with 28 vertices of the tests (`glued_chain(3, 28)`)
 that is 87,943 nodes for 39,386 records, where testing each connected
 subset visited 16.7 M of them.  Two adjacent vertices count as 2-connected, and
 parallel edges do not change the vertex sets of blocks.
-
-A node skips the block DFS when a vertex x of I keeps only one
-neighbour y in U - w (`_leaf`): then {x, y} is the one block of
-G[U - w] that holds x, so it is the one block to descend into if it
-contains I, and there is none otherwise.  Only a neighbour of w can be
-such a leaf, because U is 2-connected with at least three vertices.  On
-the decide stream of the benchmark this answers about 45 % of the
-exclusions.
 
 Each record then gets E(S) and k(S).  An S lies in one block B of G.
 In B/E(S), a vertex w other than the contracted one is no cut vertex,
@@ -87,6 +81,7 @@ from .multigraph import Edge, Multigraph, _bits, _blocks, _components, _reach
 class GoodFlat:
     subset: frozenset[int]
     induced_edge_ids: frozenset[int]
+    edge_mask: int  # E(S) by position: bit i stands for graph.edges[i]
 
 
 @lru_cache(maxsize=16384)
@@ -182,29 +177,11 @@ def _two_connected_masks(nbr: Sequence[int]) -> list[int]:
             w &= -w
             stack.append((inner | w, outer))
             rest = outer ^ w
-            if not rest & (rest - 1):  # one vertex holds no block
-                continue
-            leaf = _leaf(inner & nbr[w.bit_length() - 1], rest, nbr)
-            if leaf:  # the one block of G[U - w] that holds the leaf
-                if not inner & ~leaf:
-                    stack.append((inner, leaf))
-                continue
-            for b in _blocks(inner & -inner, rest, nbr):
-                if b & inner == inner:
-                    stack.append((inner, b))
+            if rest & (rest - 1):  # a block has two vertices
+                for b in _blocks(inner & -inner, rest, nbr):
+                    if b & inner == inner:
+                        stack.append((inner, b))
     return out
-
-
-def _leaf(candidates: int, mask: int, nbr: Sequence[int]) -> int:
-    """x | y for the first candidate x whose one neighbour in G[mask] is
-    y, or 0 when every candidate has two or more."""
-    while candidates:
-        x = candidates & -candidates
-        candidates ^= x
-        near = nbr[x.bit_length() - 1] & mask
-        if not near & (near - 1):
-            return x | near
-    return 0
 
 
 def _without(nbr: Sequence[int], e: Edge) -> list[int]:
@@ -222,19 +199,26 @@ def good_flats(graph: Multigraph) -> tuple[GoodFlat, ...]:
         raise ValueError("graph is not 2-connected")
     ids = [e.eid for e in graph.edges]
     return tuple(
-        GoodFlat(frozenset(verts), frozenset([ids[i] for i in _bits(edges)]))
-        for verts, edges in _by_size(r for r in subset_pass(graph) if r[2] == 1)
+        GoodFlat(frozenset(verts), frozenset([ids[i] for i in _bits(edges)]), edges)
+        for verts, edges in _by_size(good_flat_masks(graph))
     )
+
+
+def good_flat_masks(graph: Multigraph) -> list[tuple[int, int]]:
+    """(S, E(S)) of every good flat as masks: the records with k(S) = 1,
+    in search order."""
+    return [(s, edges) for s, edges, k in subset_pass(graph) if k == 1]
 
 
 def two_connected_subsets(graph: Multigraph) -> tuple[frozenset[int], ...]:
     """All vertex subsets (including V) inducing a 2-connected subgraph,
     by size, then in combinations order."""
-    return tuple(frozenset(verts) for verts, _ in _by_size(subset_pass(graph)))
+    records = ((s, edges) for s, edges, _ in subset_pass(graph))
+    return tuple(frozenset(verts) for verts, _ in _by_size(records))
 
 
-def _by_size(records) -> list[tuple[tuple[int, ...], int]]:
-    """(vertices of S, E(S)) per record, by size, then in combinations
-    order within a size."""
-    found = sorted((s.bit_count(), _bits(s), edges) for s, edges, _ in records)
+def _by_size(masks) -> list[tuple[tuple[int, ...], int]]:
+    """(vertices of S, E(S)) per (S, E(S)) mask pair, by size, then in
+    combinations order within a size."""
+    found = sorted((s.bit_count(), _bits(s), edges) for s, edges in masks)
     return [(verts, edges) for _, verts, edges in found]

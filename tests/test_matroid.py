@@ -153,6 +153,18 @@ class TestGoodFlats:
             g = complete_graph(4)
             assert flat.induced_edge_ids == edges_within(g, flat.subset)
 
+    def test_edge_masks_and_mask_pairs_match_the_flats(self, census_full):
+        for g in census_full:
+            flats = matroid.good_flats(g)
+            for flat in flats:
+                ids = {e.eid for i, e in enumerate(g.edges) if flat.edge_mask >> i & 1}
+                assert ids == flat.induced_edge_ids
+            pairs = matroid.good_flat_masks(g)
+            assert len(pairs) == len(flats)
+            assert {
+                (frozenset(v for v in range(g.n) if s >> v & 1), edges) for s, edges in pairs
+            } == {(f.subset, f.edge_mask) for f in flats}
+
 
 class TestTwoConnectedSubsets:
     def test_k4_has_eleven(self):

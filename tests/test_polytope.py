@@ -121,7 +121,7 @@ class TestBuildPolytope:
 
     def test_witness_off_flat_raises(self, monkeypatch):
         # {0, 2} induces no edge of C4, so no tree has one edge inside it
-        fake = (matroid.GoodFlat(frozenset({0, 2}), frozenset()),)
+        fake = (matroid.GoodFlat(frozenset({0, 2}), frozenset(), 0),)
         monkeypatch.setattr(matroid, "good_flats", lambda graph: fake)
         with pytest.raises(RuntimeError, match="off the flat"):
             build_polytope(cycle_graph(4))
