@@ -355,28 +355,35 @@ def _side_graph(graph: Multigraph, eids, u: int, v: int) -> tuple[Multigraph, in
 
 
 def _side_kinds(
-    side: int, ends: int, single: bool, joined: Sequence[int], apart: Sequence[int]
+    side: int, ends: int, single: bool, apart: Sequence[int]
 ) -> tuple[str | None, str | None]:
     """The kinds of a side's fresh u-v edge: (with direct edges, without).
 
     The side graph is G[side] with the fresh edge and the direct edges it
     keeps in place of G's u-v edges; ends is the mask of u and v, single
-    says whether the side holds exactly one piece, and joined and apart
-    are the neighbour masks of G with u and v made adjacent and apart.
-    The pair is `matroid.edge_kinds(side graph)[fresh]` when the side keeps
-    at least one direct edge and when it keeps none.  A side that is not
-    2-connected gives (None, None); else a parallel copy gives "del".
-    Without one, two vertices give None; more give "del" if the side stays
-    2-connected without the u-v adjacency, else "con" if G[side] - {u, v}
-    is connected (one piece; a 2-connected side has no cut vertex), else
-    None.
+    says whether the side holds exactly one piece, and apart holds the
+    neighbour masks of G with u and v made apart.  The pair is
+    `matroid.edge_kinds(side graph)[fresh]` when the side keeps at least
+    one direct edge and when it keeps none.
+
+    G must be 2-connected; then every side graph is (the lemma).  G - u
+    and G - v are connected, so each component of G - {u, v} has a
+    neighbour at u and one at v.  A side minus u (or v) is therefore
+    connected; and for w in a component C, each part of C - w reaches u
+    or v in G - w without leaving C, so the side minus w is connected
+    through the fresh u-v edge.  `_split_predecessors` sees only
+    2-connected states: `decompose` returns before the search on a graph
+    that is not, and `_search` queues only predecessors that pass
+    `_spade_holds`, whose first test is 2-connectivity.
+
+    So a parallel copy gives "del".  Without one, two vertices give None;
+    more give "del" if the side stays 2-connected without the u-v
+    adjacency, else "con" if G[side] - {u, v} is connected (one piece; a
+    2-connected side has no cut vertex), else None.
     """
-    root = ends & -ends
-    if _blocks(root, side, joined) != [side]:
-        return None, None
     if side == ends:
         return "del", None
-    if _blocks(root, side, apart) == [side]:
+    if _blocks(ends & -ends, side, apart) == [side]:
         return "del", "del"
     return "del", "con" if single else None
 
@@ -403,9 +410,10 @@ def _split_predecessors(state: Multigraph, delta: int):
     them) and a fresh u-v edge.  A "path" split needs the raw side's fresh
     edge "del" and the partner's "con" (not None at delta = 2); a "delta"
     split needs both "con".  These filters run on vertex masks: per piece
-    subset, `_side_kinds` reads the side's 2-connectivity and its fresh
-    edge's kind, with and without direct edges, off at most two block
-    searches, for every style and share at once.  Only the raw side of a
+    subset, `_side_kinds` reads the side's fresh edge's kind, with and
+    without direct edges, off at most one block search, for every style
+    and share at once; every side of a 2-connected state is 2-connected
+    (the lemma in `_side_kinds`).  Only the raw side of a
     candidate that passes is built as a graph; verify builds the partner.
     """
     nbr = state.neighbour_masks
@@ -418,24 +426,20 @@ def _split_predecessors(state: Multigraph, delta: int):
         if delta >= 3 and len(direct) >= delta - 2:
             styles.append(("delta", delta - 2))
         ends = (1 << u) | (1 << v)
-        joined, apart = list(nbr), list(nbr)
-        joined[u] |= 1 << v
-        joined[v] |= 1 << u
+        apart = list(nbr)
         apart[u] &= ~(1 << v)
         apart[v] &= ~(1 << u)
         sides = [ends]  # piece subset -> its side's vertex mask
         for piece in groups:
             sides += [side | piece for side in sides]
         kinds = [
-            _side_kinds(side, ends, side ^ ends in groups, joined, apart)
+            _side_kinds(side, ends, side ^ ends in groups, apart)
             for side in sides
         ]
         pieces = list(groups.values())
         every = (1 << units) - 1
         for mask in range(1 << units):
             a_kinds, b_kinds = kinds[mask], kinds[every ^ mask]
-            if a_kinds[0] is None or b_kinds[0] is None:
-                continue
             side_a = [eid for i in range(units) if mask >> i & 1 for eid in pieces[i]]
             side_b = [
                 eid for i in range(units) if not mask >> i & 1 for eid in pieces[i]

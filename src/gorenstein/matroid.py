@@ -38,12 +38,18 @@ G[{v, ..., n-1}] that contain v, so each S is found once, from its
 lowest vertex.  Each branch shrinks U - I, so a root-to-leaf path has at
 most n nodes; and every node lies on such a path to an output, the one
 that keeps adding w until I = U.  So there are at most n nodes per
-record, each paying one block computation: a single mask-native block
-DFS rooted at a vertex of I (`multigraph._blocks`).  On the glued
-delta = 3 graph with 28 vertices of the tests (`glued_chain(3, 28)`)
-that is 87,943 nodes for 39,386 records, where testing each connected
-subset visited 16.7 M of them.  Two adjacent vertices count as 2-connected, and
-parallel edges do not change the vertex sets of blocks.
+record, each paying at most one block computation: a single mask-native
+block DFS rooted at a vertex of I (`multigraph._blocks`).  An exclusion
+often needs none.  In the 2-connected G[U] every vertex has two
+neighbours, so only a vertex x of I adjacent to w can keep fewer in
+U - w: with none left, no block of G[U - w] holds x and the branch
+ends; with one, y, the edge xy is a bridge and {x, y} is the one block
+that holds x, so the node (I, {x, y}) follows when I <= {x, y}.  On
+the glued delta = 3 graph with 28 vertices of the tests
+(`glued_chain(3, 28)`) that is 87,943 nodes for 39,386 records, where
+testing each connected subset visited 16.7 M of them.  Two adjacent
+vertices count as 2-connected, and parallel edges do not change the
+vertex sets of blocks.
 
 Each record then gets E(S) and k(S).  An S lies in one block B of G.
 In B/E(S), a vertex w other than the contracted one is no cut vertex,
@@ -177,7 +183,18 @@ def _two_connected_masks(nbr: Sequence[int]) -> list[int]:
             w &= -w
             stack.append((inner | w, outer))
             rest = outer ^ w
-            if rest & (rest - 1):  # a block has two vertices
+            if not rest & (rest - 1):  # no block has two vertices
+                continue
+            near = nbr[w.bit_length() - 1] & inner
+            while near:  # only a neighbour of w can keep < 2 neighbours
+                x = near & -near
+                near ^= x
+                y = nbr[x.bit_length() - 1] & rest
+                if not y & (y - 1):  # {x, y} is the one block that holds x
+                    if y and not inner & ~(x | y):
+                        stack.append((inner, x | y))
+                    break
+            else:
                 for b in _blocks(inner & -inner, rest, nbr):
                     if b & inner == inner:
                         stack.append((inner, b))

@@ -14,8 +14,23 @@ normal_j - normal_0 over their gcd, and its reduced offset is read off
 one lattice point on it, its witness: a spanning tree grown by matroid
 greedy (Edmonds 1971) over a union-find, avoiding the deletable edge or
 taking a spanning tree of the good flat's induced subgraph first.  The
-V-representation (every spanning tree) is listed only when
+reduced offset is the same at every point of the facet, so one shared
+tree T, greedy over all edges in order, serves every facet it lies on:
+it is the greedy witness of each deletable edge it leaves out (skipping
+an edge greedy rejected changes no later choice), and it lies on each
+good flat S on which it has |S| - 1 edges, counted by popcount against
+the flat's edge mask.  Only the other facets run greedy of their own.
+The V-representation (every spanning tree) is listed only when
 `BasePolytope.vertices` is read; the oracle and the census never read it.
+
+The oracle's equations at distance 1 from every facet have the same
+coordinate sets at every dilation; only their targets scale.  So the
+polytope builds them once, as its cached `distance_one_system` (the
+coordinates the nonnegativity facets fix, each equation's free
+coordinates and offset, the equations each free coordinate enters), and
+each dilation only scales the targets, rejects an unreachable one in
+one pass over the equations, and backtracks on fresh copies of the
+partial sums.
 """
 
 from __future__ import annotations
@@ -25,7 +40,7 @@ from functools import cached_property
 
 from . import matroid
 from .lattice import dot, vec_gcd
-from .multigraph import Multigraph
+from .multigraph import Multigraph, _bits
 
 KIND_NONNEGATIVITY = "nonnegativity"
 KIND_GOOD_FLAT = "good_flat"
@@ -74,6 +89,46 @@ class BasePolytope:
             )
         )
 
+    @cached_property
+    def distance_one_system(self) -> tuple[tuple, ...]:
+        """The dilation-free part of the distance-1 equations, built on first read.
+
+        At distance 1 from every facet of the d-th dilation, x_e = 1 for
+        each deletable edge e, x(E(S)) = d(|S| - 1) - 1 for each good flat
+        S, and x(E) = d * rank.  Returns (start, free, members, scales,
+        shifts, free_counts): start has the fixed coordinates at 1 and the
+        rest at 0; free lists the other coordinates in order, and
+        members[k] the equations that free[k] enters; equation q asks its
+        free_counts[q] free coordinates to sum to d * scales[q] - shifts[q].
+        """
+        m = self.ambient_dim
+        fixed = set()
+        equations = [(range(m), self.rank, 0)]
+        for f in self.facets:
+            if f.kind == KIND_NONNEGATIVITY:
+                fixed.add(next(i for i, c in enumerate(f.normal) if c))
+            elif f.kind == KIND_GOOD_FLAT:
+                idxs = [i for i, c in enumerate(f.normal) if c]
+                equations.append((idxs, f.offset, 1))
+            else:
+                raise ValueError("gorenstein search needs classified facets")
+        free = [i for i in range(m) if i not in fixed]
+        slot = {i: k for k, i in enumerate(free)}
+        members: list[list[int]] = [[] for _ in free]
+        scales, shifts, free_counts = [], [], []
+        for q, (idxs, scale, shift) in enumerate(equations):
+            held = [slot[i] for i in idxs if i in slot]
+            for k in held:
+                members[k].append(q)
+            scales.append(scale)
+            shifts.append(shift + len(idxs) - len(held))
+            free_counts.append(len(held))
+        start = tuple(1 if i in fixed else 0 for i in range(m))
+        return (
+            start, tuple(free), tuple(map(tuple, members)),
+            tuple(scales), tuple(shifts), tuple(free_counts),
+        )
+
 
 @dataclass(frozen=True)
 class GorensteinPoint:
@@ -85,9 +140,10 @@ def _reduce_functional(normal, witness):
     """Primitive integer form of a supporting functional.
 
     `normal . x <= offset` must hold with equality at the integer point
-    `witness`.  The direction lattice of the affine span, {z : sum z = 0},
-    has basis e_j - e_0 (j >= 1) with duals e_j, on which the functional
-    takes the values normal_j - normal_0; g > 0 is their gcd.  Returns
+    `witness`, given as the edge-position mask of a spanning tree.  The
+    direction lattice of the affine span, {z : sum z = 0}, has basis
+    e_j - e_0 (j >= 1) with duals e_j, on which the functional takes the
+    values normal_j - normal_0; g > 0 is their gcd.  Returns
     integer (reduced_normal, reduced_offset) whose value gap
     reduced_offset - reduced_normal . x  equals  (offset - normal . x) / g
     on the affine span.
@@ -97,13 +153,14 @@ def _reduce_functional(normal, witness):
     if g == 0:
         raise ValueError("functional vanishes on the affine span")
     rnormal = (0,) + tuple(v // g for v in values)
-    return rnormal, dot(rnormal, witness)
+    return rnormal, sum(rnormal[i] for i in _bits(witness))
 
 
-def _greedy_tree(graph: Multigraph, index, edges) -> tuple[int, ...]:
-    """Indicator vector of the spanning tree that matroid greedy grows from
-    `edges` in order: an edge is taken when it joins two components."""
-    parent = list(range(graph.n))
+def _greedy_tree(n: int, ends, order) -> int:
+    """Edge-position mask of the spanning tree that matroid greedy grows
+    from the positions in `order`: an edge is taken when it joins two
+    components."""
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -111,17 +168,16 @@ def _greedy_tree(graph: Multigraph, index, edges) -> tuple[int, ...]:
             x = parent[x]
         return x
 
-    x = [0] * len(index)
-    taken = 0
-    for e in edges:
-        ru, rv = find(e.u), find(e.v)
+    tree = 0
+    for i in order:
+        u, v = ends[i]
+        ru, rv = find(u), find(v)
         if ru != rv:
             parent[rv] = ru
-            x[index[e.eid]] = 1
-            taken += 1
-    if taken != graph.n - 1:
+            tree |= 1 << i
+    if tree.bit_count() != n - 1:
         raise RuntimeError("greedy witness is not a spanning tree")
-    return tuple(x)
+    return tree
 
 
 def build_polytope(graph: Multigraph) -> BasePolytope:
@@ -131,35 +187,41 @@ def build_polytope(graph: Multigraph) -> BasePolytope:
     edge_ids = tuple(e.eid for e in graph.edges)
     index = {eid: i for i, eid in enumerate(edge_ids)}
     m = len(edge_ids)
-    rank = graph.n - 1
+    ends = [(e.u, e.v) for e in graph.edges]
+    shared = _greedy_tree(graph.n, ends, range(m))
     facets = []
     for eid in sorted(matroid.deletable_edges(graph), key=index.__getitem__):
-        normal = tuple(-1 if i == index[eid] else 0 for i in range(m))
-        # G - e is 2-connected, so a spanning tree avoids e
-        witness = _greedy_tree(graph, index, (e for e in graph.edges if e.eid != eid))
+        i = index[eid]
+        normal = tuple(-1 if j == i else 0 for j in range(m))
+        # G - e is 2-connected, so a spanning tree avoids e; when the shared
+        # tree does, greedy without e grows it again
+        witness = shared
+        if shared >> i & 1:
+            witness = _greedy_tree(graph.n, ends, (j for j in range(m) if j != i))
         rn, ro = _reduce_functional(normal, witness)
         facets.append(
             FacetInequality(KIND_NONNEGATIVITY, eid, None, normal, 0, rn, ro)
         )
+    every_edge = (1 << m) - 1
     for flat in matroid.good_flats(graph):
-        inside = flat.induced_edge_ids
-        idxs = {index[eid] for eid in inside}
-        normal = tuple(1 if i in idxs else 0 for i in range(m))
+        inside = flat.edge_mask
+        normal = tuple(inside >> i & 1 for i in range(m))
         offset = len(flat.subset) - 1
         # G[S] is connected, so taking E(S) first puts |S| - 1 of its edges in
-        witness = _greedy_tree(
-            graph,
-            index,
-            [e for e in graph.edges if e.eid in inside]
-            + [e for e in graph.edges if e.eid not in inside],
-        )
-        if dot(normal, witness) != offset:
-            raise RuntimeError(f"greedy witness is off the flat {sorted(flat.subset)}")
+        witness = shared
+        if (shared & inside).bit_count() != offset:
+            witness = _greedy_tree(
+                graph.n, ends, _bits(inside) + _bits(every_edge & ~inside)
+            )
+            if (witness & inside).bit_count() != offset:
+                raise RuntimeError(
+                    f"greedy witness is off the flat {sorted(flat.subset)}"
+                )
         rn, ro = _reduce_functional(normal, witness)
         facets.append(
             FacetInequality(KIND_GOOD_FLAT, None, flat.subset, normal, offset, rn, ro)
         )
-    return BasePolytope(m, rank, edge_ids, tuple(facets), graph)
+    return BasePolytope(m, graph.n - 1, edge_ids, tuple(facets), graph)
 
 
 # -- the Gorenstein oracle -------------------------------------------------
@@ -169,6 +231,9 @@ def gorenstein_point_at(polytope: BasePolytope, dilation: int) -> tuple[int, ...
 
     Searches the lattice points of the dilation under the equality
     constraints the distance-1 condition imposes; returns the first hit.
+    The part of those constraints that no dilation changes is the
+    polytope's cached `distance_one_system`; this call only scales the
+    targets and searches.
     """
     if dilation < 2:
         raise ValueError("dilation must be >= 2")
@@ -176,66 +241,37 @@ def gorenstein_point_at(polytope: BasePolytope, dilation: int) -> tuple[int, ...
         # 0-dimensional polytope (single spanning tree): the distance
         # conditions are vacuous and the Gorenstein index is 1, below scan
         return None
-    m = polytope.ambient_dim
-    equations: list[tuple[tuple[int, ...], int]] = [
-        (tuple(range(m)), dilation * polytope.rank)
-    ]
-    fixed: dict[int, int] = {}
-    for f in polytope.facets:
-        if f.kind == KIND_NONNEGATIVITY:
-            idx = next(i for i, c in enumerate(f.normal) if c)
-            if fixed.setdefault(idx, 1) != 1:
-                return None
-        elif f.kind == KIND_GOOD_FLAT:
-            idxs = tuple(i for i, c in enumerate(f.normal) if c)
-            equations.append((idxs, dilation * f.offset - 1))
-        else:
-            raise ValueError("gorenstein search needs classified facets")
-    x = [-1] * m
-    for i, v in fixed.items():
-        x[i] = v
-    free = [i for i in range(m) if i not in fixed]
-    members: list[list[int]] = [[] for _ in range(m)]
-    partial = [0] * len(equations)
-    remaining = [0] * len(equations)
-    for qi, (idxs, target) in enumerate(equations):
-        for i in idxs:
-            if i in fixed:
-                partial[qi] += fixed[i]
-            else:
-                members[i].append(qi)
-                remaining[qi] += 1
-        if partial[qi] > target or partial[qi] + dilation * remaining[qi] < target:
-            return None
+    start, free, members, scales, shifts, free_counts = polytope.distance_one_system
+    # need[q]: what equation q's free coordinates must still sum to
+    need = [dilation * a - c for a, c in zip(scales, shifts)]
+    if any(r < 0 or r > dilation * k for r, k in zip(need, free_counts)):
+        return None
+    left = list(free_counts)
+    x = list(start)
 
     def rec(pos: int) -> tuple[int, ...] | None:
         if pos == len(free):
-            if all(p == t for p, (_, t) in zip(partial, equations)):
-                return tuple(x)
-            return None
-        i = free[pos]
-        for val in range(dilation + 1):
-            ok = True
-            for qi in members[i]:
-                p = partial[qi] + val
-                r = remaining[qi] - 1
-                if p > equations[qi][1] or p + dilation * r < equations[qi][1]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            x[i] = val
-            for qi in members[i]:
-                partial[qi] += val
-                remaining[qi] -= 1
+            # every equation's need was held in [0, dilation * left] = [0, 0]
+            return tuple(x)
+        eqs = members[pos]
+        low, high = 0, dilation
+        for q in eqs:
+            left[q] -= 1
+            high = min(high, need[q])
+            low = max(low, need[q] - dilation * left[q])
+        found = None
+        for val in range(low, high + 1):
+            for q in eqs:
+                need[q] -= val
+            x[free[pos]] = val
             found = rec(pos + 1)
-            for qi in members[i]:
-                partial[qi] -= val
-                remaining[qi] += 1
-            x[i] = -1
+            for q in eqs:
+                need[q] += val
             if found is not None:
-                return found
-        return None
+                break
+        for q in eqs:
+            left[q] += 1
+        return found
 
     point = rec(0)
     if point is None:

@@ -411,15 +411,16 @@ def fresh_kinds_checked(graph) -> Counter:
     """Compare `_side_kinds` with `matroid.edge_kinds` of the built side
     graph at every vertex pair, piece subset and direct-edge share, both
     sides of the split and every number of withheld direct edges; counts
-    the two-vertex sides and the sides of splits that withhold edges."""
+    the two-vertex sides and the sides of splits that withhold edges.
+    Asserts the lemma `_side_kinds` rests on: every side graph of a
+    2-connected graph is 2-connected."""
+    assert graph.is_two_connected()
     seen = Counter()
     nbr = graph.neighbour_masks
     for u, v in itertools.combinations(range(graph.n), 2):
         groups, direct = constructions._pieces(graph, u, v)
         ends = (1 << u) | (1 << v)
-        joined, apart = list(nbr), list(nbr)
-        joined[u] |= 1 << v
-        joined[v] |= 1 << u
+        apart = list(nbr)
         apart[u] &= ~(1 << v)
         apart[v] &= ~(1 << u)
         for chosen in itertools.product((True, False), repeat=len(groups)):
@@ -427,7 +428,7 @@ def fresh_kinds_checked(graph) -> Counter:
             for pick in (True, False):
                 held = [m for m, c in zip(groups, chosen) if c == pick]
                 side = ends | sum(held)
-                kinds = constructions._side_kinds(side, ends, len(held) == 1, joined, apart)
+                kinds = constructions._side_kinds(side, ends, len(held) == 1, apart)
                 sides.append((kinds, [eid for m in held for eid in groups[m]]))
             (a_kinds, a_edges), (b_kinds, b_edges) = sides
             for withheld in range(len(direct) + 1):
@@ -438,6 +439,7 @@ def fresh_kinds_checked(graph) -> Counter:
                         (b_kinds, b_edges + direct[d_a:usable], usable - d_a),
                     ):
                         side, fresh = constructions._side_graph(graph, eids, u, v)
+                        assert side.is_two_connected(), (u, v, chosen, withheld, d_a)
                         expected = matroid.edge_kinds(side)[fresh]
                         assert kinds[kept == 0] == expected, (u, v, chosen, withheld, d_a)
                         seen["two-vertex"] += side.n == 2

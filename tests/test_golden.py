@@ -27,6 +27,10 @@ GRAPHS = {
     # glued.glued_chain(2, 6) and glued.glued_chain(4, 8)
     "glued2": "6 10\n0 2\n0 3\n1 2\n1 3\n2 3\n0 4\n0 5\n1 4\n1 5\n4 5\n",
     "glued4": "8 12\n1 2\n2 3\n0 3\n1 4\n4 5\n0 1\n0 1\n5 6\n6 7\n0 7\n0 5\n0 5\n",
+    # a relabelled glued delta-3 graph from the oracle benchmark stream:
+    # the greedy tree over all its edges is the witness of some facets of
+    # each kind, and the others take their own greedy runs
+    "glued12": "8 12\n2 4\n3 4\n0 7\n5 7\n2 5\n2 7\n2 6\n2 3\n1 5\n1 6\n0 2\n1 4\n",
     # a census graph whose delta-3 search expands six states before the seed
     "deep": "4 8\n0 1\n0 1\n0 2\n0 2\n1 2\n1 3\n1 3\n2 3\n",
 }
@@ -35,12 +39,14 @@ DIGESTS = {
     ("facets", "k4"): "1f14a293f0c92a7a3dc2a73411cfcea8b2408b980c3c0a75224a469a98fb07a4",
     ("facets", "diamond"): "5d480accd839eafb0e885a9c9695165724a2313a9d8f56eb05fd066b166448e6",
     ("facets", "doubled"): "05b45ae635ddfb0b88f218a9ee3c9245d0b440a273bb71d2514b4ae607309480",
+    ("facets", "glued12"): "878f8f89cbeeb29baf4c338145b013b6c14c561843be56cb795adf8887587d1f",
     ("check", "k4"): "0f018903470acdc305b7d055f94b133ea05f7b69f2245e9013beba47573df000",
     ("check", "diamond"): "489f7dab547c1676ca063cadbc11c42513c56cc39a6898feaad86edf12582218",
     ("check", "doubled"): "14263f07dc76a7e6b31aea0b259fa3256a96d8c4076841df460bb3ce27bdc524",
     ("check --oracle", "k4"): "c0f5c23bc3828e290f4eedcb4d54f986475bfbf0fff901703de077c915369257",
     ("check --oracle", "diamond"): "0b6cf21416fff47304715d4484ae8a36c4bf1cf1ea19de5d28656d4ecbcfd8a8",
     ("check --oracle", "doubled"): "14263f07dc76a7e6b31aea0b259fa3256a96d8c4076841df460bb3ce27bdc524",
+    ("check --oracle", "glued12"): "db30535619ccafb5598f372bfa51f8444a6c91950a4b84c566ac965e329cca16",
     ("weights --delta 2", "k4"): "818f58348fde3976efe02af6522bece3b88c6deaf446b1385a68d73a574e3142",
     ("weights --delta 2", "diamond"): "177d09f878d653402b39c8dd6c540ce67ea027d873254e898ccedf91a6a46586",
     ("weights --delta 2", "doubled"): "818f58348fde3976efe02af6522bece3b88c6deaf446b1385a68d73a574e3142",

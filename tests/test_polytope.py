@@ -1,5 +1,7 @@
 import itertools
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from gorenstein.multigraph import (
     cycle_graph,
 )
 from gorenstein.polytope import (
+    KIND_GOOD_FLAT,
+    KIND_NONNEGATIVITY,
     FacetInequality,
     build_polytope,
     default_delta_max,
@@ -51,6 +55,19 @@ def assert_equals_enumeration(graph):
     # and the reduced form; tuple equality covers the order
     assert poly.facets == ref.facets
     assert poly.vertices == ref.vertices
+
+
+def greedy_over_every_edge(graph) -> set[int]:
+    """Positions of the spanning tree that matroid greedy grows from all
+    edges in order: an edge is taken when it joins two components."""
+    comp = list(range(graph.n))
+    tree = set()
+    for i, e in enumerate(graph.edges):
+        a, b = comp[e.u], comp[e.v]
+        if a != b:
+            comp = [a if c == b else c for c in comp]
+            tree.add(i)
+    return tree
 
 
 class TestBuildPolytope:
@@ -118,6 +135,25 @@ class TestBuildPolytope:
     def test_equals_enumeration_on_random_multigraphs(self, g):
         assert g.is_two_connected()
         assert_equals_enumeration(g)
+
+    def test_shared_and_own_witnesses_equal_enumeration(self):
+        # the greedy tree over every edge lies on some facets of each kind
+        # (it is their witness) and off others (each takes its own run)
+        seen = Counter()
+        for delta, n in [(2, 7), (2, 8), (3, 9), (4, 10)]:
+            chain = glued_chain(delta, n)
+            for g in (chain, chain.shuffled(random.Random(n))):
+                assert_equals_enumeration(g)
+                tree = greedy_over_every_edge(g)
+                index = {e.eid: i for i, e in enumerate(g.edges)}
+                for f in build_polytope(g).facets:
+                    if f.kind == KIND_NONNEGATIVITY:
+                        on = index[f.edge] not in tree
+                    else:
+                        on = sum(f.normal[i] for i in tree) == f.offset
+                    seen[f.kind, on] += 1
+        for kind in (KIND_NONNEGATIVITY, KIND_GOOD_FLAT):
+            assert seen[kind, True] > 0 and seen[kind, False] > 0, seen
 
     def test_witness_off_flat_raises(self, monkeypatch):
         # {0, 2} induces no edge of C4, so no tree has one edge inside it
@@ -281,6 +317,32 @@ class TestGorensteinOracle:
                 if poly.facets and gorenstein_point_at(poly, d) is not None
             ]
             assert len(hits) <= 1
+
+
+class TestDistanceOneSystem:
+    """The cached dilation-free system leaks no state between dilations."""
+
+    @staticmethod
+    def scan_matches_fresh(graph) -> int:
+        """Every dilation 2..m+1 on one polytope, descending then ascending,
+        against a fresh polytope per call; returns the number of hits."""
+        poly = build_polytope(graph)
+        deltas = list(range(2, graph.m + 2))
+        hits = 0
+        for d in deltas[::-1] + deltas:
+            point = gorenstein_point_at(poly, d)
+            assert point == gorenstein_point_at(build_polytope(graph), d), d
+            hits += point is not None
+        return hits
+
+    def test_census(self, census_full):
+        assert sum(self.scan_matches_fresh(g) for g in census_full) > 0
+
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_glued_chains(self, delta):
+        for n in (6, 8, 10):
+            # Gorenstein at delta: one hit per direction
+            assert self.scan_matches_fresh(glued_chain(delta, n)) == 2
 
 
 class TestNeverDeltaOne:
