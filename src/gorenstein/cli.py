@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 import traceback
 
@@ -77,28 +76,13 @@ def _load_graph(path: str) -> Multigraph:
     return Multigraph.parse(text)
 
 
-def _delta_max_override() -> int | None:
-    raw = os.environ.get("GORENSTEIN_DELTA_MAX")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        print(f"error: GORENSTEIN_DELTA_MAX: not an integer: {raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT) from None
-    if value < 2:
-        print("error: GORENSTEIN_DELTA_MAX must be >= 2", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
-    return value
-
-
 def _cmd_check(args) -> int:
     graph = _load_graph(args.file)
     if not graph.is_two_connected():
         _print_json({"gorenstein": False, "reason": "not 2-connected"})
         return EXIT_OK
     if args.oracle:
-        point = polytope.gorenstein_oracle(graph, _delta_max_override())
+        point = polytope.gorenstein_oracle(graph)
         if point is None:
             _print_json({"gorenstein": False, "delta": None})
             return EXIT_OK

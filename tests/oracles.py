@@ -36,7 +36,7 @@ from gorenstein import constructions, matroid
 from gorenstein.census import CensusBounds
 from gorenstein.constructions import ConstructionTrace, Memo, TraceStep
 from gorenstein.criteria import WeightAssignment
-from gorenstein.lattice import dot, kernel_basis_with_dual, vec_gcd
+from gorenstein.lattice import dot, kernel_basis_with_dual
 from gorenstein.multigraph import Edge, Multigraph, _bits, _components, _reach
 from gorenstein.polytope import (
     KIND_GOOD_FLAT,
@@ -404,12 +404,14 @@ def total_of(assignment: WeightAssignment, edge_ids) -> int:
 
 def check_spade_by_sets(graph: Multigraph, assignment: WeightAssignment) -> bool:
     """`criteria.check_spade` by summing weights over the edge ids of each
-    good flat of `matroid.good_flats`."""
+    good flat of `matroid.good_flats`, read off its vertex set rather than
+    the library's edge mask."""
     delta = assignment.delta
     if assignment.total() != delta * (graph.n - 1):
         return False
     for flat in matroid.good_flats(graph):
-        if total_of(assignment, flat.induced_edge_ids) + 1 != delta * (len(flat.subset) - 1):
+        inside = edges_within(graph, flat.subset)
+        if total_of(assignment, inside) + 1 != delta * (len(flat.subset) - 1):
             return False
     return True
 
@@ -555,8 +557,9 @@ def build_polytope_by_enumeration(graph: Multigraph) -> ReferencePolytope:
     sorted vertices, and reduces each facet functional at the first vertex
     on it, over Fractions, in the slice-lattice basis that
     `kernel_basis_with_dual` computes.  Deletable edges and good flats are
-    the library's; the witnesses, the vertices, the basis and the reduction
-    are independent of `build_polytope`.
+    the library's, each flat's edges read off its vertex set; the
+    witnesses, the vertices, the basis and the reduction are independent
+    of `build_polytope`.
     """
     if not graph.is_two_connected():
         raise ValueError("graph is not 2-connected")
@@ -577,7 +580,7 @@ def build_polytope_by_enumeration(graph: Multigraph) -> ReferencePolytope:
             FacetInequality(KIND_NONNEGATIVITY, eid, None, normal, 0, rn, ro)
         )
     for flat in matroid.good_flats(graph):
-        idxs = {index[eid] for eid in flat.induced_edge_ids}
+        idxs = {index[eid] for eid in edges_within(graph, flat.subset)}
         normal = tuple(1 if i in idxs else 0 for i in range(m))
         offset = len(flat.subset) - 1
         witness = next(v for v in verts if dot(normal, v) == offset)
@@ -604,7 +607,7 @@ def _reduce_by_fractions(normal, offset, basis, duals, witness):
     for v in values:
         denom = denom * v.denominator // gcd(denom, v.denominator)
     ints = [int(v * denom) for v in values]
-    g = vec_gcd(ints)
+    g = gcd(*ints)
     prim = [x // g for x in ints]
     n = len(normal)
     reduced = [0] * n
@@ -648,7 +651,7 @@ def hull_facets_oracle(points) -> tuple[FacetInequality, ...]:
     for ray in rays:
         b, a = ray[0], ray[1:]
         m_y = tuple(-x for x in a)
-        g = vec_gcd(m_y)
+        g = gcd(*m_y)
         if g <= 0 or b % g:
             raise RuntimeError(f"dual ray {ray} has no integer primitive form")
         m_hat = tuple(x // g for x in m_y)
@@ -791,7 +794,7 @@ def never_delta_one(graph: Multigraph) -> bool:
 
 
 def primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
-    g = vec_gcd(vec)
+    g = gcd(*vec)
     if g <= 1:
         return vec
     return tuple(v // g for v in vec)
@@ -880,7 +883,7 @@ def scale_to_primitive_int(vec) -> tuple[int, ...]:
         f = Fraction(x)
         denom = denom * f.denominator // gcd(denom, f.denominator)
     ivec = [int(Fraction(x) * denom) for x in vec]
-    g = vec_gcd(ivec)
+    g = gcd(*ivec)
     if g > 1:
         ivec = [x // g for x in ivec]
     return tuple(ivec)

@@ -301,23 +301,3 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "mismatches: 0" in out
-
-
-class TestDeltaMaxEnv:
-    def test_invalid_value_exit_two(self, capsys, k4_file, monkeypatch):
-        monkeypatch.setenv("GORENSTEIN_DELTA_MAX", "zero")
-        code, _, err = run_cli(capsys, "check", k4_file, "--oracle")
-        assert code == 2
-        assert "GORENSTEIN_DELTA_MAX" in err
-
-    def test_overrides_scan_bound(self, capsys, tmp_path, monkeypatch):
-        p = tmp_path / "b9.txt"
-        p.write_text("2 9\n" + "0 1\n" * 9)
-        monkeypatch.setenv("GORENSTEIN_DELTA_MAX", "5")
-        code, out, _ = run_cli(capsys, "check", str(p), "--oracle")
-        assert code == 0
-        assert json.loads(out)["gorenstein"] is False
-        monkeypatch.setenv("GORENSTEIN_DELTA_MAX", "9")
-        code, out, _ = run_cli(capsys, "check", str(p), "--oracle")
-        assert code == 0
-        assert json.loads(out)["delta"] == 9

@@ -149,16 +149,17 @@ class TestGoodFlats:
         assert matroid.good_flats(banana_graph(4)) == ()
 
     def test_induced_edges_recorded(self):
-        for flat in matroid.good_flats(complete_graph(4)):
-            g = complete_graph(4)
-            assert flat.induced_edge_ids == edges_within(g, flat.subset)
+        g = complete_graph(4)
+        for flat in matroid.good_flats(g):
+            ids = {e.eid for i, e in enumerate(g.edges) if flat.edge_mask >> i & 1}
+            assert ids == edges_within(g, flat.subset)
 
     def test_edge_masks_and_mask_pairs_match_the_flats(self, census_full):
         for g in census_full:
             flats = matroid.good_flats(g)
             for flat in flats:
                 ids = {e.eid for i, e in enumerate(g.edges) if flat.edge_mask >> i & 1}
-                assert ids == flat.induced_edge_ids
+                assert ids == edges_within(g, flat.subset)
             pairs = matroid.good_flat_masks(g)
             assert len(pairs) == len(flats)
             assert {

@@ -157,7 +157,7 @@ class TestBuildPolytope:
 
     def test_witness_off_flat_raises(self, monkeypatch):
         # {0, 2} induces no edge of C4, so no tree has one edge inside it
-        fake = (matroid.GoodFlat(frozenset({0, 2}), frozenset(), 0),)
+        fake = (matroid.GoodFlat(frozenset({0, 2}), 0),)
         monkeypatch.setattr(matroid, "good_flats", lambda graph: fake)
         with pytest.raises(RuntimeError, match="off the flat"):
             build_polytope(cycle_graph(4))
@@ -317,6 +317,8 @@ class TestGorensteinOracle:
                 if poly.facets and gorenstein_point_at(poly, d) is not None
             ]
             assert len(hits) <= 1
+            # the Gorenstein index is the codegree, at most dim + 1 = m
+            assert all(d <= g.m for d in hits)
 
 
 class TestDistanceOneSystem:
