@@ -57,6 +57,25 @@ def _graphs_on(n: int, bounds: CensusBounds):
     once, in its canonical form.  A connected graph's canonical ordering
     adds each vertex next to an earlier one, so an all-zero column is
     pruned as well.
+
+    Two necessary conditions cut branches before the canonicity test,
+    which still runs on every column that passes them; neither drops a
+    census graph, so the census is the same list either way.
+
+    - Transposition bound: column j's top k entries must be
+      lexicographically at most column k, for every 0 < k < j.  Were they
+      larger, swapping vertices k and j would leave columns 0..k-1 alone
+      and make column k larger, so the identity ordering would not be
+      maximal.  While column j is filled top-down, `tight` holds the k
+      whose column its entries still equal; row i is capped at mat[i][k]
+      for each of them, and k drops out once a smaller value is chosen or
+      once row k-1 is filled.
+    - Edge reserve: a column j < n-1 may bring the edge total to at most
+      max_edges - (r + 1), where r = n-1-j vertices are still to come.
+      Each of them has degree at least 2, and at least 2 edges join them
+      to the placed vertices, since a single one would be a bridge; with
+      e edges among them and x across, 2e + x >= 2r and x >= 2 give
+      e + x >= r + 1.
     """
     if n == 2:
         for k in range(1, min(bounds.max_edges, bounds.max_multiplicity) + 1):
@@ -64,6 +83,8 @@ def _graphs_on(n: int, bounds: CensusBounds):
         return
     mat = [[0] * n for _ in range(n)]
     out = []
+    # edge total allowed once column j is complete (the edge reserve)
+    budget = [bounds.max_edges - (n - j) for j in range(n - 1)] + [bounds.max_edges]
 
     def leaf(total: int) -> None:
         if total < n or min(map(sum, mat)) < 2:
@@ -76,21 +97,27 @@ def _graphs_on(n: int, bounds: CensusBounds):
         if g.is_two_connected():
             out.append(g)
 
-    def fill(i: int, j: int, total: int, column: int) -> None:
-        """Choose mat[i][j]; column is the sum of column j so far."""
+    def fill(i: int, j: int, total: int, column: int, tight: list[int]) -> None:
+        """Choose mat[i][j]; column is the sum of column j so far, and the
+        columns k in tight (all k > i) equal column j in rows 0..i-1."""
         if i == j:
             if column and is_canonical_order(mat, j + 1):
                 if j == n - 1:
                     leaf(total)
                 else:
-                    fill(0, j + 1, total, 0)
+                    fill(0, j + 1, total, 0, list(range(1, j + 1)))
             return
-        for c in range(min(bounds.max_multiplicity, bounds.max_edges - total) + 1):
+        cap = min(bounds.max_multiplicity, budget[j] - total)
+        for k in tight:
+            cap = min(cap, mat[i][k])
+        # columns that stay tight when row i takes the cap
+        still = [k for k in tight if k > i + 1 and mat[i][k] == cap]
+        for c in range(cap + 1):
             mat[i][j] = mat[j][i] = c
-            fill(i + 1, j, total + c, column + c)
+            fill(i + 1, j, total + c, column + c, still if c == cap else [])
         mat[i][j] = mat[j][i] = 0
 
-    fill(0, 1, 0, 0)
+    fill(0, 1, 0, 0, [])
     yield from out
 
 

@@ -40,8 +40,64 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2)
+    """`json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2)`.
+
+    The same bytes, over the types the CLI prints: dicts with str keys,
+    lists, tuples, str, int, bool and None; anything else raises
+    TypeError.  With an indent, `json` runs its pure-Python encoder, which
+    is slower than this writer.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append obj's JSON to out; newline is a line break plus the indent."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(item) is int for item in obj):
+            # rows, edges and points: one join instead of a call per item
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _write_json(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _print_json(obj) -> None:

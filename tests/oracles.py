@@ -7,7 +7,9 @@ acceptance criteria 6, 9 and 8.  The edge-list block DFS
 (`blocks_by_edge_dfs` and the predicates on it) and the union-find
 `pieces_by_union_find` check the mask connectivity kernel of
 `multigraph`; the census, subset-pass and edge-kind references test
-2-connectivity with them.  There are four exceptions.
+2-connectivity with them.  There are five exceptions.
+`enumerate_orderly_unpruned` shares the library's canonicity test
+`is_canonical_order` and checks only the census's pre-filters.
 `decompose_eagerly` shares the subdivision generator with
 `constructions.decompose` and differs in when it verifies; its split
 generator, `split_predecessors_by_side_graphs`, builds every side graph
@@ -37,7 +39,14 @@ from gorenstein.census import CensusBounds
 from gorenstein.constructions import ConstructionTrace, Memo, TraceStep
 from gorenstein.criteria import WeightAssignment
 from gorenstein.lattice import dot, kernel_basis_with_dual
-from gorenstein.multigraph import Edge, Multigraph, _bits, _components, _reach
+from gorenstein.multigraph import (
+    Edge,
+    Multigraph,
+    _bits,
+    _components,
+    _reach,
+    is_canonical_order,
+)
 from gorenstein.polytope import (
     KIND_GOOD_FLAT,
     KIND_NONNEGATIVITY,
@@ -135,6 +144,50 @@ def _labelled_fillings(n: int, bounds: CensusBounds):
 
     rec(0, 0)
     yield from out
+
+
+def enumerate_orderly_unpruned(bounds: CensusBounds) -> list[Multigraph]:
+    """`census.enumerate_census` without its transposition bound and edge reserve.
+
+    The orderly fill as it was before those two pre-filters: every column
+    value up to the multiplicity and edge caps, and the canonicity test on
+    every completed column.  Returns the census in `enumerate_census`'s
+    order, so the two lists must be equal.
+    """
+    out = []
+    for n in range(2, bounds.max_vertices + 1):
+        if n == 2:
+            for k in range(1, min(bounds.max_edges, bounds.max_multiplicity) + 1):
+                out.append(Multigraph.from_edge_list(2, [(0, 1)] * k))
+            continue
+        mat = [[0] * n for _ in range(n)]
+
+        def leaf(total: int) -> None:
+            if total < n or min(map(sum, mat)) < 2:
+                return
+            pairs = [
+                (i, j) for i in range(n) for j in range(i + 1, n) for _ in range(mat[i][j])
+            ]
+            g = Multigraph.from_edge_list(n, pairs)
+            if is_two_connected_by_edge_dfs(g):
+                out.append(g)
+
+        def fill(i: int, j: int, total: int, column: int) -> None:
+            if i == j:
+                if column and is_canonical_order(mat, j + 1):
+                    if j == n - 1:
+                        leaf(total)
+                    else:
+                        fill(0, j + 1, total, 0)
+                return
+            for c in range(min(bounds.max_multiplicity, bounds.max_edges - total) + 1):
+                mat[i][j] = mat[j][i] = c
+                fill(i + 1, j, total + c, column + c)
+            mat[i][j] = mat[j][i] = 0
+
+        fill(0, 1, 0, 0)
+    out.sort(key=lambda g: (g.n, g.m, g.multiplicity_matrix))
+    return out
 
 
 def canonical_ordering_by_columns(

@@ -15,9 +15,28 @@ from gorenstein.multigraph import (
     complete_graph,
     cycle_graph,
 )
-from oracles import enumerate_by_canonicalizing, enumerate_naive
+import oracles
+from gorenstein import census
+from oracles import (
+    enumerate_by_canonicalizing,
+    enumerate_naive,
+    enumerate_orderly_unpruned,
+)
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+
+
+def count_canonicity_tests(monkeypatch, module) -> list[int]:
+    """Count the calls module makes to `is_canonical_order` from now on."""
+    calls = [0]
+    test = module.is_canonical_order
+
+    def counting(*args):
+        calls[0] += 1
+        return test(*args)
+
+    monkeypatch.setattr(module, "is_canonical_order", counting)
+    return calls
 
 
 class TestBounds:
@@ -74,6 +93,23 @@ class TestEnumerate:
         # same Multigraphs (canonical edges and ids), same order
         b = CensusBounds(*bounds)
         assert enumerate_census(b) == enumerate_by_canonicalizing(b)
+
+    # at each bound the transposition bound alone and the edge reserve
+    # alone both save canonicity tests
+    @pytest.mark.parametrize("bounds", [(6, 8, 4), (5, 10, 5), (6, 6, 2), (7, 8, 3)])
+    def test_equals_unpruned_orderly_reference(self, bounds, monkeypatch):
+        # same Multigraphs, same order, with fewer canonicity tests
+        pruned = count_canonicity_tests(monkeypatch, census)
+        unpruned = count_canonicity_tests(monkeypatch, oracles)
+        b = CensusBounds(*bounds)
+        assert enumerate_census(b) == enumerate_orderly_unpruned(b)
+        assert 0 < pruned[0] < unpruned[0]
+
+    def test_canonicity_tests_at_benchmark_bounds(self, monkeypatch):
+        # 6,445 tests without the transposition bound and the edge reserve
+        calls = count_canonicity_tests(monkeypatch, census)
+        assert len(enumerate_census(CensusBounds(6, 8, 4))) == 134
+        assert calls[0] <= 2000
 
     def test_representatives_are_canonical(self, census_full):
         for g in census_full:

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gorenstein import cli
 from gorenstein.criteria import is_gorenstein, weight_function
@@ -301,3 +303,63 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "mismatches: 0" in out
+
+
+def json_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2)
+
+
+# str with non-ASCII, quote, backslash and control characters mixed in
+json_text = st.text() | st.lists(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "é", "\u2028", "\U0001f600", "a"])
+).map("".join)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(json_text, children),
+    max_leaves=20,
+)
+
+
+class TestDumps:
+    @settings(deadline=None)
+    @given(json_values)
+    def test_same_bytes_as_json(self, obj):
+        assert cli._dumps(obj) == json_dumps(obj)
+
+    @pytest.mark.parametrize(
+        "obj", [[], {}, (), [[]], {"a": {}}, [{}, [], ()], -1, True, None, "x"]
+    )
+    def test_empty_and_scalar(self, obj):
+        assert cli._dumps(obj) == json_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [1.5, {1: 2}, {"a": {(1, 2): 3}}, [set()], b"x"])
+    def test_other_types_raise(self, obj):
+        with pytest.raises(TypeError):
+            cli._dumps(obj)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{k4}"],
+            ["check", "{path}"],
+            ["check", "--oracle", "{k4}"],
+            ["check", "--oracle", "{c5}"],
+            ["decompose", "{k4}", "--delta", "2"],
+            ["facets", "{k4}"],
+            ["census", "--max-v", "5", "--max-e", "7", "--max-mult", "3"],
+            ["verify", "equivalence", "--max-v", "3", "--max-e", "4", "--max-mult", "3"],
+            ["verify", "classification", "--delta", "3", "--max-v", "4", "--max-e", "6", "--max-mult", "3"],
+        ],
+    )
+    def test_real_outputs(self, capsys, monkeypatch, tmp_path, argv):
+        files = {}
+        for name, text in (("k4", K4_TEXT), ("path", PATH3_TEXT), ("c5", C5_TEXT)):
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text(text)
+        printed = []
+        monkeypatch.setattr(cli, "_print_json", printed.append)
+        assert cli.run([a.format(**files) for a in argv]) == 0
+        (obj,) = printed
+        assert cli._dumps(obj) == json_dumps(obj)
