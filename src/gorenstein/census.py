@@ -23,7 +23,7 @@ from .criteria import (
     is_gorenstein,
     weight_function,
 )
-from .multigraph import Multigraph, is_canonical_order
+from .multigraph import Multigraph, _blocks, is_canonical_order
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ def _graphs_on(n: int, bounds: CensusBounds):
     adds each vertex next to an earlier one, so an all-zero column is
     pruned as well.
 
-    Two necessary conditions cut branches before the canonicity test,
-    which still runs on every column that passes them; neither drops a
+    Three necessary conditions cut branches before the canonicity test,
+    which still runs on every column that passes them; none drops a
     census graph, so the census is the same list either way.
 
     - Transposition bound: column j's top k entries must be
@@ -76,6 +76,13 @@ def _graphs_on(n: int, bounds: CensusBounds):
       to the placed vertices, since a single one would be a bridge; with
       e edges among them and x across, 2e + x >= 2r and x >= 2 give
       e + x >= r + 1.
+    - Leaf conditions first: once the last column is complete, the matrix
+      must have at least n edges, every degree at least 2 and be
+      2-connected, tested on neighbour masks read off the matrix by the
+      block search of `multigraph`.  Both this test and the canonicity
+      test must pass for a census graph, and neither changes the matrix,
+      so testing the cheap one first keeps the same list; the `Multigraph`
+      is built only for a matrix that passes both.
     """
     if n == 2:
         for k in range(1, min(bounds.max_edges, bounds.max_multiplicity) + 1):
@@ -83,29 +90,35 @@ def _graphs_on(n: int, bounds: CensusBounds):
         return
     mat = [[0] * n for _ in range(n)]
     out = []
+    full = (1 << n) - 1
     # edge total allowed once column j is complete (the edge reserve)
     budget = [bounds.max_edges - (n - j) for j in range(n - 1)] + [bounds.max_edges]
 
-    def leaf(total: int) -> None:
+    def two_connected(total: int) -> bool:
+        """The leaf conditions on the complete matrix; n edges and minimum
+        degree 2 are cheap necessary conditions of 2-connectivity here."""
         if total < n or min(map(sum, mat)) < 2:
-            return
+            return False
+        nbr = [sum(1 << k for k, c in enumerate(row) if c) for row in mat]
+        return _blocks(1, full, nbr) == [full]
+
+    def graph() -> Multigraph:
+        """The complete matrix with its edges sorted by endpoints: for a
+        canonical matrix, this is the graph's canonicalize()[0]."""
         pairs = [
             (i, j) for i in range(n) for j in range(i + 1, n) for _ in range(mat[i][j])
         ]
-        # edges sorted by endpoints: this is the graph's canonicalize()[0]
-        g = Multigraph.from_edge_list(n, pairs)
-        if g.is_two_connected():
-            out.append(g)
+        return Multigraph.from_edge_list(n, pairs)
 
     def fill(i: int, j: int, total: int, column: int, tight: list[int]) -> None:
         """Choose mat[i][j]; column is the sum of column j so far, and the
         columns k in tight (all k > i) equal column j in rows 0..i-1."""
         if i == j:
-            if column and is_canonical_order(mat, j + 1):
-                if j == n - 1:
-                    leaf(total)
-                else:
+            if j < n - 1:
+                if column and is_canonical_order(mat, j + 1):
                     fill(0, j + 1, total, 0, list(range(1, j + 1)))
+            elif two_connected(total) and is_canonical_order(mat, n):
+                out.append(graph())
             return
         cap = min(bounds.max_multiplicity, budget[j] - total)
         for k in tight:

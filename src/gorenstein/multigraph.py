@@ -9,8 +9,9 @@ A vertex subset is an int mask; each graph caches one neighbour mask
 per vertex (`neighbour_masks`) and the vertex masks of its blocks
 (`block_masks`), found by one mask-native block DFS (`_blocks`) per
 component.  `blocks`, `is_connected` and `is_two_connected` read those,
-and `matroid` and `constructions` import the mask helpers (`_bits`,
-`_reach`, `_components`, `_blocks`) instead of searching on their own.
+and `matroid`, `constructions` and `census` import the mask helpers
+(`_bits`, `_reach`, `_components`, `_blocks`) instead of searching on
+their own.
 """
 
 from __future__ import annotations
@@ -434,28 +435,44 @@ def _canonical_ordering(
     Given an incumbent sequence instead, the branch-and-bound stops at the
     first ordering prefix whose sequence beats the incumbent's prefix of
     the same length and returns it, or returns None when none does.
+
+    A node compares only the k entries a child appends, its column, with
+    the same k entries of the best sequence, and carries one flag:
+    whether its own sequence already beats the best prefix, in which case
+    every extension does too and no comparison is needed.  With an
+    incumbent the flag stays down, since the first gain ends the search,
+    so the sequence itself is never built; from scratch it is one list,
+    extended and truncated, made a tuple only when a leaf beats the best.
+    Such a leaf's ancestors then equal the new best's prefix, so each
+    drops its flag when the search returns to it.
     """
     stop_on_gain = incumbent is not None
     best_seq = incumbent
     best_ord: tuple[int, ...] | None = None
     order: list[int] = []
+    seq: list[int] = []  # the sequence so far, kept from scratch only
 
-    def rec(seq: tuple[int, ...], cells: list[tuple[tuple[int, ...], list[int]]]) -> bool:
-        """Search below the current prefix; True once a gain ends the search."""
+    def rec(p: int, greater: bool, cells: list[tuple[tuple[int, ...], list[int]]]) -> bool:
+        """Search below the current prefix, whose sequence has p entries and
+        beats the best one's first p entries if greater (or there is no best
+        yet); True once a gain ends the search."""
         nonlocal best_seq, best_ord
         if not cells:
-            if best_seq is None or seq > best_seq:
-                best_seq, best_ord = seq, tuple(order)
+            if greater:
+                best_seq, best_ord = tuple(seq), tuple(order)
             return False
+        k = len(order)
         for col, verts in cells:
-            ns = seq + col
-            if best_seq is not None:
-                prefix = best_seq[: len(ns)]
-                if ns < prefix:
+            beats = greater
+            if not beats:
+                ref = best_seq[p : p + k]
+                if col < ref:
                     break  # every remaining column is smaller still
-                if stop_on_gain and ns > prefix:
-                    best_ord = tuple(order) + (verts[0],)
-                    return True
+                if col > ref:
+                    if stop_on_gain:
+                        best_ord = tuple(order) + (verts[0],)
+                        return True
+                    beats = True
             for v in verts:
                 row = mult[v]  # mult is symmetric: row v is column v
                 refined = []
@@ -470,13 +487,19 @@ def _canonical_ordering(
                             split.setdefault(row[w], []).append(w)
                     for x in sorted(split, reverse=True):
                         refined.append((c + (x,), split[x]))
+                held = best_seq
                 order.append(v)
-                if rec(ns, refined):
+                if not stop_on_gain:
+                    seq.extend(col)
+                if rec(p + k, beats, refined):
                     return True
                 order.pop()
+                del seq[p:]
+                if best_seq is not held:  # a leaf below became the best
+                    greater = beats = False
         return False
 
-    rec((), [((), list(range(n)))] if n else [])
+    rec(0, best_seq is None, [((), list(range(n)))] if n else [])
     return best_ord
 
 

@@ -249,6 +249,86 @@ def canonical_ordering_by_columns(
     return best_ord
 
 
+def canonical_ordering_by_cells(
+    mult: Sequence[Sequence[int]], n: int, incumbent: tuple[int, ...] | None = None
+) -> tuple[int, ...] | None:
+    """`multigraph._canonical_ordering` with the whole sequence compared per node.
+
+    Every search node builds its sequence as a tuple (`seq + col`) and
+    compares it with the best sequence's prefix of the same length, both
+    O(n^2); the library compares only the new column.
+
+    The ordering maximizes the column-wise upper-triangle sequence.
+
+    Cells (i, j) with i < j are compared in order (j, i), so placing the
+    k-th vertex appends exactly k known entries; this makes prefix pruning
+    sound.  Any fixed total order on cells gives a valid canonical form;
+    the maximizing one keeps adjacent vertices early, which prunes well on
+    the sparse, path-heavy graphs produced by subdivision.
+
+    The unplaced vertices travel as an ordered partition (McKay and
+    Piperno 2014, without their automorphism pruning) into vertex cells
+    (column, vertices): column holds the multiplicities to the placed
+    vertices in placement order, columns strictly decrease from one
+    vertex cell to the next, and vertices increase within one.  Placing
+    v splits every vertex cell by the multiplicity to v, highest first.
+    Columns of equal length compare lexicographically, so the split keeps
+    the vertex cells in the order of their full columns: children are
+    tried in the same order as when every node rebuilt and sorted the
+    column of each unplaced vertex, and the first maximal leaf, hence
+    the ordering returned, is the same.  Automorphism pruning was
+    measured and left out: it saved about a tenth of the nodes on
+    decomposition and census inputs and slowed census enumeration.
+
+    Given an incumbent sequence instead, the branch-and-bound stops at the
+    first ordering prefix whose sequence beats the incumbent's prefix of
+    the same length and returns it, or returns None when none does.
+    """
+    stop_on_gain = incumbent is not None
+    best_seq = incumbent
+    best_ord: tuple[int, ...] | None = None
+    order: list[int] = []
+
+    def rec(seq: tuple[int, ...], cells: list[tuple[tuple[int, ...], list[int]]]) -> bool:
+        """Search below the current prefix; True once a gain ends the search."""
+        nonlocal best_seq, best_ord
+        if not cells:
+            if best_seq is None or seq > best_seq:
+                best_seq, best_ord = seq, tuple(order)
+            return False
+        for col, verts in cells:
+            ns = seq + col
+            if best_seq is not None:
+                prefix = best_seq[: len(ns)]
+                if ns < prefix:
+                    break  # every remaining column is smaller still
+                if stop_on_gain and ns > prefix:
+                    best_ord = tuple(order) + (verts[0],)
+                    return True
+            for v in verts:
+                row = mult[v]  # mult is symmetric: row v is column v
+                refined = []
+                for c, ws in cells:
+                    if len(ws) == 1:  # nothing to split
+                        if ws[0] != v:
+                            refined.append((c + (row[ws[0]],), ws))
+                        continue
+                    split: dict[int, list[int]] = {}
+                    for w in ws:
+                        if w != v:
+                            split.setdefault(row[w], []).append(w)
+                    for x in sorted(split, reverse=True):
+                        refined.append((c + (x,), split[x]))
+                order.append(v)
+                if rec(ns, refined):
+                    return True
+                order.pop()
+        return False
+
+    rec((), [((), list(range(n)))] if n else [])
+    return best_ord
+
+
 def blocks_by_edge_dfs(graph: Multigraph) -> list[frozenset[int]]:
     """`Multigraph.blocks` by a Tarjan DFS over an edge-list adjacency.
 

@@ -21,6 +21,7 @@ from oracles import (
     enumerate_by_canonicalizing,
     enumerate_naive,
     enumerate_orderly_unpruned,
+    is_two_connected_by_edge_dfs,
 )
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
@@ -106,10 +107,33 @@ class TestEnumerate:
         assert 0 < pruned[0] < unpruned[0]
 
     def test_canonicity_tests_at_benchmark_bounds(self, monkeypatch):
-        # 6,445 tests without the transposition bound and the edge reserve
+        # 6,445 tests without the transposition bound and the edge reserve,
+        # 1,842 with them but with the leaf conditions tested after the
+        # canonicity test; 654 now
         calls = count_canonicity_tests(monkeypatch, census)
         assert len(enumerate_census(CensusBounds(6, 8, 4))) == 134
-        assert calls[0] <= 2000
+        assert calls[0] <= 700
+
+    def test_last_column_tested_only_after_leaf_conditions(self, monkeypatch):
+        # a canonicity test on a complete matrix runs only when the matrix
+        # has n edges, minimum degree 2 and is 2-connected
+        test = census.is_canonical_order
+        last = [0]
+
+        def checking(mat, k):
+            if k == len(mat):
+                last[0] += 1
+                degrees = [sum(row) for row in mat]
+                assert sum(degrees) >= 2 * k and min(degrees) >= 2
+                pairs = [
+                    (i, j) for i in range(k) for j in range(i + 1, k) for _ in range(mat[i][j])
+                ]
+                assert is_two_connected_by_edge_dfs(Multigraph.from_edge_list(k, pairs))
+            return test(mat, k)
+
+        monkeypatch.setattr(census, "is_canonical_order", checking)
+        assert len(enumerate_census(CensusBounds(6, 8, 4))) == 134
+        assert last[0] > 0
 
     def test_representatives_are_canonical(self, census_full):
         for g in census_full:

@@ -21,6 +21,7 @@ from gorenstein.multigraph import (
 from glued import glued_chain
 from oracles import (
     blocks_by_edge_dfs,
+    canonical_ordering_by_cells,
     canonical_ordering_by_columns,
     contract_edge,
     contract_edge_with_map,
@@ -428,3 +429,25 @@ class TestCanonicalSearchEqualsColumnReference:
 
     def test_no_vertices(self):
         assert _canonical_ordering((), 0) == canonical_ordering_by_columns((), 0) == ()
+
+
+class TestCanonicalSearchEqualsCellReference:
+    """The search that compares only each new column returns what the one
+    that compares whole sequences returned, on graphs large enough for
+    many leaves to replace the best: the same canonicalization (hence the
+    same ordering) from scratch, and the same answer to every
+    identity-prefix incumbent of the shuffled and of the canonical matrix.
+    The second runs the incumbent search to the end, as the census does."""
+
+    @pytest.mark.parametrize("delta,n", [(2, 28), (3, 40), (4, 20)])
+    def test_shuffled_glued_chains(self, delta, n):
+        g = glued_chain(delta, n).shuffled(random.Random(delta * 100 + n))
+        with mock.patch.object(multigraph, "_canonical_ordering", canonical_ordering_by_cells):
+            reference = g.canonicalize()
+        assert g.canonicalize() == reference
+        for mat in (g.multiplicity_matrix, reference[0].multiplicity_matrix):
+            for k in range(1, g.n + 1):
+                identity = tuple(mat[i][j] for j in range(k) for i in range(j))
+                assert _canonical_ordering(mat, k, identity) == canonical_ordering_by_cells(
+                    mat, k, identity
+                )
