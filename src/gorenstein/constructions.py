@@ -66,9 +66,10 @@ class GluingError(ValueError):
 
 
 def _edge_weight(graph: Multigraph, eid: int, delta: int) -> int:
-    kind = matroid.edge_kinds(graph).get(eid)
-    if kind is None:
-        raise GluingError(f"unknown edge id {eid}")
+    try:
+        kind = matroid.edge_kind(graph, eid)
+    except KeyError:
+        raise GluingError(f"unknown edge id {eid}") from None
     if kind == "del":
         return 1
     if kind == "con":
@@ -336,8 +337,9 @@ def _pieces(graph: Multigraph, u: int, v: int):
     return groups, direct
 
 
-def _side_graph(graph: Multigraph, eids, u: int, v: int) -> tuple[Multigraph, int]:
-    """Subgraph on the given edges plus one fresh edge joining u and v."""
+def _side_graph(graph: Multigraph, eids, u: int, v: int) -> Multigraph:
+    """Subgraph on the given edges plus one fresh edge joining u and v,
+    whose id is one more than the largest of eids."""
     picked = []
     verts = {u, v}
     for eid in eids:
@@ -351,7 +353,7 @@ def _side_graph(graph: Multigraph, eids, u: int, v: int) -> tuple[Multigraph, in
     new_id = max(eids, default=-1) + 1
     a, b = renum[u], renum[v]
     edges.append(Edge(new_id, min(a, b), max(a, b)))
-    return Multigraph(len(order), tuple(edges)), new_id
+    return Multigraph(len(order), tuple(edges))
 
 
 def _side_kinds(
@@ -398,12 +400,13 @@ def _spade_holds(graph: Multigraph, delta: int) -> bool:
 def _split_predecessors(state: Multigraph, delta: int):
     """Undo one gluing: split at a merged vertex pair.
 
-    Yields (raw predecessor, verify) for each split into 2-connected sides
-    whose fresh edges have the kinds the gluing needs.  verify(canon) runs
-    the costly rest (spade on the partner, the forward gluing replayed on
-    the canonical sides) and returns (predecessor, forward step), or None;
-    canon is the raw predecessor's `canonicalize()` if the caller has it,
-    else None.
+    Yields (shape, build, verify) for each split into 2-connected sides
+    whose fresh edges have the kinds the gluing needs.  shape is the raw
+    predecessor's (n, m), read off the masks; build() builds it.
+    verify(canon) runs the costly rest (spade on the partner, the forward
+    gluing replayed on the canonical sides) and returns (predecessor,
+    forward step), or None; canon is the raw predecessor's
+    `canonicalize()` if the caller has it, else None.
 
     A split at {u, v} gives each side some of the pieces (`_pieces`), a
     share of the direct u-v edges (a "delta" split withholds delta - 2 of
@@ -413,8 +416,10 @@ def _split_predecessors(state: Multigraph, delta: int):
     subset, `_side_kinds` reads the side's fresh edge's kind, with and
     without direct edges, off at most one block search, for every style
     and share at once; every side of a 2-connected state is 2-connected
-    (the lemma in `_side_kinds`).  Only the raw side of a
-    candidate that passes is built as a graph; verify builds the partner.
+    (the lemma in `_side_kinds`).  No side is built here: the raw side
+    has the side mask's vertices and its edges plus the fresh one, and
+    is built when the caller asks or verify needs it; verify builds the
+    partner.
     """
     nbr = state.neighbour_masks
     for u, v in itertools.combinations(range(state.n), 2):
@@ -440,6 +445,7 @@ def _split_predecessors(state: Multigraph, delta: int):
         every = (1 << units) - 1
         for mask in range(1 << units):
             a_kinds, b_kinds = kinds[mask], kinds[every ^ mask]
+            a_size = sides[mask].bit_count()
             side_a = [eid for i in range(units) if mask >> i & 1 for eid in pieces[i]]
             side_b = [
                 eid for i in range(units) if not mask >> i & 1 for eid in pieces[i]
@@ -455,30 +461,33 @@ def _split_predecessors(state: Multigraph, delta: int):
                     k2 = b_kinds[d_a == usable]
                     if k2 is None or delta > 2 and k2 != "con":
                         continue
-                    g1, e1 = _side_graph(state, side_a + direct[:d_a], u, v)
+                    a_edges = side_a + direct[:d_a]
                     b_edges = side_b + direct[d_a:usable]
-                    yield g1, partial(
-                        _verify_split, state, delta, style, g1, e1, b_edges, u, v
+                    yield (
+                        (a_size, len(a_edges) + 1),
+                        partial(_side_graph, state, a_edges, u, v),
+                        partial(_verify_split, state, delta, style, a_edges, b_edges, u, v),
                     )
 
 
 def _verify_split(
-    state: Multigraph, delta: int, style: str, g1, e1: int, b_edges, u: int, v: int,
+    state: Multigraph, delta: int, style: str, a_edges, b_edges, u: int, v: int,
     canon=None,
 ):
-    g2, e2 = _side_graph(state, b_edges, u, v)
+    g2 = _side_graph(state, b_edges, u, v)
     if not _spade_holds(g2, delta):
         return None
-    g1c, _, em1 = canon or g1.canonicalize()
+    g1c, _, em1 = canon or _side_graph(state, a_edges, u, v).canonicalize()
     g2c, _, em2 = g2.canonicalize()
-    e1c, e2c = em1[e1], em2[e2]
+    # the fresh edges' ids, as `_side_graph` gives them
+    e1c, e2c = em1[max(a_edges) + 1], em2[max(b_edges) + 1]
     op = "path_glue" if style == "path" else "delta_glue"
     glue = path_gluing if style == "path" else delta_edge_gluing
     try:
         replayed = glue(g1c, e1c, g2c, e2c, delta)
     except GluingError:
         return None
-    if replayed.canonical_form != state.canonical_form:
+    if not replayed.has_canonical_form(state.canonical_form):
         return None
     return g1c, TraceStep(op, partner=g2c, self_edge=e1c, partner_edge=e2c)
 
@@ -486,11 +495,11 @@ def _verify_split(
 def _subdivision_predecessors(state: Multigraph, delta: int, max_vertices: int):
     """Undo one path contraction: subdivide a parallel-class edge.
 
-    Yields (raw predecessor, verify); verify(canon) contracts the path again.
+    Yields (shape, build, verify) as `_split_predecessors` does; verify
+    contracts the path again.
     """
     if delta < 3 or state.n + delta - 2 > max_vertices:
         return
-    kinds = matroid.edge_kinds(state)
     seen_pairs = set()
     for e in state.edges:
         if (e.u, e.v) in seen_pairs:
@@ -500,10 +509,14 @@ def _subdivision_predecessors(state: Multigraph, delta: int, max_vertices: int):
             continue
         seen_pairs.add((e.u, e.v))
         eid = cls[0]
-        if kinds[eid] != "del":
+        if matroid.edge_kind(state, eid) != "del":
             continue
         raw, chain = subdivide_edge(state, eid, delta)
-        yield raw, partial(_verify_subdivision, state, delta, raw, chain)
+        yield (
+            (raw.n, raw.m),
+            lambda raw=raw: raw,
+            partial(_verify_subdivision, state, delta, raw, chain),
+        )
 
 
 def _verify_subdivision(state: Multigraph, delta: int, raw: Multigraph, chain, canon=None):
@@ -513,7 +526,7 @@ def _verify_subdivision(state: Multigraph, delta: int, raw: Multigraph, chain, c
         back = contract_path(pred, mapped, delta)
     except GluingError:
         return None
-    if back.canonical_form != state.canonical_form:
+    if not back.has_canonical_form(state.canonical_form):
         return None
     return pred, TraceStep("path_contract", path=mapped)
 
@@ -551,6 +564,18 @@ def decompose(
     in order, only if none does.  Every check is pure and ending depends
     on the canonical predecessor alone, so trace and memo are those of
     verifying every candidate in order, and every returned step is verified.
+    A candidate comes with its (n, m), read off the masks, and its raw
+    graph is built only when the memo needs its canonical form or when
+    it is verified; a first pass that no seed or memo entry can end
+    builds none.
+
+    Verifying a step replays it forward on the canonical predecessor and
+    partner and checks that the result is isomorphic to the state without
+    canonicalizing it: the state's canonical form is the maximal sequence
+    of its class, so the ordering search in match mode
+    (`Multigraph.has_canonical_form`) stops at the first ordering of the
+    replayed graph that yields it, or at the first prefix that beats it.
+    The gluing reads only the two glued edges' kinds (`matroid.edge_kind`).
     """
     if delta < 2:
         raise ValueError("delta must be >= 2")
@@ -586,12 +611,12 @@ def _search(target: Multigraph, delta: int, memo: Memo):
             _subdivision_predecessors(state, delta, max_vertices),
         )
         candidates, verified, canons = [], {}, {}
-        for raw, verify in preds:  # pass 1: verify only what may end the search
+        for shape, build, verify in preds:  # pass 1: verify only what may end the search
             candidates.append(verify)
-            if (raw.n, raw.m) not in shapes:
+            if shape not in shapes:
                 continue
             if memo:  # canonicalized once: verify reuses it
-                canons[verify] = raw.canonicalize()
+                canons[verify] = build().canonicalize()
                 if canons[verify][0] not in ends:
                     continue
             hit = verified[verify] = verify(canons.get(verify))

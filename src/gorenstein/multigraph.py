@@ -304,6 +304,24 @@ class Multigraph:
     def is_isomorphic(self, other: "Multigraph") -> bool:
         return self.canonical_form == other.canonical_form
 
+    def has_canonical_form(self, form: Sequence[Sequence[int]]) -> bool:
+        """Whether `canonical_form` equals form, the canonical form of some
+        graph, decided without canonicalizing this one.
+
+        form's sequence is the maximal one of its class, so the graph lies
+        in that class exactly when one of its orderings yields the
+        sequence: the ordering search runs in match mode against it,
+        after the vertex and edge counts.
+        """
+        n = self.n
+        if len(form) != n:
+            return False
+        target = tuple(form[i][j] for j in range(n) for i in range(j))
+        if sum(target) != self.m:
+            return False
+        mult = self.multiplicity_matrix
+        return _canonical_ordering(mult, n, target, match=True) is not None
+
     def permuted(self, vperm: Iterable[int]) -> "Multigraph":
         """Relabel vertices by old->new permutation (edge ids kept)."""
         p = list(vperm)
@@ -408,7 +426,10 @@ def is_canonical_order(mult: Sequence[Sequence[int]], n: int) -> bool:
 
 
 def _canonical_ordering(
-    mult: Sequence[Sequence[int]], n: int, incumbent: tuple[int, ...] | None = None
+    mult: Sequence[Sequence[int]],
+    n: int,
+    incumbent: tuple[int, ...] | None = None,
+    match: bool = False,
 ) -> tuple[int, ...] | None:
     """Vertex ordering maximizing the column-wise upper-triangle sequence.
 
@@ -436,6 +457,13 @@ def _canonical_ordering(
     first ordering prefix whose sequence beats the incumbent's prefix of
     the same length and returns it, or returns None when none does.
 
+    In match mode the incumbent is the target, a whole sequence that is
+    maximal in its class (a canonical form's), and the search answers
+    whether some ordering yields it: the first leaf equal to the target
+    ends the search and is returned; the first prefix that beats the
+    target ends it with None, since nothing isomorphic to the target's
+    graph beats its maximal sequence; exhaustion gives None.
+
     A node compares only the k entries a child appends, its column, with
     the same k entries of the best sequence, and carries one flag:
     whether its own sequence already beats the best prefix, in which case
@@ -460,6 +488,9 @@ def _canonical_ordering(
         if not cells:
             if greater:
                 best_seq, best_ord = tuple(seq), tuple(order)
+            elif match:  # a leaf that does not beat the target equals it
+                best_ord = tuple(order)
+                return True
             return False
         k = len(order)
         for col, verts in cells:
@@ -470,7 +501,8 @@ def _canonical_ordering(
                     break  # every remaining column is smaller still
                 if col > ref:
                     if stop_on_gain:
-                        best_ord = tuple(order) + (verts[0],)
+                        if not match:
+                            best_ord = tuple(order) + (verts[0],)
                         return True
                     beats = True
             for v in verts:

@@ -7,13 +7,18 @@ acceptance criteria 6, 9 and 8.  The edge-list block DFS
 (`blocks_by_edge_dfs` and the predicates on it) and the union-find
 `pieces_by_union_find` check the mask connectivity kernel of
 `multigraph`; the census, subset-pass and edge-kind references test
-2-connectivity with them.  There are five exceptions.
+2-connectivity with them.  There are six exceptions.
+`edge_kinds_by_edge_search`, the per-edge kind map that the library
+replaced, runs on the kernel's `_blocks` and `_reach`: it checks the
+one-search-per-vertex rule of `matroid.edge_kinds`, not the kernel.
 `enumerate_orderly_unpruned` shares the library's canonicity test
 `is_canonical_order` and checks only the census's pre-filters.
 `decompose_eagerly` shares the subdivision generator with
 `constructions.decompose` and differs in when it verifies; its split
 generator, `split_predecessors_by_side_graphs`, builds every side graph
-and reads `matroid.edge_kinds`, where the library filters on masks.  `subset_pass_by_reverse_search` and
+and reads `matroid.edge_kinds`, where the library filters on masks, and
+compares canonical forms where the library matches against one.
+`subset_pass_by_reverse_search` and
 `two_connected_mask` share the kernel's mask helpers `_bits`, `_reach`
 and `_components`, but not its block search or the flashlight
 enumeration.  `build_polytope_by_enumeration` reads the library's
@@ -28,7 +33,7 @@ popcount.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from functools import partial
 from fractions import Fraction
 from math import gcd
@@ -43,6 +48,7 @@ from gorenstein.multigraph import (
     Edge,
     Multigraph,
     _bits,
+    _blocks,
     _components,
     _reach,
     is_canonical_order,
@@ -592,6 +598,41 @@ def edge_kinds_by_minors(graph: Multigraph) -> dict[int, str | None]:
         if is_two_connected_by_edge_dfs(delete_edge(graph, e.eid)):
             kinds[e.eid] = "del"
         elif is_two_connected_by_edge_dfs(contract_edge(graph, e.eid)):
+            kinds[e.eid] = "con"
+        else:
+            kinds[e.eid] = None
+    return kinds
+
+
+def edge_kinds_by_edge_search(graph: Multigraph) -> dict[int, str | None]:
+    """`matroid.edge_kinds` with one block search per edge.
+
+    The kind map that the one-search-per-vertex rule replaced, unchanged:
+    a simple edge of a 2-connected graph on three or more vertices is
+    'del' when the blocks of G - e are the single full mask.
+    """
+    n = graph.n
+    nbr = graph.neighbour_masks
+    full = (1 << n) - 1
+    blocks = graph.block_masks
+    connected = graph.is_connected()
+    seen = cut = 0
+    for b in blocks:  # a vertex in two blocks is a cut vertex
+        cut |= seen & b
+        seen |= b
+    two_connected = blocks == (full,)
+    copies = Counter((e.u, e.v) for e in graph.edges)
+    kinds: dict[int, str | None] = {}
+    for e in graph.edges:
+        rest = full & ~((1 << e.u) | (1 << e.v))
+        without = list(nbr)
+        without[e.u] &= ~(1 << e.v)
+        without[e.v] &= ~(1 << e.u)
+        if two_connected and (
+            copies[e.u, e.v] > 1 or n >= 3 and _blocks(1, full, without) == [full]
+        ):
+            kinds[e.eid] = "del"
+        elif n >= 3 and connected and not cut & rest and _reach(rest, nbr) == rest:
             kinds[e.eid] = "con"
         else:
             kinds[e.eid] = None
@@ -1151,11 +1192,13 @@ def split_predecessors_by_side_graphs(state: Multigraph, delta: int):
     """`constructions._split_predecessors` by building both side graphs.
 
     The generator the mask filter replaced, unchanged but for taking its
-    pieces from `pieces_by_union_find`: every piece subset, style and
-    direct-edge share builds both sides as graphs, tests each for
-    2-connectivity and reads each fresh edge from `matroid.edge_kinds`.
-    The library generator must yield the same raw predecessors, with the
-    same verify results, in the same order.
+    pieces from `pieces_by_union_find` and yielding (shape, build,
+    verify) from sides it has already built: every piece subset, style
+    and direct-edge share builds both sides as graphs, tests each for
+    2-connectivity and reads each fresh edge from `matroid.edge_kinds`;
+    its verify compares canonical forms.  The library generator must
+    yield the same shapes and raw predecessors, with the same verify
+    results, in the same order.
     """
     for u, v in itertools.combinations(range(state.n), 2):
         pieces, direct = pieces_by_union_find(state, u, v)
@@ -1177,8 +1220,9 @@ def split_predecessors_by_side_graphs(state: Multigraph, delta: int):
                     b_edges = side_b + direct[d_a:usable]
                     if not a_edges or not b_edges:
                         continue
-                    g1, e1 = constructions._side_graph(state, a_edges, u, v)
-                    g2, e2 = constructions._side_graph(state, b_edges, u, v)
+                    g1 = constructions._side_graph(state, a_edges, u, v)
+                    g2 = constructions._side_graph(state, b_edges, u, v)
+                    e1, e2 = max(a_edges) + 1, max(b_edges) + 1
                     if not (g1.is_two_connected() and g2.is_two_connected()):
                         continue
                     k1 = matroid.edge_kinds(g1)[e1]
@@ -1193,7 +1237,7 @@ def split_predecessors_by_side_graphs(state: Multigraph, delta: int):
                     else:
                         if delta > 2 and not (k1 == "con" and k2 == "con"):
                             continue
-                    yield g1, partial(
+                    yield (g1.n, g1.m), lambda g1=g1: g1, partial(
                         _verify_split_by_side_graphs, state, delta, style, g1, e1, g2, e2
                     )
 
@@ -1241,7 +1285,7 @@ def decompose_eagerly(
 
 
 def _verified(candidates):
-    for _, verify in candidates:
+    for _, _, verify in candidates:
         hit = verify()
         if hit is not None:
             yield hit

@@ -104,6 +104,15 @@ class TestPathGluing:
         with pytest.raises(GluingError, match="unknown edge id 7"):
             path_gluing(cycle_graph(left), e1, cycle_graph(3), e2, 3)
 
+    def test_edge_of_no_kind_raises_its_own_error(self):
+        # two triangles sharing vertex 2: edge 3 = {2, 3} exists, and
+        # neither deleting nor contracting it gives a 2-connected graph
+        bowtie = Multigraph.from_edge_list(
+            5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
+        )
+        with pytest.raises(GluingError, match="edge 3: neither deletion nor contraction"):
+            path_gluing(bowtie, 3, cycle_graph(3), 0, 3)
+
     def test_c2_is_neutral_at_two(self):
         glued = path_gluing(cycle_graph(2), 0, cycle_graph(2), 0, 2)
         assert glued.is_isomorphic(cycle_graph(2))
@@ -438,7 +447,8 @@ def fresh_kinds_checked(graph) -> Counter:
                         (a_kinds, a_edges + direct[:d_a], d_a),
                         (b_kinds, b_edges + direct[d_a:usable], usable - d_a),
                     ):
-                        side, fresh = constructions._side_graph(graph, eids, u, v)
+                        side = constructions._side_graph(graph, eids, u, v)
+                        fresh = max(eids, default=-1) + 1
                         assert side.is_two_connected(), (u, v, chosen, withheld, d_a)
                         expected = matroid.edge_kinds(side)[fresh]
                         assert kinds[kept == 0] == expected, (u, v, chosen, withheld, d_a)
@@ -465,11 +475,14 @@ class TestFreshEdgeKinds:
 
 def same_splits(graph, delta) -> int:
     """`_split_predecessors` against the side-graph generator it replaced:
-    the same raw predecessors, in order, with the same verify results."""
+    the same raw predecessors, in order, each built and of the shape
+    yielded beside it, with the same verify results."""
     new = list(constructions._split_predecessors(graph, delta))
     old = list(split_predecessors_by_side_graphs(graph, delta))
-    assert [raw for raw, _ in new] == [raw for raw, _ in old]
-    for (_, verify), (_, reference) in zip(new, old):
+    built = [build() for _, build, _ in new]
+    assert built == [build() for _, build, _ in old]
+    assert [shape for shape, _, _ in new] == [(raw.n, raw.m) for raw in built]
+    for (_, _, verify), (_, _, reference) in zip(new, old):
         assert verify() == reference()
     return len(new)
 

@@ -1,10 +1,13 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gorenstein import matroid
+from gorenstein.census import CensusBounds, enumerate_census
 from gorenstein.multigraph import (
     Edge,
     Multigraph,
@@ -15,6 +18,7 @@ from gorenstein.multigraph import (
 from glued import glued_chain
 from oracles import (
     contract_subset,
+    edge_kinds_by_edge_search,
     edge_kinds_by_minors,
     edges_within,
     is_matroid_connected,
@@ -86,6 +90,21 @@ class TestDeletableEdges:
             matroid.deletable_edges(Multigraph.from_edge_list(3, [(0, 1), (1, 2)]))
 
 
+def kinds_checked(g) -> dict:
+    """`edge_kinds` and the one-edge query `edge_kind` against the per-edge
+    block search they replaced and the minor reference; returns the kinds."""
+    kinds = matroid.edge_kinds(g)
+    assert kinds == edge_kinds_by_edge_search(g) == edge_kinds_by_minors(g)
+    assert {e.eid: matroid.edge_kind(g, e.eid) for e in g.edges} == kinds
+    return kinds
+
+
+@pytest.fixture(scope="module")
+def census_default():
+    """Census at the CLI's default bounds (6, 10, 5): 983 graphs."""
+    return enumerate_census(CensusBounds(6, 10, 5))
+
+
 class TestEdgeKinds:
     def test_cycle_edges_are_contraction_only(self):
         kinds = matroid.edge_kinds(cycle_graph(4))
@@ -110,7 +129,7 @@ class TestEdgeKinds:
     @given(multigraphs())
     def test_equals_minor_reference_on_random_multigraphs(self, g):
         # not only 2-connected graphs: path_gluing reads kinds before any check
-        assert matroid.edge_kinds(g) == edge_kinds_by_minors(g)
+        kinds_checked(g)
 
     @pytest.mark.parametrize("delta, n", [(2, 12), (3, 13), (4, 14)])
     def test_equals_minor_reference_on_glued_graphs(self, delta, n):
@@ -122,6 +141,31 @@ class TestEdgeKinds:
         with pytest.raises(TypeError):
             kinds[0] = "del"
         assert matroid.edge_kinds(cycle_graph(4))[0] == "con"
+
+
+class TestEdgeKindsEqualPerEdgeSearch:
+    """One block search per vertex (all edges) and at most one per query
+    (one edge) against one per edge."""
+
+    def test_default_census(self, census_default):
+        seen = Counter()
+        for g in census_default:
+            seen.update(kinds_checked(g).values())
+        assert seen["del"] and seen["con"]
+
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_shuffled_glued_chains(self, delta):
+        rng = random.Random(delta)
+        for n in range(4, 21):
+            chain = glued_chain(delta, n)
+            if chain.n != n:  # no gluing reaches n vertices at this delta
+                continue
+            for g in (chain, chain.shuffled(rng)):
+                kinds_checked(g)
+
+    def test_unknown_edge_id(self):
+        with pytest.raises(KeyError, match="unknown edge id 7"):
+            matroid.edge_kind(cycle_graph(4), 7)
 
 
 class TestGoodFlats:

@@ -451,3 +451,75 @@ class TestCanonicalSearchEqualsCellReference:
                 assert _canonical_ordering(mat, k, identity) == canonical_ordering_by_cells(
                     mat, k, identity
                 )
+
+
+def matched(g: Multigraph, form) -> bool:
+    """`has_canonical_form` against `canonical_form ==`; an ordering the
+    match search returns must yield form's sequence."""
+    found = g.has_canonical_form(form)
+    assert found == (g.canonical_form == form)
+    if found:
+        n, mat = g.n, g.multiplicity_matrix
+        target = tuple(form[i][j] for j in range(n) for i in range(j))
+        order = _canonical_ordering(mat, n, target, match=True)
+        assert tuple(mat[order[i]][order[j]] for j in range(n) for i in range(j)) == target
+    return found
+
+
+def moved_edge(g: Multigraph, index: int, a: int, b: int) -> Multigraph:
+    """g with its index-th edge moved to the vertex pair {a, b}."""
+    edges = list(g.edges)
+    edges[index] = Edge(edges[index].eid, min(a, b), max(a, b))
+    return Multigraph(g.n, tuple(edges))
+
+
+class TestCanonicalMatch:
+    """The match mode of the ordering search, which decompose's replay
+    check runs in place of comparing canonical forms."""
+
+    @pytest.mark.parametrize("delta,n", [(2, 12), (2, 28), (3, 13), (3, 40), (4, 20)])
+    def test_shuffled_glued_chains(self, delta, n):
+        g = glued_chain(delta, n)
+        rng = random.Random(delta * 100 + n)
+        for h in (g, g.shuffled(rng), g.shuffled(rng)):
+            assert matched(h, g.canonical_form)
+
+    @pytest.mark.parametrize("delta,n", [(2, 12), (3, 13), (4, 14)])
+    def test_near_misses(self, delta, n):
+        # one edge moved to another vertex pair: same n and m
+        rng = random.Random(delta * 100 + n)
+        g = glued_chain(delta, n).shuffled(rng)
+        form = g.canonical_form
+        misses = 0
+        for index in range(g.m):
+            e = g.edges[index]
+            a, b = rng.sample(range(g.n), 2)
+            if {a, b} != {e.u, e.v}:
+                misses += not matched(moved_edge(g, index, a, b), form)
+        assert misses > g.m // 2
+
+    def test_state_in_non_canonical_labelling(self):
+        # the target is the state's canonical form, not its own matrix
+        rng = random.Random(7)
+        state = glued_chain(3, 13).shuffled(rng)
+        assert state.multiplicity_matrix != state.canonical_form
+        assert matched(state, state.canonical_form)
+        assert matched(state.shuffled(rng), state.canonical_form)
+        assert not matched(moved_edge(state, 0, *rng.sample(range(13), 2)), state.canonical_form)
+
+    def test_vertex_and_edge_counts_first(self):
+        square = cycle_graph(4)
+        assert not matched(square, cycle_graph(5).canonical_form)
+        doubled = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 1)])
+        assert not matched(square, doubled.canonical_form)
+        assert not matched(doubled, square.canonical_form)
+
+    def test_no_vertices(self):
+        assert matched(Multigraph(0, ()), Multigraph(0, ()).canonical_form)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_multigraphs(), small_multigraphs(), st.integers(0, 2**31))
+    def test_random_pairs(self, g, h, seed):
+        rng = random.Random(seed)
+        assert matched(g.shuffled(rng), g.canonical_form)
+        matched(h, g.canonical_form)
