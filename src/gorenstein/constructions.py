@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
 from types import MappingProxyType
 
 from . import matroid
-from .criteria import check_spade, weight_function
+from .criteria import check_spade, spade_equalities, weight_function
 from .multigraph import (
     Edge,
     Multigraph,
@@ -391,10 +391,16 @@ def _side_kinds(
 
 
 def _spade_holds(graph: Multigraph, delta: int) -> bool:
+    """The spade equalities at delta, over the output-sensitive good-flat
+    search: the search never runs heart, so it never needs the full pass."""
     if not graph.is_two_connected():
         return False
     assignment = weight_function(graph, delta)
-    return assignment is not None and check_spade(graph, assignment)
+    return assignment is not None and spade_equalities(graph, assignment, _flat_sizes)
+
+
+def _flat_sizes(graph: Multigraph) -> Iterator[tuple[int, int]]:
+    return ((s.bit_count(), edges) for s, edges in matroid.good_flat_masks(graph))
 
 
 def _split_predecessors(state: Multigraph, delta: int):

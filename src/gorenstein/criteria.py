@@ -7,15 +7,19 @@ spade check tests the two weight equalities over good flats; the heart
 check tests the block-count equality over all 2-connected vertex
 subsets.  Both decide the same property as the polyhedral oracle.
 
-Spade reads `matroid.good_flats` and heart the records of
-`matroid.subset_pass`; both carry E(S) as an edge-position mask, so with
-one mask of the weight-1 edges and one of the weight-(delta - 1) edges,
-w(E(S)) is two popcounts.
+`check_spade` reads `matroid.good_flats` and heart the records of
+`matroid.subset_pass`, the one pass that both views come from, since
+`is_gorenstein` runs heart after a spade check that holds.  A caller
+that never runs heart (the decomposition search) checks the same
+equalities through `spade_equalities` over the output-sensitive
+`matroid.good_flat_masks`.  Every source carries E(S) as an
+edge-position mask, so with one mask of the weight-1 edges and one of
+the weight-(delta - 1) edges, w(E(S)) is two popcounts.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from . import matroid
@@ -82,15 +86,25 @@ def _weigher(graph: Multigraph, assignment: WeightAssignment) -> Callable[[int],
 
 def check_spade(graph: Multigraph, assignment: WeightAssignment) -> bool:
     """w(E) = delta (|V|-1) and w(E(S)) + 1 = delta (|S|-1) per good flat."""
+    return spade_equalities(graph, assignment, _good_flat_sizes)
+
+
+def _good_flat_sizes(graph: Multigraph) -> Iterator[tuple[int, int]]:
+    return ((len(flat.subset), flat.edge_mask) for flat in matroid.good_flats(graph))
+
+
+def spade_equalities(
+    graph: Multigraph,
+    assignment: WeightAssignment,
+    flats: Callable[[Multigraph], Iterable[tuple[int, int]]],
+) -> bool:
+    """The spade equalities, with the good flats read as (|S|, E(S)) from
+    flats(graph), which is called only once w(E) = delta (|V|-1) holds."""
     delta = assignment.delta
     if assignment.total() != delta * (graph.n - 1):
         return False
-    flats = matroid.good_flats(graph)
     weigh = _weigher(graph, assignment)
-    for flat in flats:
-        if weigh(flat.edge_mask) + 1 != delta * (len(flat.subset) - 1):
-            return False
-    return True
+    return all(weigh(edges) + 1 == delta * (size - 1) for size, edges in flats(graph))
 
 
 def check_heart(graph: Multigraph, assignment: WeightAssignment) -> bool:

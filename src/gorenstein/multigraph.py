@@ -348,9 +348,10 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reach(mask: int, nbr: Sequence[int]) -> int:
-    """BFS within the mask from its lowest vertex: the vertices reached."""
-    seen = frontier = mask & -mask
+def _reach(mask: int, nbr: Sequence[int], start: int = 0) -> int:
+    """BFS within the mask from the vertex bit start, by default its lowest
+    vertex: the vertices reached."""
+    seen = frontier = start or mask & -mask
     while frontier:
         reach = 0
         while frontier:

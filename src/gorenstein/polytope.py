@@ -2,7 +2,10 @@
 
 H-representation from the two facet families (nonnegativity for
 deletable edges, upper bounds for good flats), each facet with its
-primitive lattice form, and the polyhedral Gorenstein oracle: a scan of
+primitive lattice form.  The good flats come from the output-sensitive
+search `matroid.good_flat_masks`, sorted as `matroid.good_flats` sorts
+them, so the polytope never pays for the pass over every 2-connected
+subset that heart reads.  The polyhedral Gorenstein oracle scans
 dilations 2..max(m, 3) + 1 for the lattice point at distance 1 from
 every facet.  All arithmetic is arbitrary-precision integer; the
 Gorenstein property is lattice-exact, so tolerances would be
@@ -192,10 +195,10 @@ def build_polytope(graph: Multigraph) -> BasePolytope:
             tuple(a - normal[0] for a in normal), -normal[0] * rank,
         ))
     every_edge = (1 << m) - 1
-    for flat in matroid.good_flats(graph):
-        inside = flat.edge_mask
+    for verts, inside in matroid._by_size(matroid.good_flat_masks(graph)):
+        subset = frozenset(verts)
         normal = tuple(inside >> i & 1 for i in range(m))
-        offset = len(flat.subset) - 1
+        offset = len(verts) - 1
         # G[S] is connected, so taking E(S) first puts |S| - 1 of its edges in
         if (shared & inside).bit_count() != offset:
             witness = _greedy_tree(
@@ -203,10 +206,10 @@ def build_polytope(graph: Multigraph) -> BasePolytope:
             )
             if (witness & inside).bit_count() != offset:
                 raise RuntimeError(
-                    f"greedy witness is off the flat {sorted(flat.subset)}"
+                    f"greedy witness is off the flat {sorted(subset)}"
                 )
         facets.append(FacetInequality(
-            KIND_GOOD_FLAT, None, flat.subset, normal, offset,
+            KIND_GOOD_FLAT, None, subset, normal, offset,
             tuple(a - normal[0] for a in normal), offset - normal[0] * rank,
         ))
     return BasePolytope(m, rank, edge_ids, tuple(facets), graph)

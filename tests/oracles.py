@@ -7,7 +7,7 @@ acceptance criteria 6, 9 and 8.  The edge-list block DFS
 (`blocks_by_edge_dfs` and the predicates on it) and the union-find
 `pieces_by_union_find` check the mask connectivity kernel of
 `multigraph`; the census, subset-pass and edge-kind references test
-2-connectivity with them.  There are six exceptions.
+2-connectivity with them.  There are seven exceptions.
 `edge_kinds_by_edge_search`, the per-edge kind map that the library
 replaced, runs on the kernel's `_blocks` and `_reach`: it checks the
 one-search-per-vertex rule of `matroid.edge_kinds`, not the kernel.
@@ -22,12 +22,14 @@ compares canonical forms where the library matches against one.
 `two_connected_mask` share the kernel's mask helpers `_bits`, `_reach`
 and `_components`, but not its block search or the flashlight
 enumeration.  `build_polytope_by_enumeration` reads the library's
-deletable edges and good flats.  `records_as_sets` turns the library's
-mask records back into the set records the subset-pass references
-return; the set-based criteria `check_spade_by_sets` and
-`check_heart_by_sets` read the library's good flats and those records,
-and sum weights by edge id (`total_of`), where the library sums them by
-popcount.
+deletable edges and good flats.  `good_flat_masks_by_subset_pass`
+filters the library's subset pass, which the tests hold to the
+references above, so it checks only the pruned good-flat search.
+`records_as_sets` turns the library's mask records back into the set
+records the subset-pass references return; the set-based criteria
+`check_spade_by_sets` and `check_heart_by_sets` read the library's good
+flats and those records, and sum weights by edge id (`total_of`), where
+the library sums them by popcount.
 """
 
 from __future__ import annotations
@@ -532,6 +534,13 @@ def records_as_sets(
         out.append(((len(verts), verts), (frozenset(verts), edge_ids, k)))
     out.sort(key=lambda rec: rec[0])
     return tuple(rec for _, rec in out)
+
+
+def good_flat_masks_by_subset_pass(graph: Multigraph) -> list[tuple[int, int]]:
+    """`matroid.good_flat_masks` as the filter that its own search
+    replaced: the (S, E(S)) mask pairs of the `matroid.subset_pass`
+    records with k(S) = 1, in search order."""
+    return [(s, edges) for s, edges, k in matroid.subset_pass(graph) if k == 1]
 
 
 def total_of(assignment: WeightAssignment, edge_ids) -> int:

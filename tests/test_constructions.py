@@ -25,7 +25,7 @@ from gorenstein.constructions import (
     trace_from_json,
     trace_to_json,
 )
-from gorenstein.criteria import check_spade, weight_function
+from gorenstein.criteria import check_spade, is_gorenstein, weight_function
 from gorenstein.multigraph import (
     Multigraph,
     banana_graph,
@@ -316,6 +316,33 @@ class TestCounterexample:
                     except GluingError:
                         continue
                     assert spade_at(glued, 3)
+
+
+class TestSpadePaths:
+    """The search's `_spade_holds` reads the pruned good-flat search,
+    `check_spade` the subset pass; they must give one verdict."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_connected_multigraphs())
+    def test_equals_check_spade_on_random_multigraphs(self, g):
+        for delta in range(2, 6):
+            assert constructions._spade_holds(g, delta) == spade_at(g, delta), delta
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    def test_gluing_glued_chains_keeps_spade(self, delta, data):
+        # past its piece, a chain has weight-1 edges for the path gluing
+        g1 = glued_chain(delta, data.draw(st.integers(delta + 1, 8)))
+        g2 = glued_chain(delta, data.draw(st.integers(delta, 8)))
+        w1, w2 = dict(weight_function(g1, delta).weights), dict(weight_function(g2, delta).weights)
+        heavy2 = [eid for eid, w in w2.items() if w == delta - 1]
+        e2 = data.draw(st.sampled_from(heavy2))
+        flip = data.draw(st.booleans())
+        for op, weight in ((path_gluing, 1), (delta_edge_gluing, delta - 1)):
+            e1 = data.draw(st.sampled_from([eid for eid, w in w1.items() if w == weight]))
+            glued = op(g1, e1, g2, e2, delta, flip)
+            assert is_gorenstein(glued)[0] == delta
+            assert constructions._spade_holds(glued, delta)
 
 
 class TestDecompose:

@@ -15,12 +15,13 @@ from gorenstein.multigraph import (
     complete_graph,
     cycle_graph,
 )
-from glued import glued_chain
+from glued import glued_chain, two_connected_multigraphs
 from oracles import (
     contract_subset,
     edge_kinds_by_edge_search,
     edge_kinds_by_minors,
     edges_within,
+    good_flat_masks_by_subset_pass,
     is_matroid_connected,
     rank,
     records_as_sets,
@@ -209,6 +210,43 @@ class TestGoodFlats:
             assert {
                 (frozenset(v for v in range(g.n) if s >> v & 1), edges) for s, edges in pairs
             } == {(f.subset, f.edge_mask) for f in flats}
+            assert_mask_pairs_match_the_pass(g)
+
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_mask_pairs_match_the_pass_on_glued_graphs(self, delta):
+        rng = random.Random(delta)
+        for n in range(4, 21):
+            g = glued_chain(delta, n)
+            assert_mask_pairs_match_the_pass(g)
+            assert_mask_pairs_match_the_pass(g.shuffled(rng))
+
+    @settings(deadline=None)
+    @given(two_connected_multigraphs())
+    def test_mask_pairs_match_the_pass_on_random_multigraphs(self, g):
+        assert_mask_pairs_match_the_pass(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Multigraph.from_edge_list(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]),
+            Multigraph.from_edge_list(3, [(0, 1), (1, 2)]),
+            Multigraph.from_edge_list(4, [(0, 1), (0, 1), (2, 3)]),
+            Multigraph(1, ()),
+        ],
+    )
+    def test_mask_pairs_need_two_connected_graph(self, g):
+        with pytest.raises(ValueError, match="not 2-connected"):
+            matroid.good_flat_masks(g)
+
+
+def assert_mask_pairs_match_the_pass(g: Multigraph) -> None:
+    """`good_flat_masks` lists the k(S) = 1 records of the subset pass,
+    each once, and sorts into the same `_by_size` order."""
+    pairs = matroid.good_flat_masks(g)
+    reference = good_flat_masks_by_subset_pass(g)
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == set(reference)
+    assert matroid._by_size(pairs) == matroid._by_size(reference)
 
 
 class TestTwoConnectedSubsets:

@@ -157,8 +157,8 @@ class TestBuildPolytope:
 
     def test_witness_off_flat_raises(self, monkeypatch):
         # {0, 2} induces no edge of C4, so no tree has one edge inside it
-        fake = (matroid.GoodFlat(frozenset({0, 2}), 0),)
-        monkeypatch.setattr(matroid, "good_flats", lambda graph: fake)
+        fake = [(0b101, 0)]
+        monkeypatch.setattr(matroid, "good_flat_masks", lambda graph: fake)
         with pytest.raises(RuntimeError, match="off the flat"):
             build_polytope(cycle_graph(4))
 
