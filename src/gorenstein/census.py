@@ -1,11 +1,16 @@
 """Isomorphism-free census of small 2-connected multigraphs.
 
 Enumeration is orderly (Read 1978; Faradzev 1978): multiplicity
-matrices are filled column by column in the cell order of the canonical
-sequence, and a partial matrix survives only while it is canonical for
-the vertices placed so far.  Each isomorphism class is therefore built
-once, already in canonical form, and nothing is deduplicated.  On top of
-the census sit the two verification harnesses: criterion equivalence (the
+matrices are filled column by column in the cell order of the
+column-wise upper-triangle sequence, and a partial matrix survives only
+while that sequence is lexicographically maximal for the vertices placed
+so far (`multigraph.is_canonical_order`).  Each isomorphism class is
+therefore built once, as its lex-max matrix, and nothing is
+deduplicated.  That orderly representative is not the graph's
+`canonical_form`, which individualization-refinement labels
+(`Multigraph.canonicalize`); the census prints and sorts the lex-max
+matrices, and the harnesses compare canonical forms.  On top of the
+census sit the two verification harnesses: criterion equivalence (the
 weight checks against the polyhedral oracle, every dilation in range)
 and classification (spade verdict against the decomposition search).
 """
@@ -39,7 +44,7 @@ class CensusBounds:
 
 @dataclass(frozen=True)
 class CensusRecord:
-    graph: Multigraph  # canonical representative
+    graph: Multigraph  # orderly (lex-max) representative
     delta: int | None
     weights: WeightAssignment | None
     good_flat_count: int
@@ -47,16 +52,17 @@ class CensusRecord:
 
 
 def _graphs_on(n: int, bounds: CensusBounds):
-    """Canonical 2-connected multiplicity matrices on exactly n vertices.
+    """Lex-max 2-connected multiplicity matrices on exactly n vertices.
 
     Orderly generation: cells are filled column by column in the order
-    (0,1), (0,2), (1,2), (0,3), ..., the cell order of the canonical
-    sequence, and a partial matrix on vertices 0..j survives only if it is
-    canonical itself.  Every prefix of a canonical matrix is canonical for
-    the subgraph it induces, so each isomorphism class is reached exactly
-    once, in its canonical form.  A connected graph's canonical ordering
-    adds each vertex next to an earlier one, so an all-zero column is
-    pruned as well.
+    (0,1), (0,2), (1,2), (0,3), ..., the cell order of the column-wise
+    upper-triangle sequence, and a partial matrix on vertices 0..j
+    survives only if its sequence is maximal over the orderings of those
+    vertices (canonical in the sense of `is_canonical_order`).  Every
+    prefix of a lex-max matrix is lex-max for the subgraph it induces, so
+    each isomorphism class is reached exactly once, as its lex-max
+    matrix.  A connected graph's maximal ordering adds each vertex next
+    to an earlier one, so an all-zero column is pruned as well.
 
     Three necessary conditions cut branches before the canonicity test,
     which still runs on every column that passes them; none drops a
@@ -103,8 +109,9 @@ def _graphs_on(n: int, bounds: CensusBounds):
         return _blocks(1, full, nbr) == [full]
 
     def graph() -> Multigraph:
-        """The complete matrix with its edges sorted by endpoints: for a
-        canonical matrix, this is the graph's canonicalize()[0]."""
+        """The complete matrix with its edges sorted by endpoints and
+        numbered in that order; not the graph's canonicalize()[0], whose
+        labelling is individualization-refinement's."""
         pairs = [
             (i, j) for i in range(n) for j in range(i + 1, n) for _ in range(mat[i][j])
         ]
@@ -137,9 +144,10 @@ def _graphs_on(n: int, bounds: CensusBounds):
 def enumerate_census(bounds: CensusBounds) -> list[Multigraph]:
     """Every 2-connected multigraph within bounds, once up to isomorphism.
 
-    Returns canonical representatives, sorted by (vertices, edges,
-    canonical form) so downstream reports are deterministic.  Each
-    representative's multiplicity matrix is its canonical form.
+    Returns the orderly representatives, sorted by (vertices, edges,
+    multiplicity matrix) so downstream reports are deterministic.  Each
+    representative's multiplicity matrix is the lex-max matrix of its
+    class, which need not be its `canonical_form`.
     """
     out = [g for n in range(2, bounds.max_vertices + 1) for g in _graphs_on(n, bounds)]
     out.sort(key=lambda g: (g.n, g.m, g.multiplicity_matrix))
@@ -163,8 +171,8 @@ def census_record(graph: Multigraph) -> CensusRecord:
 # -- verification harnesses ------------------------------------------------
 
 def _canonical_json(graph: Multigraph) -> list[list[int]]:
-    """The canonical form of a census representative, which is built canonical."""
-    return [list(row) for row in graph.multiplicity_matrix]
+    """The canonical form of a census representative, as traces replay to it."""
+    return [list(row) for row in graph.canonical_form]
 
 
 def verify_equivalence(bounds: CensusBounds) -> dict:
@@ -227,9 +235,7 @@ def verify_classification(delta: int, bounds: CensusBounds) -> dict:
         assignment = weight_function(g, delta)
         spade = assignment is not None and check_spade(g, assignment)
         trace = decompose(g, delta, memo=memo)
-        # census representatives and replayed graphs are both canonical
-        # graphs, so they are isomorphic exactly when they are equal
-        if trace is not None and replay(trace) != g:
+        if trace is not None and replay(trace).canonical_form != g.canonical_form:
             mismatches.append(
                 {"canonical": _canonical_json(g), "delta": delta, "error": "replay"}
             )

@@ -39,6 +39,11 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# `facets` prints the V-representation, one 0/1 vector per spanning tree,
+# so its output grows with the number of trees: a graph with more than
+# this many (by the Matrix-Tree count) is refused with exit code 2.
+FACETS_MAX_TREES = 100_000
+
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -186,6 +191,13 @@ def _cmd_facets(args) -> int:
     if not graph.is_two_connected():
         print("error: graph is not 2-connected", file=sys.stderr)
         return EXIT_INPUT
+    trees = graph.spanning_tree_count()
+    if trees > FACETS_MAX_TREES:
+        print(
+            f"error: {trees} spanning trees; facets lists at most {FACETS_MAX_TREES}",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
     _print_json(polytope.polytope_to_json(polytope.build_polytope(graph)))
     return EXIT_OK
 
@@ -291,7 +303,7 @@ def _cmd_census(args) -> int:
             "total": len(records),
             "graphs": [
                 {
-                    # census representatives are built in canonical form
+                    # the orderly representative's lex-max matrix
                     "canonical": [list(row) for row in r.graph.multiplicity_matrix],
                     "vertices": r.graph.n,
                     "edges": r.graph.m,

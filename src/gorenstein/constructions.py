@@ -493,7 +493,7 @@ def _verify_split(
         replayed = glue(g1c, e1c, g2c, e2c, delta)
     except GluingError:
         return None
-    if not replayed.has_canonical_form(state.canonical_form):
+    if replayed.canonical_form != state.canonical_form:
         return None
     return g1c, TraceStep(op, partner=g2c, self_edge=e1c, partner_edge=e2c)
 
@@ -532,7 +532,7 @@ def _verify_subdivision(state: Multigraph, delta: int, raw: Multigraph, chain, c
         back = contract_path(pred, mapped, delta)
     except GluingError:
         return None
-    if not back.has_canonical_form(state.canonical_form):
+    if back.canonical_form != state.canonical_form:
         return None
     return pred, TraceStep("path_contract", path=mapped)
 
@@ -576,12 +576,10 @@ def decompose(
     builds none.
 
     Verifying a step replays it forward on the canonical predecessor and
-    partner and checks that the result is isomorphic to the state without
-    canonicalizing it: the state's canonical form is the maximal sequence
-    of its class, so the ordering search in match mode
-    (`Multigraph.has_canonical_form`) stops at the first ordering of the
-    replayed graph that yields it, or at the first prefix that beats it.
-    The gluing reads only the two glued edges' kinds (`matroid.edge_kind`).
+    partner and compares the result's canonical form with the state's;
+    canonical labelling by individualization-refinement makes that one
+    cheap canonicalization of the replayed graph.  The gluing reads only
+    the two glued edges' kinds (`matroid.edge_kind`).
     """
     if delta < 2:
         raise ValueError("delta must be >= 2")

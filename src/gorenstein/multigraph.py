@@ -12,6 +12,14 @@ component.  `blocks`, `is_connected` and `is_two_connected` read those,
 and `matroid`, `constructions` and `census` import the mask helpers
 (`_bits`, `_reach`, `_components`, `_blocks`) instead of searching on
 their own.
+
+Canonical forms come from canonical labelling by
+individualization-refinement (`_canonical_labelling`; McKay 1981, McKay
+and Piperno 2014), which prunes its search tree by the automorphisms it
+finds.  The lexicographically maximal vertex ordering, which is NP-hard
+to find in general (Lubiw 1981), is left to the census's orderly
+generation, which only asks whether the identity ordering of a partial
+matrix is maximal (`is_canonical_order`).
 """
 
 from __future__ import annotations
@@ -262,18 +270,37 @@ class Multigraph:
                 out.append(frozenset(e.eid for e in combo))
         return out
 
+    def spanning_tree_count(self) -> int:
+        """The number of spanning trees, parallel edges counted apart.
+
+        Kirchhoff's Matrix-Tree theorem: the determinant of the Laplacian
+        with row and column 0 removed, by fraction-free Bareiss
+        elimination, so the count is exact and costs O(n^3) whatever it
+        is; 0 for a graph that is not connected.
+        """
+        if self.n == 0:
+            return 0
+        lap = [[0] * self.n for _ in range(self.n)]
+        for e in self.edges:
+            lap[e.u][e.u] += 1
+            lap[e.v][e.v] += 1
+            lap[e.u][e.v] -= 1
+            lap[e.v][e.u] -= 1
+        return _determinant([row[1:] for row in lap[1:]])
+
     # -- canonical form ----------------------------------------------------
 
     def canonicalize(self) -> tuple["Multigraph", tuple[int, ...], dict[int, int]]:
         """Canonical relabeling.
 
         Returns (canonical graph, vertex permutation old->new, edge id map
-        old->new).  Canonical edge ids run 0..m-1 sorted by endpoint pair;
-        within a parallel class, old ids are mapped in increasing order.
-        The canonical graph is its own canonical form, so it comes with
-        `canonical_form` already set.
+        old->new).  The vertex order is the canonical labelling
+        `_canonical_labelling` finds.  Canonical edge ids run 0..m-1
+        sorted by endpoint pair; within a parallel class, old ids are
+        mapped in increasing order.  The canonical graph is its own
+        canonical form, so it comes with `canonical_form` already set.
         """
-        order = _canonical_ordering(self.multiplicity_matrix, self.n)
+        order = _canonical_labelling(self.multiplicity_matrix, self.n)
         vperm = [0] * self.n
         for pos, v in enumerate(order):
             vperm[v] = pos
@@ -304,24 +331,6 @@ class Multigraph:
     def is_isomorphic(self, other: "Multigraph") -> bool:
         return self.canonical_form == other.canonical_form
 
-    def has_canonical_form(self, form: Sequence[Sequence[int]]) -> bool:
-        """Whether `canonical_form` equals form, the canonical form of some
-        graph, decided without canonicalizing this one.
-
-        form's sequence is the maximal one of its class, so the graph lies
-        in that class exactly when one of its orderings yields the
-        sequence: the ordering search runs in match mode against it,
-        after the vertex and edge counts.
-        """
-        n = self.n
-        if len(form) != n:
-            return False
-        target = tuple(form[i][j] for j in range(n) for i in range(j))
-        if sum(target) != self.m:
-            return False
-        mult = self.multiplicity_matrix
-        return _canonical_ordering(mult, n, target, match=True) is not None
-
     def permuted(self, vperm: Iterable[int]) -> "Multigraph":
         """Relabel vertices by old->new permutation (edge ids kept)."""
         p = list(vperm)
@@ -334,6 +343,27 @@ class Multigraph:
         p = list(range(self.n))
         rng.shuffle(p)
         return self.permuted(p)
+
+
+def _determinant(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination (1968),
+    which divides exactly at every step; a is overwritten."""
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 # -- connectivity kernel ---------------------------------------------------
@@ -414,98 +444,202 @@ def _blocks(root: int, mask: int, nbr: Sequence[int]) -> list[int]:
     return out
 
 
-def is_canonical_order(mult: Sequence[Sequence[int]], n: int) -> bool:
-    """True iff the identity ordering of vertices 0..n-1 is maximal.
+def _canonical_labelling(mult: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
+    """A canonical vertex order, by individualization-refinement.
 
-    That is, the upper triangle of `mult` restricted to its first n
-    vertices is already the canonical sequence of the graph it induces.
-    Every prefix of a canonical matrix passes this test, which is what
-    makes orderly census generation exact.
+    McKay, "Practical graph isomorphism" (1981); McKay and Piperno,
+    "Practical graph isomorphism, II" (2014).  The nodes of the search
+    tree are ordered partitions of the vertices.  The root is the unit
+    partition refined to the coarsest equitable one (`_refine`).  A node
+    whose partition is not discrete has one child per vertex v of its
+    first non-singleton cell: v is individualized (made a singleton cell
+    in front of the rest of its cell) and the partition refined again.
+    Every step reads only the multiplicities, so relabelling the graph
+    relabels the tree.  A leaf is a discrete partition, read as a vertex
+    order; its certificate is the column-wise upper-triangle sequence of
+    the multiplicity matrix in that order, cells (i, j) with i < j in
+    order (j, i).  The order returned is the first leaf with the maximal
+    certificate: corresponding leaves of isomorphic graphs have equal
+    certificates, so the maximum, the matrix in the returned order, is
+    the same for every graph of the class.
+
+    A leaf whose certificate equals the best one maps the best leaf's
+    order onto its own, vertex by vertex: an automorphism.  One that
+    fixes a node's individualized vertices pointwise maps the node's
+    partition onto itself, and the subtree of each child onto that of
+    the child it maps the vertex to, with the same certificates.  So a
+    child in one orbit with an explored child, under the automorphisms
+    found so far that fix the node's individualized vertices, is skipped.
+    """
+    if n == 0:
+        return ()
+    adj = [[(w, c) for w, c in enumerate(row) if c] for row in mult]
+    best_cert: tuple[int, ...] | None = None
+    best_order: list[int] = []
+    autos: list[list[int]] = []  # each maps vertex -> vertex
+
+    def search(lab: list[int], cell: list[int], size: list[int], fixed: list[int], p: int) -> None:
+        """Search below the node with partition (lab, cell, size) and the
+        individualized vertices fixed; cells before p are singletons."""
+        nonlocal best_cert, best_order
+        while p < n and size[p] == 1:
+            p += 1
+        if p == n:
+            rows = [mult[v] for v in lab]
+            cert = tuple(rows[i][lab[j]] for j in range(1, n) for i in range(j))
+            if best_cert is None or cert > best_cert:
+                best_cert, best_order = cert, lab
+            elif cert == best_cert:
+                gamma = [0] * n
+                for a, b in zip(best_order, lab):
+                    gamma[a] = b
+                autos.append(gamma)
+            return
+        k = size[p]
+        targets = sorted(lab[p : p + k])
+        orbit = {v: v for v in targets}  # union-find over the cell
+
+        def find(v: int) -> int:
+            while orbit[v] != v:
+                orbit[v] = v = orbit[orbit[v]]
+            return v
+
+        explored: list[int] = []
+        merged = 0  # autos[:merged] are merged into the orbits
+        for v in targets:
+            if explored:
+                for gamma in autos[merged:]:
+                    if all(gamma[x] == x for x in fixed):
+                        for w in targets:
+                            a, b = find(w), find(gamma[w])
+                            if a != b:
+                                orbit[b] = a
+                merged = len(autos)
+                r = find(v)
+                if any(find(x) == r for x in explored):
+                    continue
+            child, where, sizes = lab[:], cell[:], size[:]
+            i = child.index(v, p)
+            child[p], child[i] = v, child[p]
+            for w in child[p + 1 : p + k]:
+                where[w] = p + 1
+            sizes[p], sizes[p + 1] = 1, k - 1
+            _refine(child, where, sizes, adj, [p])
+            search(child, where, sizes, fixed + [v], p + 1)
+            explored.append(v)
+
+    lab, cell, size = list(range(n)), [0] * n, [n] + [0] * (n - 1)
+    _refine(lab, cell, size, adj, [0])
+    search(lab, cell, size, [], 0)
+    return tuple(best_order)
+
+
+def _refine(
+    lab: list[int], cell: list[int], size: list[int],
+    adj: Sequence[Sequence[tuple[int, int]]], queue: list[int],
+) -> None:
+    """Refine an ordered partition in place to the coarsest equitable one
+    below it, splitting first by the cells that start at the positions
+    in queue.
+
+    lab lists the vertices cell by cell, cell[v] is the start of v's cell
+    in lab, and size[p] the length of the cell that starts at p; adj[v]
+    lists (neighbour, multiplicity) pairs.  A partition is equitable when
+    the vertices of each cell have equal multiplicity sums into every
+    cell.  Each waiting splitter S in turn splits every cell whose
+    vertices have unequal sums into S into one cell per sum, in place,
+    highest sum first.  Cells are split in the order of their starts and
+    parts ordered by sum, so the result reads only the multiplicities.
+    A split cell that is still waiting keeps its start, which now names
+    its first part, and all other parts wait too; any other split cell
+    sends all parts but its first largest, whose sums are those into the
+    old cell minus those into the other parts (Hopcroft 1971).  The
+    caller queues cells whose removal left the rest equitable: the whole
+    unit partition, or an individualized vertex.  A discrete partition
+    ends the refinement.
+    """
+    cells = len(set(cell))
+    waiting = set(queue)
+    for s in queue:  # the loop reaches the cells appended while it runs
+        if cells == len(lab):
+            return
+        waiting.discard(s)
+        sums: dict[int, int] = {}
+        for x in lab[s : s + size[s]]:
+            for w, c in adj[x]:
+                sums[w] = sums.get(w, 0) + c
+        hit = {cell[w] for w in sums if size[cell[w]] > 1}
+        for p in sorted(hit):
+            parts: dict[int, list[int]] = {}
+            for w in lab[p : p + size[p]]:
+                parts.setdefault(sums.get(w, 0), []).append(w)
+            if len(parts) == 1:
+                continue
+            keys = sorted(parts, reverse=True)
+            skip = None if p in waiting else max(keys, key=lambda x: len(parts[x]))
+            cells += len(keys) - 1
+            pos = p
+            for x in keys:
+                part = parts[x]
+                lab[pos : pos + len(part)] = part
+                for w in part:
+                    cell[w] = pos
+                size[pos] = len(part)
+                if x != skip and pos not in waiting:
+                    waiting.add(pos)
+                    queue.append(pos)
+                pos += len(part)
+
+
+def is_canonical_order(mult: Sequence[Sequence[int]], n: int) -> bool:
+    """True iff the identity ordering of vertices 0..n-1 is lexicographically
+    maximal.
+
+    That is, the column-wise upper-triangle sequence of `mult` restricted
+    to its first n vertices is the largest over all orderings of them.
+    Every prefix of such a maximal matrix passes this test, which is what
+    makes orderly census generation exact.  This is the census's own
+    test; the canonical form of `Multigraph` is `_canonical_labelling`'s.
     """
     identity = tuple(mult[i][j] for j in range(n) for i in range(j))
     return _canonical_ordering(mult, n, identity) is None
 
 
 def _canonical_ordering(
-    mult: Sequence[Sequence[int]],
-    n: int,
-    incumbent: tuple[int, ...] | None = None,
-    match: bool = False,
+    mult: Sequence[Sequence[int]], n: int, incumbent: tuple[int, ...]
 ) -> tuple[int, ...] | None:
-    """Vertex ordering maximizing the column-wise upper-triangle sequence.
+    """The first vertex ordering prefix whose sequence beats the incumbent.
 
-    Cells (i, j) with i < j are compared in order (j, i), so placing the
-    k-th vertex appends exactly k known entries; this makes prefix pruning
-    sound.  Any fixed total order on cells gives a valid canonical form;
-    the maximizing one keeps adjacent vertices early, which prunes well on
-    the sparse, path-heavy graphs produced by subdivision.
+    An ordering's sequence is its column-wise upper-triangle sequence:
+    cells (i, j) with i < j in order (j, i), so placing the k-th vertex
+    appends exactly k known entries, which makes prefix pruning sound.
+    The branch-and-bound returns the first ordering prefix whose sequence
+    beats the incumbent's prefix of the same length, or None when none
+    does.
 
-    The unplaced vertices travel as an ordered partition (McKay and
-    Piperno 2014, without their automorphism pruning) into vertex cells
-    (column, vertices): column holds the multiplicities to the placed
-    vertices in placement order, columns strictly decrease from one
-    vertex cell to the next, and vertices increase within one.  Placing
-    v splits every vertex cell by the multiplicity to v, highest first.
-    Columns of equal length compare lexicographically, so the split keeps
-    the vertex cells in the order of their full columns: children are
-    tried in the same order as when every node rebuilt and sorted the
-    column of each unplaced vertex, and the first maximal leaf, hence
-    the ordering returned, is the same.  Automorphism pruning was
-    measured and left out: it saved about a tenth of the nodes on
-    decomposition and census inputs and slowed census enumeration.
-
-    Given an incumbent sequence instead, the branch-and-bound stops at the
-    first ordering prefix whose sequence beats the incumbent's prefix of
-    the same length and returns it, or returns None when none does.
-
-    In match mode the incumbent is the target, a whole sequence that is
-    maximal in its class (a canonical form's), and the search answers
-    whether some ordering yields it: the first leaf equal to the target
-    ends the search and is returned; the first prefix that beats the
-    target ends it with None, since nothing isomorphic to the target's
-    graph beats its maximal sequence; exhaustion gives None.
-
-    A node compares only the k entries a child appends, its column, with
-    the same k entries of the best sequence, and carries one flag:
-    whether its own sequence already beats the best prefix, in which case
-    every extension does too and no comparison is needed.  With an
-    incumbent the flag stays down, since the first gain ends the search,
-    so the sequence itself is never built; from scratch it is one list,
-    extended and truncated, made a tuple only when a leaf beats the best.
-    Such a leaf's ancestors then equal the new best's prefix, so each
-    drops its flag when the search returns to it.
+    The unplaced vertices travel as an ordered partition into vertex
+    cells (column, vertices): column holds the multiplicities to the
+    placed vertices in placement order, columns strictly decrease from
+    one vertex cell to the next, and vertices increase within one.
+    Placing v splits every vertex cell by the multiplicity to v, highest
+    first.  Columns of equal length compare lexicographically, so the
+    split keeps the vertex cells in the order of their full columns.  A
+    node compares only the k entries a child appends, its column, with
+    the same k entries of the incumbent; a smaller column ends the node,
+    since every later one is smaller still.
     """
-    stop_on_gain = incumbent is not None
-    best_seq = incumbent
-    best_ord: tuple[int, ...] | None = None
     order: list[int] = []
-    seq: list[int] = []  # the sequence so far, kept from scratch only
 
-    def rec(p: int, greater: bool, cells: list[tuple[tuple[int, ...], list[int]]]) -> bool:
-        """Search below the current prefix, whose sequence has p entries and
-        beats the best one's first p entries if greater (or there is no best
-        yet); True once a gain ends the search."""
-        nonlocal best_seq, best_ord
-        if not cells:
-            if greater:
-                best_seq, best_ord = tuple(seq), tuple(order)
-            elif match:  # a leaf that does not beat the target equals it
-                best_ord = tuple(order)
-                return True
-            return False
+    def rec(p: int, cells: list[tuple[tuple[int, ...], list[int]]]) -> tuple[int, ...] | None:
+        """Search below the current prefix, whose sequence equals the
+        incumbent's first p entries."""
         k = len(order)
         for col, verts in cells:
-            beats = greater
-            if not beats:
-                ref = best_seq[p : p + k]
-                if col < ref:
-                    break  # every remaining column is smaller still
-                if col > ref:
-                    if stop_on_gain:
-                        if not match:
-                            best_ord = tuple(order) + (verts[0],)
-                        return True
-                    beats = True
+            ref = incumbent[p : p + k]
+            if col < ref:
+                break  # every remaining column is smaller still
+            if col > ref:
+                return tuple(order) + (verts[0],)
             for v in verts:
                 row = mult[v]  # mult is symmetric: row v is column v
                 refined = []
@@ -520,20 +654,14 @@ def _canonical_ordering(
                             split.setdefault(row[w], []).append(w)
                     for x in sorted(split, reverse=True):
                         refined.append((c + (x,), split[x]))
-                held = best_seq
                 order.append(v)
-                if not stop_on_gain:
-                    seq.extend(col)
-                if rec(p + k, beats, refined):
-                    return True
+                found = rec(p + k, refined)
+                if found is not None:
+                    return found
                 order.pop()
-                del seq[p:]
-                if best_seq is not held:  # a leaf below became the best
-                    greater = beats = False
-        return False
+        return None
 
-    rec(0, best_seq is None, [((), list(range(n)))] if n else [])
-    return best_ord
+    return rec(0, [((), list(range(n)))] if n else [])
 
 
 # -- common small graphs ---------------------------------------------------

@@ -16,8 +16,7 @@ one-search-per-vertex rule of `matroid.edge_kinds`, not the kernel.
 `decompose_eagerly` shares the subdivision generator with
 `constructions.decompose` and differs in when it verifies; its split
 generator, `split_predecessors_by_side_graphs`, builds every side graph
-and reads `matroid.edge_kinds`, where the library filters on masks, and
-compares canonical forms where the library matches against one.
+and reads `matroid.edge_kinds`, where the library filters on masks.
 `subset_pass_by_reverse_search` and
 `two_connected_mask` share the kernel's mask helpers `_bits`, `_reach`
 and `_components`, but not its block search or the flashlight
@@ -97,23 +96,40 @@ def enumerate_naive(bounds: CensusBounds) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def enumerate_by_canonicalizing(bounds: CensusBounds) -> list[Multigraph]:
-    """Census by labelled fillings, deduplicated by canonical form.
+    """Census by labelled fillings, deduplicated by lex-max matrix.
 
     Fills the multiplicity matrix row by row with degree and edge-budget
-    pruning, canonicalizes every 2-connected filling and keeps the first
-    of each class.  Returns canonical representatives sorted as
-    `enumerate_census` sorts them.
+    pruning, relabels every 2-connected filling by its lex-max ordering
+    (`lex_max_graph`) and keeps the first of each class.  Returns the
+    orderly representatives sorted as `enumerate_census` sorts them.
     """
     seen = set()
     out = []
     for n in range(2, bounds.max_vertices + 1):
         for g in _labelled_fillings(n, bounds):
-            canon = g.canonicalize()[0]
-            if canon.canonical_form not in seen:
-                seen.add(canon.canonical_form)
-                out.append(canon)
-    out.sort(key=lambda g: (g.n, g.m, g.canonical_form))
+            rep = lex_max_graph(g)
+            if rep.multiplicity_matrix not in seen:
+                seen.add(rep.multiplicity_matrix)
+                out.append(rep)
+    out.sort(key=lambda g: (g.n, g.m, g.multiplicity_matrix))
     return out
+
+
+def lex_max_graph(graph: Multigraph) -> Multigraph:
+    """The graph relabelled by its lex-max ordering
+    (`canonical_ordering_by_cells`), edges sorted by endpoints and
+    numbered in that order: the census's orderly representative of the
+    graph's class, and the canonical graph of the ordering search that
+    individualization-refinement replaced in `Multigraph.canonicalize`."""
+    n, mat = graph.n, graph.multiplicity_matrix
+    order = canonical_ordering_by_cells(mat, n)
+    pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for _ in range(mat[order[i]][order[j]])
+    ]
+    return Multigraph.from_edge_list(n, pairs)
 
 
 def _labelled_fillings(n: int, bounds: CensusBounds):
@@ -201,7 +217,8 @@ def enumerate_orderly_unpruned(bounds: CensusBounds) -> list[Multigraph]:
 def canonical_ordering_by_columns(
     mult: Sequence[Sequence[int]], n: int, incumbent: tuple[int, ...] | None = None
 ) -> tuple[int, ...] | None:
-    """`multigraph._canonical_ordering` with every column rebuilt per node.
+    """The lex-max ordering, or `multigraph._canonical_ordering`'s answer
+    to an incumbent, with every column rebuilt per node.
 
     Each search node rebuilds the column of every unplaced vertex from
     the placement order and sorts the distinct columns; there are no
@@ -260,7 +277,8 @@ def canonical_ordering_by_columns(
 def canonical_ordering_by_cells(
     mult: Sequence[Sequence[int]], n: int, incumbent: tuple[int, ...] | None = None
 ) -> tuple[int, ...] | None:
-    """`multigraph._canonical_ordering` with the whole sequence compared per node.
+    """The lex-max ordering, or `multigraph._canonical_ordering`'s answer
+    to an incumbent, with the whole sequence compared per node.
 
     Every search node builds its sequence as a tuple (`seq + col`) and
     compares it with the best sequence's prefix of the same length, both

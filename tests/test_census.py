@@ -14,6 +14,7 @@ from gorenstein.multigraph import (
     banana_graph,
     complete_graph,
     cycle_graph,
+    is_canonical_order,
 )
 import oracles
 from gorenstein import census
@@ -91,7 +92,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("bounds", [(4, 6, 3), (5, 8, 4)])
     def test_equals_canonicalizing_reference(self, bounds):
-        # same Multigraphs (canonical edges and ids), same order
+        # same Multigraphs (lex-max matrices, edges and ids), same order
         b = CensusBounds(*bounds)
         assert enumerate_census(b) == enumerate_by_canonicalizing(b)
 
@@ -136,8 +137,11 @@ class TestEnumerate:
         assert last[0] > 0
 
     def test_representatives_are_canonical(self, census_full):
+        # each representative is its class's lex-max matrix, and no two
+        # representatives share a canonical form
         for g in census_full:
-            assert g == g.canonicalize()[0]
+            assert is_canonical_order(g.multiplicity_matrix, g.n)
+        assert len({g.canonical_form for g in census_full}) == len(census_full)
 
     def test_known_total_at_default_bounds(self):
         assert len(enumerate_census(CensusBounds())) == 983

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from gorenstein import cli
 from gorenstein.criteria import is_gorenstein, weight_function
 from gorenstein.multigraph import Multigraph, complete_graph, cycle_graph
+from glued import glued_chain
 
 K4_TEXT = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 PATH3_TEXT = "3 2\n0 1\n1 2\n"
@@ -141,6 +142,16 @@ class TestFacets:
         p.write_text(PATH3_TEXT)
         code, _, _ = run_cli(capsys, "facets", str(p))
         assert code == 2
+
+    def test_too_many_spanning_trees_exit_two(self, capsys, tmp_path):
+        # 2,221,367,550 spanning trees: refused by their count, not listed
+        p = tmp_path / "glued28.txt"
+        p.write_text(glued_chain(3, 28).format())
+        code, out, err = run_cli(capsys, "facets", str(p))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: 2221367550 spanning trees; facets lists at most {cli.FACETS_MAX_TREES}\n"
+        )
 
 
 class TestGlue:

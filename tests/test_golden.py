@@ -15,7 +15,7 @@ from gorenstein import cli
 CENSUS_SHA256 = "85ff1781c2c632bed36dc74b24c63be5979d16afb2acd55d88bb320e2b1a98d9"
 # verify classification --delta 3 at (5, 8, 4): the harness passes one
 # search memo to every decompose call over the census
-CLASSIFICATION_SHA256 = "eafe317bf1d0fc2fbf0e5eae825fc92078f3da919d6c31de72ab0b114487bd73"
+CLASSIFICATION_SHA256 = "2ac9bf9c17e1ebe3c7eb358bc92f29c24f4fc4d9e5cd4af30a047b4e74277e43"
 
 GRAPHS = {
     "k4": "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
@@ -52,12 +52,12 @@ DIGESTS = {
     ("weights --delta 2", "doubled"): "818f58348fde3976efe02af6522bece3b88c6deaf446b1385a68d73a574e3142",
     # at delta 2 both kinds weigh 1; delta 3 tells "del" (1) from "con" (2)
     ("weights --delta 3", "doubled"): "33d0e87d256ac8a043b2da06782178f7de67a0be46421275354d660164629c8f",
-    ("decompose --delta 3", "glued"): "f4c277d6ff6b7dac7285f364ec0b43f765a4d21bcc9c5d60f5503d8c671d385d",
+    ("decompose --delta 3", "glued"): "619d2402e3ccbab13062ce3d273cccc4d289f4f22394bd7644c20522db6a01e8",
     # K4 is the second seed at delta 2, next to the 2-cycle
     ("decompose --delta 2", "k4"): "07916c8aeaed3b37d509a0ce1334e9f7d2c0238576a3da28e41fce33ca30e8f5",
-    ("decompose --delta 2", "glued2"): "8e0c40678d9e5b6b839d5c38631fc1e06be095ed920d2d811d62f6b99684cf4f",
+    ("decompose --delta 2", "glued2"): "76c6a43fb994bc1916391a17b73ca4a1f77622bd9be7c638f2ee96aac198c13d",
     ("decompose --delta 4", "glued4"): "01128c00776dd99ba7abd3c060cb2fc0a494c6f0876e03ab99d55be607989388",
-    ("decompose --delta 3", "deep"): "f5164fa69fef8e45d84b10ac8634a9bb870681b3a58001f39297820ca0b89ec2",
+    ("decompose --delta 3", "deep"): "ef82a5d87063d9eefad74b086e754a3a5fdc828152b120a4c6085d0a819cd851",
 }
 
 

@@ -1,13 +1,12 @@
 import itertools
 import random
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gorenstein import multigraph
+from gorenstein.census import CensusBounds, enumerate_census
 from gorenstein.multigraph import (
     Edge,
     GraphParseError,
@@ -30,6 +29,7 @@ from oracles import (
     edges_within,
     is_connected_by_edge_search,
     is_two_connected_by_edge_dfs,
+    lex_max_graph,
     spanning_tree_count,
 )
 
@@ -94,17 +94,10 @@ SYMMETRIC_FAMILIES = (
 )
 
 
-def reference_canonicalize(g: Multigraph):
-    """`canonicalize` with the column-rebuilding reference search in place."""
-    with mock.patch.object(multigraph, "_canonical_ordering", canonical_ordering_by_columns):
-        return g.canonicalize()
-
-
 def assert_search_equals_column_reference(mat) -> None:
-    """Same ordering as the reference, from scratch and against every
-    identity-prefix incumbent (the census's canonicity test)."""
+    """Same answer as the reference to every identity-prefix incumbent
+    (the census's canonicity test)."""
     n = len(mat)
-    assert _canonical_ordering(mat, n) == canonical_ordering_by_columns(mat, n)
     for k in range(1, n + 1):
         identity = tuple(mat[i][j] for j in range(k) for i in range(j))
         assert _canonical_ordering(mat, k, identity) == canonical_ordering_by_columns(
@@ -347,6 +340,7 @@ class TestSpanningTrees:
     @given(small_multigraphs())
     @settings(max_examples=60, deadline=None)
     def test_matrix_tree_agrees_with_enumeration(self, g):
+        assert g.spanning_tree_count() == (spanning_tree_count(g) if g.is_connected() else 0)
         if not g.is_connected():
             return
         assert len(g.spanning_trees()) == spanning_tree_count(g)
@@ -386,7 +380,7 @@ class TestCanonicalForm:
     @given(small_multigraphs(), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
     def test_canonicity_test(self, g, seed):
-        canon = g.canonicalize()[0].multiplicity_matrix
+        canon = lex_max_graph(g).multiplicity_matrix
         # every prefix of a canonical matrix is canonical: orderly generation
         assert all(is_canonical_order(canon, k) for k in range(1, g.n + 1))
         mat = g.shuffled(random.Random(seed)).multiplicity_matrix
@@ -409,43 +403,39 @@ class TestCanonicalForm:
 
 
 class TestCanonicalSearchEqualsColumnReference:
-    """Decompose traces and census bytes hang on the tie-breaking between
-    equal columns, not only on the canonical matrix, so the search must
-    return the reference's ordering itself."""
+    """The census's canonicity test must return the reference's ordering
+    itself: the first prefix that beats the incumbent, or None; on a
+    lex-max matrix it runs the search to the end."""
 
     @given(st.one_of(small_multigraphs(), connected_multigraphs()), st.integers(0, 2**31))
     @settings(max_examples=80, deadline=None)
     def test_random_multigraphs(self, g, seed):
-        for h in (g, g.shuffled(random.Random(seed))):
+        for h in (g, g.shuffled(random.Random(seed)), lex_max_graph(g)):
             assert_search_equals_column_reference(h.multiplicity_matrix)
-            assert h.canonicalize() == reference_canonicalize(h)
 
     @pytest.mark.parametrize("g", SYMMETRIC_FAMILIES, ids=lambda g: f"n{g.n}m{g.m}")
     def test_symmetric_families(self, g):
         rng = random.Random(g.n * 1000 + g.m)
-        for h in (g, g.shuffled(rng), g.shuffled(rng)):
+        for h in (g, g.shuffled(rng), g.shuffled(rng), lex_max_graph(g)):
             assert_search_equals_column_reference(h.multiplicity_matrix)
-            assert h.canonicalize() == reference_canonicalize(h)
 
     def test_no_vertices(self):
-        assert _canonical_ordering((), 0) == canonical_ordering_by_columns((), 0) == ()
+        assert _canonical_ordering((), 0, ()) is None
+        assert canonical_ordering_by_columns((), 0, ()) is None
+        assert Multigraph(0, ()).canonicalize() == (Multigraph(0, ()), (), {})
 
 
 class TestCanonicalSearchEqualsCellReference:
     """The search that compares only each new column returns what the one
-    that compares whole sequences returned, on graphs large enough for
-    many leaves to replace the best: the same canonicalization (hence the
-    same ordering) from scratch, and the same answer to every
-    identity-prefix incumbent of the shuffled and of the canonical matrix.
-    The second runs the incumbent search to the end, as the census does."""
+    that compares whole sequences returns, on graphs large enough for
+    many prefixes to tie: the same answer to every identity-prefix
+    incumbent of the shuffled and of the lex-max matrix.  The second runs
+    the incumbent search to the end, as the census does."""
 
     @pytest.mark.parametrize("delta,n", [(2, 28), (3, 40), (4, 20)])
     def test_shuffled_glued_chains(self, delta, n):
         g = glued_chain(delta, n).shuffled(random.Random(delta * 100 + n))
-        with mock.patch.object(multigraph, "_canonical_ordering", canonical_ordering_by_cells):
-            reference = g.canonicalize()
-        assert g.canonicalize() == reference
-        for mat in (g.multiplicity_matrix, reference[0].multiplicity_matrix):
+        for mat in (g.multiplicity_matrix, lex_max_graph(g).multiplicity_matrix):
             for k in range(1, g.n + 1):
                 identity = tuple(mat[i][j] for j in range(k) for i in range(j))
                 assert _canonical_ordering(mat, k, identity) == canonical_ordering_by_cells(
@@ -453,16 +443,11 @@ class TestCanonicalSearchEqualsCellReference:
                 )
 
 
-def matched(g: Multigraph, form) -> bool:
-    """`has_canonical_form` against `canonical_form ==`; an ordering the
-    match search returns must yield form's sequence."""
-    found = g.has_canonical_form(form)
-    assert found == (g.canonical_form == form)
-    if found:
-        n, mat = g.n, g.multiplicity_matrix
-        target = tuple(form[i][j] for j in range(n) for i in range(j))
-        order = _canonical_ordering(mat, n, target, match=True)
-        assert tuple(mat[order[i]][order[j]] for j in range(n) for i in range(j)) == target
+def matched(g: Multigraph, h: Multigraph) -> bool:
+    """Whether g and h have one canonical form, which the lex-max
+    reference must confirm: equal lex-max matrices."""
+    found = g.canonical_form == h.canonical_form
+    assert found == (lex_max_graph(g).multiplicity_matrix == lex_max_graph(h).multiplicity_matrix)
     return found
 
 
@@ -474,52 +459,131 @@ def moved_edge(g: Multigraph, index: int, a: int, b: int) -> Multigraph:
 
 
 class TestCanonicalMatch:
-    """The match mode of the ordering search, which decompose's replay
-    check runs in place of comparing canonical forms."""
+    """The replay check of decompose, `canonical_form` equality: it holds
+    exactly when the lex-max reference forms are equal."""
 
     @pytest.mark.parametrize("delta,n", [(2, 12), (2, 28), (3, 13), (3, 40), (4, 20)])
     def test_shuffled_glued_chains(self, delta, n):
         g = glued_chain(delta, n)
         rng = random.Random(delta * 100 + n)
         for h in (g, g.shuffled(rng), g.shuffled(rng)):
-            assert matched(h, g.canonical_form)
+            assert matched(h, g)
 
     @pytest.mark.parametrize("delta,n", [(2, 12), (3, 13), (4, 14)])
     def test_near_misses(self, delta, n):
         # one edge moved to another vertex pair: same n and m
         rng = random.Random(delta * 100 + n)
         g = glued_chain(delta, n).shuffled(rng)
-        form = g.canonical_form
         misses = 0
         for index in range(g.m):
             e = g.edges[index]
             a, b = rng.sample(range(g.n), 2)
             if {a, b} != {e.u, e.v}:
-                misses += not matched(moved_edge(g, index, a, b), form)
+                misses += not matched(moved_edge(g, index, a, b), g)
         assert misses > g.m // 2
 
     def test_state_in_non_canonical_labelling(self):
-        # the target is the state's canonical form, not its own matrix
+        # the state's canonical form, not its own matrix, is compared
         rng = random.Random(7)
         state = glued_chain(3, 13).shuffled(rng)
         assert state.multiplicity_matrix != state.canonical_form
-        assert matched(state, state.canonical_form)
-        assert matched(state.shuffled(rng), state.canonical_form)
-        assert not matched(moved_edge(state, 0, *rng.sample(range(13), 2)), state.canonical_form)
+        assert matched(state, state.canonicalize()[0])
+        assert matched(state.shuffled(rng), state)
+        assert not matched(moved_edge(state, 0, *rng.sample(range(13), 2)), state)
 
     def test_vertex_and_edge_counts_first(self):
         square = cycle_graph(4)
-        assert not matched(square, cycle_graph(5).canonical_form)
+        assert not matched(square, cycle_graph(5))
         doubled = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 1)])
-        assert not matched(square, doubled.canonical_form)
-        assert not matched(doubled, square.canonical_form)
+        assert not matched(square, doubled)
+        assert not matched(doubled, square)
 
     def test_no_vertices(self):
-        assert matched(Multigraph(0, ()), Multigraph(0, ()).canonical_form)
+        assert matched(Multigraph(0, ()), Multigraph(0, ()))
 
     @settings(max_examples=200, deadline=None)
     @given(small_multigraphs(), small_multigraphs(), st.integers(0, 2**31))
     def test_random_pairs(self, g, h, seed):
         rng = random.Random(seed)
-        assert matched(g.shuffled(rng), g.canonical_form)
-        matched(h, g.canonical_form)
+        assert matched(g.shuffled(rng), g)
+        matched(h, g)
+
+
+def prism(k: int) -> Multigraph:
+    """C_k x K_2: two k-cycles joined vertex by vertex."""
+    ring = [(i, (i + 1) % k) for i in range(k)]
+    return Multigraph.from_edge_list(
+        2 * k, ring + [(k + u, k + v) for u, v in ring] + [(i, k + i) for i in range(k)]
+    )
+
+
+def doubled(g: Multigraph) -> Multigraph:
+    """g with every edge doubled."""
+    return Multigraph.from_edge_list(g.n, [(e.u, e.v) for e in g.edges for _ in range(2)])
+
+
+# vertex-transitive graphs, each next to another graph with its n and m
+SYMMETRIC_GRAPHS = (
+    [complete_graph(n) for n in range(1, 10)]
+    + [cycle_graph(n) for n in range(2, 13)]
+    + [banana_graph(k) for k in range(1, 7)]
+    + [
+        doubled(Multigraph.from_edge_list(6, [(a, b) for a in range(3) for b in range(3, 6)])),
+        doubled(prism(3)),
+        # Q3 and the Wagner graph, both cubic on 8 vertices
+        Multigraph.from_edge_list(8, [(a, a | 1 << b) for a in range(8) for b in range(3) if not a >> b & 1]),
+        Multigraph.from_edge_list(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]),
+        # Petersen and the pentagonal prism, both cubic on 10 vertices
+        Multigraph.from_edge_list(
+            10,
+            [(i, (i + 1) % 5) for i in range(5)]
+            + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+        ),
+        prism(5),
+        cycle_graph(6).shuffled(random.Random(1)),  # C6 again, relabelled
+    ]
+)
+
+
+def assert_canonical_under_relabellings(g: Multigraph, rng: random.Random) -> None:
+    """Three relabellings of g have g's canonical form, and each one's
+    canonicalize maps agree with its canonical graph."""
+    for h in (g.shuffled(rng), g.shuffled(rng), g.shuffled(rng)):
+        canon, vperm, emap = h.canonicalize()
+        assert canon.multiplicity_matrix == g.canonical_form
+        assert sorted(vperm) == list(range(g.n))
+        assert h.permuted(vperm).multiplicity_matrix == canon.multiplicity_matrix
+        assert sorted(emap.values()) == list(range(g.m))
+
+
+class TestIndividualizationRefinement:
+    """The canonical form by individualization-refinement separates the
+    same isomorphism classes as the lex-max form of the ordering search
+    it replaced (`lex_max_graph`): two graphs have equal canonical forms
+    exactly when they have equal lex-max matrices."""
+
+    def test_census_and_shuffled_copies(self):
+        graphs = enumerate_census(CensusBounds(7, 10, 4))
+        assert len({g.canonical_form for g in graphs}) == len(graphs)
+        rng = random.Random(74)
+        for g in graphs:
+            h = g.shuffled(rng)
+            assert h.canonical_form == g.canonical_form
+            assert lex_max_graph(h).multiplicity_matrix == g.multiplicity_matrix
+
+    @pytest.mark.parametrize(
+        "delta,n", [(2, 48), (2, 100), (3, 80), (3, 100), (4, 48), (4, 100)]
+    )
+    def test_glued_chains(self, delta, n):
+        g = glued_chain(delta, n)
+        assert_canonical_under_relabellings(g, random.Random(delta * 1000 + n))
+
+    def test_symmetric_graphs(self):
+        rng = random.Random(9)
+        for g in SYMMETRIC_GRAPHS:
+            assert_canonical_under_relabellings(g, rng)
+        assert complete_graph(9).canonical_form == complete_graph(9).multiplicity_matrix
+        for g, h in itertools.combinations(SYMMETRIC_GRAPHS, 2):
+            if (g.n, g.m) == (h.n, h.m):
+                matched(g, h)
