@@ -44,6 +44,12 @@ EXIT_INTERNAL = 3
 # this many (by the Matrix-Tree count) is refused with exit code 2.
 FACETS_MAX_TREES = 100_000
 
+# `glue` replaces the glued classes F1 and F2 by w(F1) + w(F2) - delta
+# parallel edges, and an edge weighs at most delta - 1: a spec for which
+# (|F1| + |F2|)(delta - 1) - delta exceeds this is refused with exit code 2
+# before any edge is built.
+GLUE_MAX_EDGES = 100_000
+
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -275,7 +281,17 @@ def _cmd_glue(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: {args.spec}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    result = delta_gluing(_gluing_spec(data))
+    spec = _gluing_spec(data)
+    classes = len(spec.left_parallel_class) + len(spec.right_parallel_class)
+    bound = classes * (spec.delta - 1) - spec.delta
+    if bound > GLUE_MAX_EDGES:
+        print(
+            f"error: delta {spec.delta} allows {bound} replacement edges; "
+            f"glue builds at most {GLUE_MAX_EDGES}",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
+    result = delta_gluing(spec)
     _print_graph(result, args.format)
     return EXIT_OK
 

@@ -67,7 +67,7 @@ class GluingError(ValueError):
 
 def _edge_weight(graph: Multigraph, eid: int, delta: int) -> int:
     try:
-        kind = matroid.edge_kind(graph, eid)
+        kind = matroid.edge_kinds(graph)[eid]
     except KeyError:
         raise GluingError(f"unknown edge id {eid}") from None
     if kind == "del":
@@ -356,17 +356,15 @@ def _side_graph(graph: Multigraph, eids, u: int, v: int) -> Multigraph:
     return Multigraph(len(order), tuple(edges))
 
 
-def _side_kinds(
-    side: int, ends: int, single: bool, apart: Sequence[int]
-) -> tuple[str | None, str | None]:
-    """The kinds of a side's fresh u-v edge: (with direct edges, without).
+def _side_kind(side: int, ends: int, single: bool, apart: Sequence[int]) -> str | None:
+    """The kind of a side's fresh u-v edge when the side keeps no direct edge.
 
     The side graph is G[side] with the fresh edge and the direct edges it
     keeps in place of G's u-v edges; ends is the mask of u and v, single
     says whether the side holds exactly one piece, and apart holds the
-    neighbour masks of G with u and v made apart.  The pair is
-    `matroid.edge_kinds(side graph)[fresh]` when the side keeps at least
-    one direct edge and when it keeps none.
+    neighbour masks of G with u and v made apart.  The kind is
+    `matroid.edge_kinds(side graph)[fresh]` for a side that keeps no
+    direct edge; with one, it is always "del".
 
     G must be 2-connected; then every side graph is (the lemma).  G - u
     and G - v are connected, so each component of G - {u, v} has a
@@ -384,10 +382,10 @@ def _side_kinds(
     2-connected side has no cut vertex), else None.
     """
     if side == ends:
-        return "del", None
+        return None
     if _blocks(ends & -ends, side, apart) == [side]:
-        return "del", "del"
-    return "del", "con" if single else None
+        return "del"
+    return "con" if single else None
 
 
 def _spade_holds(graph: Multigraph, delta: int) -> bool:
@@ -406,26 +404,22 @@ def _flat_sizes(graph: Multigraph) -> Iterator[tuple[int, int]]:
 def _split_predecessors(state: Multigraph, delta: int):
     """Undo one gluing: split at a merged vertex pair.
 
-    Yields (shape, build, verify) for each split into 2-connected sides
-    whose fresh edges have the kinds the gluing needs.  shape is the raw
-    predecessor's (n, m), read off the masks; build() builds it.
-    verify(canon) runs the costly rest (spade on the partner, the forward
-    gluing replayed on the canonical sides) and returns (predecessor,
-    forward step), or None; canon is the raw predecessor's
-    `canonicalize()` if the caller has it, else None.
+    Yields (shape, verify) for each split into 2-connected sides whose
+    fresh edges have the kinds the gluing needs.  shape is the raw
+    predecessor's (n, m), read off the masks.  verify() runs the costly
+    rest (spade on the partner, the forward gluing replayed on the
+    canonical sides) and returns (predecessor, forward step), or None.
 
     A split at {u, v} gives each side some of the pieces (`_pieces`), a
     share of the direct u-v edges (a "delta" split withholds delta - 2 of
     them) and a fresh u-v edge.  A "path" split needs the raw side's fresh
     edge "del" and the partner's "con" (not None at delta = 2); a "delta"
     split needs both "con".  These filters run on vertex masks: per piece
-    subset, `_side_kinds` reads the side's fresh edge's kind, with and
-    without direct edges, off at most one block search, for every style
-    and share at once; every side of a 2-connected state is 2-connected
-    (the lemma in `_side_kinds`).  No side is built here: the raw side
-    has the side mask's vertices and its edges plus the fresh one, and
-    is built when the caller asks or verify needs it; verify builds the
-    partner.
+    subset, `_side_kind` reads the side's fresh edge's kind off at most
+    one block search, for every style and share at once (a side that
+    keeps a direct edge gives "del"); every side of a 2-connected state
+    is 2-connected (the lemma in `_side_kind`).  No side is built here:
+    verify builds both.
     """
     nbr = state.neighbour_masks
     for u, v in itertools.combinations(range(state.n), 2):
@@ -443,14 +437,11 @@ def _split_predecessors(state: Multigraph, delta: int):
         sides = [ends]  # piece subset -> its side's vertex mask
         for piece in groups:
             sides += [side | piece for side in sides]
-        kinds = [
-            _side_kinds(side, ends, side ^ ends in groups, apart)
-            for side in sides
-        ]
+        kinds = [_side_kind(side, ends, side ^ ends in groups, apart) for side in sides]
         pieces = list(groups.values())
         every = (1 << units) - 1
         for mask in range(1 << units):
-            a_kinds, b_kinds = kinds[mask], kinds[every ^ mask]
+            a_kind, b_kind = kinds[mask], kinds[every ^ mask]
             a_size = sides[mask].bit_count()
             side_a = [eid for i in range(units) if mask >> i & 1 for eid in pieces[i]]
             side_b = [
@@ -461,29 +452,27 @@ def _split_predecessors(state: Multigraph, delta: int):
                 for d_a in range(usable + 1):
                     if not (side_a or d_a) or not (side_b or d_a < usable):
                         continue
-                    k1 = a_kinds[d_a == 0]
+                    k1 = "del" if d_a else a_kind
                     if k1 != ("del" if style == "path" else "con"):
                         continue
-                    k2 = b_kinds[d_a == usable]
+                    k2 = "del" if d_a < usable else b_kind
                     if k2 is None or delta > 2 and k2 != "con":
                         continue
                     a_edges = side_a + direct[:d_a]
                     b_edges = side_b + direct[d_a:usable]
                     yield (
                         (a_size, len(a_edges) + 1),
-                        partial(_side_graph, state, a_edges, u, v),
                         partial(_verify_split, state, delta, style, a_edges, b_edges, u, v),
                     )
 
 
 def _verify_split(
-    state: Multigraph, delta: int, style: str, a_edges, b_edges, u: int, v: int,
-    canon=None,
+    state: Multigraph, delta: int, style: str, a_edges, b_edges, u: int, v: int
 ):
     g2 = _side_graph(state, b_edges, u, v)
     if not _spade_holds(g2, delta):
         return None
-    g1c, _, em1 = canon or _side_graph(state, a_edges, u, v).canonicalize()
+    g1c, _, em1 = _side_graph(state, a_edges, u, v).canonicalize()
     g2c, _, em2 = g2.canonicalize()
     # the fresh edges' ids, as `_side_graph` gives them
     e1c, e2c = em1[max(a_edges) + 1], em2[max(b_edges) + 1]
@@ -501,32 +490,27 @@ def _verify_split(
 def _subdivision_predecessors(state: Multigraph, delta: int, max_vertices: int):
     """Undo one path contraction: subdivide a parallel-class edge.
 
-    Yields (shape, build, verify) as `_split_predecessors` does; verify
-    contracts the path again.
+    Yields (shape, verify) as `_split_predecessors` does, subdividing the
+    first edge of each parallel class, classes in the order of their first
+    edges; verify contracts the path again.
     """
     if delta < 3 or state.n + delta - 2 > max_vertices:
         return
+    mult = state.multiplicity_matrix
+    kinds = matroid.edge_kinds(state)
     seen_pairs = set()
     for e in state.edges:
-        if (e.u, e.v) in seen_pairs:
-            continue
-        cls = state.parallel_class(e.eid)
-        if len(cls) < 2:
+        if mult[e.u][e.v] < 2 or (e.u, e.v) in seen_pairs:
             continue
         seen_pairs.add((e.u, e.v))
-        eid = cls[0]
-        if matroid.edge_kind(state, eid) != "del":
+        if kinds[e.eid] != "del":
             continue
-        raw, chain = subdivide_edge(state, eid, delta)
-        yield (
-            (raw.n, raw.m),
-            lambda raw=raw: raw,
-            partial(_verify_subdivision, state, delta, raw, chain),
-        )
+        raw, chain = subdivide_edge(state, e.eid, delta)
+        yield (raw.n, raw.m), partial(_verify_subdivision, state, delta, raw, chain)
 
 
-def _verify_subdivision(state: Multigraph, delta: int, raw: Multigraph, chain, canon=None):
-    pred, vperm, _ = canon or raw.canonicalize()
+def _verify_subdivision(state: Multigraph, delta: int, raw: Multigraph, chain):
+    pred, vperm, _ = raw.canonicalize()
     mapped = tuple(vperm[w] for w in chain)
     try:
         back = contract_path(pred, mapped, delta)
@@ -563,23 +547,22 @@ def decompose(
     side's fresh u-v edge is "del" when the side keeps a direct u-v edge
     or stays 2-connected without the u-v adjacency, else "con" when it
     holds one component of the graph minus {u, v}, else None; these are
-    the `matroid.edge_kinds` readings of the built side (`_side_kinds`).
+    the `matroid.edge_kinds` readings of the built side (`_side_kind`).
 
     Predecessors are verified lazily: an expansion first verifies only
     those that could end the search (a seed or a memo hit), and the rest,
     in order, only if none does.  Every check is pure and ending depends
     on the canonical predecessor alone, so trace and memo are those of
     verifying every candidate in order, and every returned step is verified.
-    A candidate comes with its (n, m), read off the masks, and its raw
-    graph is built only when the memo needs its canonical form or when
-    it is verified; a first pass that no seed or memo entry can end
-    builds none.
+    A candidate comes with its (n, m), and the first pass verifies only
+    those of a shape that some seed or memo entry has; a split reads its
+    shape off the masks and builds its sides only when it is verified.
 
     Verifying a step replays it forward on the canonical predecessor and
     partner and compares the result's canonical form with the state's;
     canonical labelling by individualization-refinement makes that one
-    cheap canonicalization of the replayed graph.  The gluing reads only
-    the two glued edges' kinds (`matroid.edge_kind`).
+    cheap canonicalization of the replayed graph.  The gluing reads the
+    glued edges' kinds from the cached `matroid.edge_kinds`.
     """
     if delta < 2:
         raise ValueError("delta must be >= 2")
@@ -614,23 +597,19 @@ def _search(target: Multigraph, delta: int, memo: Memo):
             _split_predecessors(state, delta),
             _subdivision_predecessors(state, delta, max_vertices),
         )
-        candidates, verified, canons = [], {}, {}
-        for shape, build, verify in preds:  # pass 1: verify only what may end the search
+        candidates, verified = [], {}
+        for shape, verify in preds:  # pass 1: verify only what may end the search
             candidates.append(verify)
             if shape not in shapes:
                 continue
-            if memo:  # canonicalized once: verify reuses it
-                canons[verify] = build().canonicalize()
-                if canons[verify][0] not in ends:
-                    continue
-            hit = verified[verify] = verify(canons.get(verify))
+            hit = verified[verify] = verify()
             if hit and hit[0] in ends and _spade_holds(hit[0], delta):
                 came_from[hit[0]] = (state, hit[1])
                 found = (hit[0], *ends[hit[0]])
                 break
         else:  # pass 2: nothing ends the search; any memo hit left is a dead end
             for verify in candidates:
-                hit = verified[verify] if verify in verified else verify(canons.get(verify))
+                hit = verified[verify] if verify in verified else verify()
                 if hit is None or hit[0] in discovered or (delta, hit[0]) in memo:
                     continue
                 if _spade_holds(hit[0], delta):

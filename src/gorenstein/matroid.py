@@ -90,9 +90,8 @@ contractions.  A cut vertex of G is a vertex that lies in two blocks.
 - "del": G - e is 2-connected.  That needs G 2-connected, i.e. its
   blocks are the single full mask; then a parallel copy of e keeps it
   so, and otherwise (n >= 3) the blocks of G - e must be the full mask
-  again.  For one edge (`edge_kind`) that is one block search on G - e.
-  For all of them, `edge_kinds` runs one block search per vertex x, on
-  G - x, instead of one per edge: G - uv is connected, so it is
+  again.  `edge_kinds` runs one block search per vertex x, on G - x,
+  instead of one per edge on G - e: G - uv is connected, so it is
   2-connected exactly when no x is a cut vertex of it.  Neither u nor v
   can be one, as (G - uv) - u = G - u is connected; and for any other
   x, (G - uv) - x = (G - x) - uv with G - x connected, so x is a cut
@@ -113,7 +112,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .multigraph import Edge, Multigraph, _bits, _blocks, _components, _reach
+from .multigraph import Multigraph, _bits, _blocks, _components, _reach
 
 
 @dataclass(frozen=True)
@@ -141,57 +140,25 @@ def edge_kinds(graph: Multigraph) -> Mapping[int, str | None]:
             blocks = _blocks(rest & -rest, rest, nbr)
             bridged.update(b for b in blocks if b.bit_count() == 2)
     copies = Counter((e.u, e.v) for e in graph.edges)
-    cut = _contraction_cut(graph)
+    # the cut vertices of G (those in two blocks) as a mask, or None when no
+    # G/e is 2-connected: G is disconnected or has fewer than 3 vertices
+    cut = None
+    if n >= 3 and graph.is_connected():
+        seen = cut = 0
+        for b in graph.block_masks:
+            cut |= seen & b
+            seen |= b
     kinds: dict[int, str | None] = {}
     for e in graph.edges:
         pair = (1 << e.u) | (1 << e.v)
+        rest = full & ~pair
         if two_connected and (copies[e.u, e.v] > 1 or n >= 3 and pair not in bridged):
             kinds[e.eid] = "del"
+        elif cut is None or cut & rest or _reach(rest, nbr) != rest:
+            kinds[e.eid] = None
         else:
-            kinds[e.eid] = _contraction_kind(nbr, full, cut, pair)
+            kinds[e.eid] = "con"
     return MappingProxyType(kinds)
-
-
-def edge_kind(graph: Multigraph, eid: int) -> str | None:
-    """`edge_kinds(graph)[eid]` from at most one block search, uncached.
-
-    For a caller that needs a single edge of a graph it will not ask
-    about again.  Raises KeyError for an edge id the graph lacks.
-    """
-    e = graph.edge(eid)
-    n = graph.n
-    nbr = graph.neighbour_masks
-    full = (1 << n) - 1
-    if graph.is_two_connected() and (
-        len(graph.parallel_class(eid)) > 1
-        or n >= 3 and _blocks(1, full, _without(nbr, e)) == [full]
-    ):
-        return "del"
-    pair = (1 << e.u) | (1 << e.v)
-    return _contraction_kind(nbr, full, _contraction_cut(graph), pair)
-
-
-def _contraction_cut(graph: Multigraph) -> int | None:
-    """The cut vertices of G (those in two blocks) as a mask, or None when
-    no G/e is 2-connected: G is disconnected or has fewer than 3 vertices."""
-    if graph.n < 3 or not graph.is_connected():
-        return None
-    seen = cut = 0
-    for b in graph.block_masks:
-        cut |= seen & b
-        seen |= b
-    return cut
-
-
-def _contraction_kind(
-    nbr: Sequence[int], full: int, cut: int | None, pair: int
-) -> str | None:
-    """'con' if contracting an edge with endpoint mask pair leaves G
-    2-connected, given `_contraction_cut(G)`, else None."""
-    rest = full & ~pair
-    if cut is None or cut & rest:
-        return None
-    return "con" if _reach(rest, nbr) == rest else None
 
 
 def deletable_edges(graph: Multigraph) -> frozenset[int]:
@@ -297,14 +264,6 @@ def _exclusions(inner: int, rest: int, w: int, nbr: Sequence[int]) -> Sequence[i
         if not y & (y - 1):  # {x, y} is the one block that holds x
             return (x | y,) if y and not inner & ~(x | y) else ()
     return [b for b in _blocks(inner & -inner, rest, nbr) if b & inner == inner]
-
-
-def _without(nbr: Sequence[int], e: Edge) -> list[int]:
-    """The neighbour masks of G - e, for an edge without parallel copies."""
-    out = list(nbr)
-    out[e.u] &= ~(1 << e.v)
-    out[e.v] &= ~(1 << e.u)
-    return out
 
 
 @lru_cache(maxsize=16384)

@@ -8,7 +8,7 @@ This module is the only one that knows how connectivity is computed.
 A vertex subset is an int mask; each graph caches one neighbour mask
 per vertex (`neighbour_masks`) and the vertex masks of its blocks
 (`block_masks`), found by one mask-native block DFS (`_blocks`) per
-component.  `blocks`, `is_connected` and `is_two_connected` read those,
+component.  `is_connected` and `is_two_connected` read those,
 and `matroid`, `constructions` and `census` import the mask helpers
 (`_bits`, `_reach`, `_components`, `_blocks`) instead of searching on
 their own.
@@ -222,14 +222,6 @@ class Multigraph:
             rest ^= comp
         return tuple(out)
 
-    def blocks(self) -> list[frozenset[int]]:
-        """The 2-connected components (blocks), as vertex sets.
-
-        A single vertex yields no block; a bridge is its own block.
-        Parallel edges keep their endpoints in one block.
-        """
-        return [frozenset(_bits(b)) for b in self.block_masks]
-
     def is_two_connected(self) -> bool:
         """Connected, at least two vertices, and no cut vertex.
 
@@ -245,29 +237,45 @@ class Multigraph:
     # -- spanning trees ----------------------------------------------------
 
     def spanning_trees(self) -> list[frozenset[int]]:
-        """All spanning trees as edge-id sets (parallel edges give distinct trees)."""
+        """All spanning trees as edge-id sets (parallel edges give distinct
+        trees), in combinations order of their edge positions.
+
+        A backtrack over the edge positions that tries each edge in, then
+        out.  An edge goes in only when it joins two components of the
+        edges chosen so far, and stays out only when those edges and the
+        later ones still connect the graph.  So every branch ends in a
+        tree, and the search visits at most m nodes per tree.
+        """
         if not self.is_connected():
             raise ValueError("graph is not connected")
-        k = self.n - 1
+        n, edges = self.n, self.edges
+        full = (1 << n) - 1
+        # later[i][v]: the neighbours of v over the edges at positions >= i
+        later = [(0,) * n]
+        for e in reversed(edges):
+            nbr = list(later[-1])
+            nbr[e.u] |= 1 << e.v
+            nbr[e.v] |= 1 << e.u
+            later.append(tuple(nbr))
+        later.reverse()
         out = []
-        for combo in itertools.combinations(self.edges, k):
-            parent = list(range(self.n))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            ok = True
-            for e in combo:
-                ru, rv = find(e.u), find(e.v)
-                if ru == rv:
-                    ok = False
-                    break
-                parent[rv] = ru
-            if ok:
-                out.append(frozenset(e.eid for e in combo))
+        # (next position, each vertex's component of the chosen edges as a
+        # mask, the chosen edge ids); the in-branch is pushed last, so it
+        # is searched first
+        stack = [(0, tuple(1 << v for v in range(n)), ())]
+        while stack:
+            i, comp, chosen = stack.pop()
+            if len(chosen) == n - 1:
+                out.append(frozenset(chosen))
+                continue
+            e = edges[i]
+            a, b = comp[e.u], comp[e.v]
+            if a == b or _reach(full, [x | c for x, c in zip(later[i + 1], comp)]) == full:
+                stack.append((i + 1, comp, chosen))
+            if a != b:
+                joined = a | b
+                comp = tuple(joined if c & joined else c for c in comp)
+                stack.append((i + 1, comp, chosen + (e.eid,)))
         return out
 
     def spanning_tree_count(self) -> int:

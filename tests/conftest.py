@@ -13,3 +13,9 @@ def census_small():
 def census_full():
     """Census at the acceptance bounds (5, 8, 4): 106 graphs."""
     return enumerate_census(CensusBounds(5, 8, 4))
+
+
+@pytest.fixture(scope="session")
+def census_default():
+    """Census at the CLI's default bounds (6, 10, 5): 983 graphs."""
+    return enumerate_census(CensusBounds(6, 10, 5))

@@ -7,7 +7,9 @@ acceptance criteria 6, 9 and 8.  The edge-list block DFS
 (`blocks_by_edge_dfs` and the predicates on it) and the union-find
 `pieces_by_union_find` check the mask connectivity kernel of
 `multigraph`; the census, subset-pass and edge-kind references test
-2-connectivity with them.  There are seven exceptions.
+2-connectivity with them.  `spanning_trees_by_subsets` is the walk over
+every (n - 1)-subset of the edges that the backtracking spanning-tree
+listing replaced.  There are seven exceptions.
 `edge_kinds_by_edge_search`, the per-edge kind map that the library
 replaced, runs on the kernel's `_blocks` and `_reach`: it checks the
 one-search-per-vertex rule of `matroid.edge_kinds`, not the kernel.
@@ -1090,6 +1092,33 @@ def scale_to_primitive_int(vec) -> tuple[int, ...]:
     return tuple(ivec)
 
 
+def spanning_trees_by_subsets(graph: Multigraph) -> list[frozenset[int]]:
+    """Every (n - 1)-subset of the edges that union-find finds acyclic, in
+    combinations order: the walk `Multigraph.spanning_trees` replaced."""
+    if not is_connected_by_edge_search(graph):
+        raise ValueError("graph is not connected")
+    out = []
+    for combo in itertools.combinations(graph.edges, graph.n - 1):
+        parent = list(range(graph.n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        ok = True
+        for e in combo:
+            ru, rv = find(e.u), find(e.v)
+            if ru == rv:
+                ok = False
+                break
+            parent[rv] = ru
+        if ok:
+            out.append(frozenset(e.eid for e in combo))
+    return out
+
+
 def spanning_tree_count(graph: Multigraph) -> int:
     """Matrix-Tree determinant of a Laplacian principal minor."""
     if graph.n == 1:
@@ -1219,13 +1248,12 @@ def split_predecessors_by_side_graphs(state: Multigraph, delta: int):
     """`constructions._split_predecessors` by building both side graphs.
 
     The generator the mask filter replaced, unchanged but for taking its
-    pieces from `pieces_by_union_find` and yielding (shape, build,
-    verify) from sides it has already built: every piece subset, style
-    and direct-edge share builds both sides as graphs, tests each for
-    2-connectivity and reads each fresh edge from `matroid.edge_kinds`;
-    its verify compares canonical forms.  The library generator must
-    yield the same shapes and raw predecessors, with the same verify
-    results, in the same order.
+    pieces from `pieces_by_union_find` and yielding (shape, verify) from
+    sides it has already built: every piece subset, style and direct-edge
+    share builds both sides as graphs, tests each for 2-connectivity and
+    reads each fresh edge from `matroid.edge_kinds`; its verify compares
+    canonical forms.  The library generator must yield the same shapes,
+    with the same verify results, in the same order.
     """
     for u, v in itertools.combinations(range(state.n), 2):
         pieces, direct = pieces_by_union_find(state, u, v)
@@ -1264,17 +1292,17 @@ def split_predecessors_by_side_graphs(state: Multigraph, delta: int):
                     else:
                         if delta > 2 and not (k1 == "con" and k2 == "con"):
                             continue
-                    yield (g1.n, g1.m), lambda g1=g1: g1, partial(
+                    yield (g1.n, g1.m), partial(
                         _verify_split_by_side_graphs, state, delta, style, g1, e1, g2, e2
                     )
 
 
 def _verify_split_by_side_graphs(
-    state: Multigraph, delta: int, style: str, g1, e1: int, g2, e2: int, canon=None
+    state: Multigraph, delta: int, style: str, g1, e1: int, g2, e2: int
 ):
     if not constructions._spade_holds(g2, delta):
         return None
-    g1c, _, em1 = canon or g1.canonicalize()
+    g1c, _, em1 = g1.canonicalize()
     g2c, _, em2 = g2.canonicalize()
     e1c, e2c = em1[e1], em2[e2]
     op = "path_glue" if style == "path" else "delta_glue"
@@ -1312,7 +1340,7 @@ def decompose_eagerly(
 
 
 def _verified(candidates):
-    for _, _, verify in candidates:
+    for _, verify in candidates:
         hit = verify()
         if hit is not None:
             yield hit

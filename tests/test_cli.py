@@ -204,6 +204,22 @@ class TestGlue:
             assert code == 0
             assert Multigraph.parse(out).m == 5
 
+    def test_huge_delta_refused_before_gluing(self, capsys, tmp_path):
+        # two weight-(delta - 1) edges: delta - 2 replacement edges
+        code, out, err = run_cli(capsys, "glue", self.spec_file(tmp_path, 30_000_000))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: delta 30000000 allows 29999998 replacement edges; "
+            f"glue builds at most {cli.GLUE_MAX_EDGES}\n"
+        )
+
+    def test_replacement_edge_limit_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "GLUE_MAX_EDGES", 2)
+        code, out, _ = run_cli(capsys, "glue", self.spec_file(tmp_path, 4))
+        assert code == 0 and Multigraph.parse(out).m == 6
+        code, _, err = run_cli(capsys, "glue", self.spec_file(tmp_path, 5))
+        assert code == 2 and "allows 3 replacement edges" in err
+
     def test_malformed_json_exit_two(self, capsys, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

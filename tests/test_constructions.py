@@ -444,12 +444,13 @@ class TestPiecesEqualUnionFind:
 
 
 def fresh_kinds_checked(graph) -> Counter:
-    """Compare `_side_kinds` with `matroid.edge_kinds` of the built side
+    """Compare `_side_kind` with `matroid.edge_kinds` of the built side
     graph at every vertex pair, piece subset and direct-edge share, both
-    sides of the split and every number of withheld direct edges; counts
-    the two-vertex sides and the sides of splits that withhold edges.
-    Asserts the lemma `_side_kinds` rests on: every side graph of a
-    2-connected graph is 2-connected."""
+    sides of the split and every number of withheld direct edges; a side
+    that keeps a direct edge must read "del".  Counts the two-vertex
+    sides and the sides of splits that withhold edges.  Asserts the lemma
+    `_side_kind` rests on: every side graph of a 2-connected graph is
+    2-connected."""
     assert graph.is_two_connected()
     seen = Counter()
     nbr = graph.neighbour_masks
@@ -464,21 +465,22 @@ def fresh_kinds_checked(graph) -> Counter:
             for pick in (True, False):
                 held = [m for m, c in zip(groups, chosen) if c == pick]
                 side = ends | sum(held)
-                kinds = constructions._side_kinds(side, ends, len(held) == 1, apart)
-                sides.append((kinds, [eid for m in held for eid in groups[m]]))
-            (a_kinds, a_edges), (b_kinds, b_edges) = sides
+                kind = constructions._side_kind(side, ends, len(held) == 1, apart)
+                sides.append((kind, [eid for m in held for eid in groups[m]]))
+            (a_kind, a_edges), (b_kind, b_edges) = sides
             for withheld in range(len(direct) + 1):
                 usable = len(direct) - withheld
                 for d_a in range(usable + 1):
-                    for kinds, eids, kept in (
-                        (a_kinds, a_edges + direct[:d_a], d_a),
-                        (b_kinds, b_edges + direct[d_a:usable], usable - d_a),
+                    for kind, eids, kept in (
+                        (a_kind, a_edges + direct[:d_a], d_a),
+                        (b_kind, b_edges + direct[d_a:usable], usable - d_a),
                     ):
                         side = constructions._side_graph(graph, eids, u, v)
                         fresh = max(eids, default=-1) + 1
                         assert side.is_two_connected(), (u, v, chosen, withheld, d_a)
                         expected = matroid.edge_kinds(side)[fresh]
-                        assert kinds[kept == 0] == expected, (u, v, chosen, withheld, d_a)
+                        read = "del" if kept else kind
+                        assert read == expected, (u, v, chosen, withheld, d_a)
                         seen["two-vertex"] += side.n == 2
                         seen["withheld"] += withheld > 0
     return seen
@@ -502,14 +504,12 @@ class TestFreshEdgeKinds:
 
 def same_splits(graph, delta) -> int:
     """`_split_predecessors` against the side-graph generator it replaced:
-    the same raw predecessors, in order, each built and of the shape
-    yielded beside it, with the same verify results."""
+    in order, the shapes of the raw predecessors it builds and the same
+    verify results."""
     new = list(constructions._split_predecessors(graph, delta))
     old = list(split_predecessors_by_side_graphs(graph, delta))
-    built = [build() for _, build, _ in new]
-    assert built == [build() for _, build, _ in old]
-    assert [shape for shape, _, _ in new] == [(raw.n, raw.m) for raw in built]
-    for (_, _, verify), (_, _, reference) in zip(new, old):
+    assert [shape for shape, _ in new] == [shape for shape, _ in old]
+    for (_, verify), (_, reference) in zip(new, old):
         assert verify() == reference()
     return len(new)
 

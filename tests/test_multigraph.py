@@ -14,6 +14,7 @@ from gorenstein.multigraph import (
     banana_graph,
     complete_graph,
     cycle_graph,
+    _bits,
     _canonical_ordering,
     is_canonical_order,
 )
@@ -31,6 +32,7 @@ from oracles import (
     is_two_connected_by_edge_dfs,
     lex_max_graph,
     spanning_tree_count,
+    spanning_trees_by_subsets,
 )
 
 
@@ -231,9 +233,13 @@ def multigraphs_in_parts(draw, max_n=9):
     return Multigraph.from_edge_list(n, pairs).permuted(draw(st.permutations(range(n))))
 
 
+def block_sets(g):
+    return [frozenset(_bits(b)) for b in g.block_masks]
+
+
 def assert_connectivity(g, blocks, connected, two_connected):
     """The mask kernel and the edge-list references both give these answers."""
-    for found in (g.blocks(), blocks_by_edge_dfs(g)):
+    for found in (block_sets(g), blocks_by_edge_dfs(g)):
         assert sorted(found, key=sorted) == sorted(blocks, key=sorted)
     assert g.is_connected() == is_connected_by_edge_search(g) == connected
     assert g.is_two_connected() == is_two_connected_by_edge_dfs(g) == two_connected
@@ -261,10 +267,10 @@ class TestConnectivity:
 
     def test_blocks_of_path(self):
         g = Multigraph.from_edge_list(3, [(0, 1), (1, 2)])
-        assert set(g.blocks()) == {frozenset({0, 1}), frozenset({1, 2})}
+        assert set(g.block_masks) == {0b011, 0b110}
 
     def test_blocks_parallel_edges_single_block(self):
-        assert banana_graph(4).blocks() == [frozenset({0, 1})]
+        assert banana_graph(4).block_masks == (0b11,)
         assert_connectivity(banana_graph(4), [{0, 1}], True, True)
 
     def test_two_triangles_at_cut_vertex(self):
@@ -296,8 +302,8 @@ class TestConnectivity:
     @given(multigraphs_in_parts())
     def test_kernel_equals_edge_dfs_reference(self, g):
         blocks = blocks_by_edge_dfs(g)
-        assert len(g.blocks()) == len(blocks)
-        assert set(g.blocks()) == set(blocks)
+        assert len(g.block_masks) == len(blocks)
+        assert set(block_sets(g)) == set(blocks)
         assert g.is_connected() == is_connected_by_edge_search(g)
         assert g.is_two_connected() == is_two_connected_by_edge_dfs(g)
 
@@ -344,6 +350,22 @@ class TestSpanningTrees:
         if not g.is_connected():
             return
         assert len(g.spanning_trees()) == spanning_tree_count(g)
+
+    def test_equals_subset_walk_on_default_census(self, census_default):
+        # the same trees in the same order as the walk over edge subsets
+        for g in census_default:
+            assert g.spanning_trees() == spanning_trees_by_subsets(g)
+
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_equals_subset_walk_on_glued_chains(self, delta):
+        rng = random.Random(delta)
+        for n in range(4, 11):
+            chain = glued_chain(delta, n)
+            for g in (chain, chain.shuffled(rng)):
+                assert g.spanning_trees() == spanning_trees_by_subsets(g)
+
+    def test_single_vertex_has_the_empty_tree(self):
+        assert Multigraph(1, ()).spanning_trees() == [frozenset()]
 
 
 class TestCanonicalForm:
