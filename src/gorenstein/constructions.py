@@ -6,8 +6,11 @@ Its two specializations (gluing along a weight-1/weight-(delta-1) edge
 pair with zero replacement edges, and along two weight-(delta-1) edges
 with delta-2 replacement edges), together with contracting degree-2
 paths, generate every Gorenstein multigraph from a delta-cycle (or from
-K_4 when delta = 2).  `decompose` searches for such a construction and
-returns a replayable trace.
+K_4 when delta = 2).  `delta_gluing` is the only builder of a glued
+graph: subdividing a weight-1 edge is path-gluing the delta-cycle onto
+it, and multi-gluing is a fold of universal gluings.  `_seed_graphs` is
+the one table of seeds.  `decompose` searches for such a construction
+and returns a replayable trace.
 """
 
 from __future__ import annotations
@@ -167,22 +170,19 @@ def delta_edge_gluing(
 def subdivide_edge(
     graph: Multigraph, eid: int, delta: int
 ) -> tuple[Multigraph, tuple[int, ...]]:
-    """Replace an edge by a path of delta - 1 edges (fresh interior vertices).
+    """Replace a weight-1 edge by a path of delta - 1 edges.
 
-    Equivalent to path-gluing with a delta-cycle along the edge.  Returns
-    the new graph and the path's vertex sequence.
+    This is path-gluing the delta-cycle along the edge, so the graph must
+    be 2-connected and the edge deletable ("del"); anything else raises
+    GluingError.  The cycle's interior vertices 1..delta-2 are appended
+    in order and its edges take fresh ids in path order.  Returns the new
+    graph and the path's vertex sequence.
     """
     if delta < 2:
         raise GluingError("delta must be >= 2")
+    glued = path_gluing(graph, eid, cycle_graph(delta), delta - 1, delta)
     e = graph.edge(eid)
-    interior = list(range(graph.n, graph.n + delta - 2))
-    chain = [e.u] + interior + [e.v]
-    next_id = max(f.eid for f in graph.edges) + 1
-    edges = [f for f in graph.edges if f.eid != eid]
-    for a, b in zip(chain, chain[1:]):
-        edges.append(Edge(next_id, min(a, b), max(a, b)))
-        next_id += 1
-    return Multigraph(graph.n + delta - 2, tuple(edges)), tuple(chain)
+    return glued, (e.u, *range(graph.n, glued.n), e.v)
 
 
 def contract_path(graph: Multigraph, path: tuple[int, ...], delta: int) -> Multigraph:
@@ -256,9 +256,12 @@ def multi_gluing(graphs, edges, delta: int) -> Multigraph:
     """Unify one weight-(delta-1) edge from each of delta - 1 graphs.
 
     The chosen edges merge into a single edge of weight 1.  For delta = 2
-    this is vacuous and returns the single input unchanged.  The result
-    coincides, up to isomorphism, with one delta-edge-gluing followed by
-    delta - 3 path gluings that consume all but one replacement edge.
+    this is vacuous and returns the single input unchanged.  Otherwise it
+    is a fold of universal gluings: one delta-edge-gluing of the first two
+    graphs, then each further graph glued along its chosen edge to the
+    class of replacement edges between the first chosen edge's ends.
+    After k graphs that class holds delta - k parallel edges of weight 1,
+    and the last gluing leaves one.
     """
     graphs = list(graphs)
     edges = list(edges)
@@ -269,28 +272,12 @@ def multi_gluing(graphs, edges, delta: int) -> Multigraph:
     for g, e in zip(graphs, edges):
         if _edge_weight(g, e, delta) != delta - 1:
             raise GluingError(f"edge {e} must have weight {delta - 1}")
-    # global vertices: 0 = merged u, 1 = merged v, others appended per graph
-    out_edges: list[Edge] = []
-    next_id = 0
-    nxt = 2
-    for g, chosen in zip(graphs, edges):
-        ce = g.edge(chosen)
-        vmap = {ce.u: 0, ce.v: 1}
-        for w in range(g.n):
-            if w not in vmap:
-                vmap[w] = nxt
-                nxt += 1
-        for e in g.edges:
-            if e.eid == chosen:
-                continue
-            a, b = vmap[e.u], vmap[e.v]
-            out_edges.append(Edge(next_id, min(a, b), max(a, b)))
-            next_id += 1
-    out_edges.append(Edge(next_id, 0, 1))
-    result = Multigraph(nxt, tuple(out_edges))
-    if not result.is_two_connected():
-        raise GluingError("gluing produced a non-2-connected graph")
-    return result
+    cur, merged = graphs[0], frozenset([edges[0]])
+    first = cur.edge(edges[0])
+    for g, e in zip(graphs[1:], edges[1:]):
+        cur = delta_gluing(GluingSpec(cur, merged, g, frozenset([e]), delta))
+        merged = frozenset(f.eid for f in cur.edges if (f.u, f.v) == (first.u, first.v))
+    return cur
 
 
 # -- decomposition search --------------------------------------------------
@@ -299,13 +286,20 @@ def multi_gluing(graphs, edges, delta: int) -> Multigraph:
 Memo = dict[tuple[int, Multigraph], tuple[str, tuple[TraceStep, ...]] | None]
 
 
+def _seed_graphs(delta: int) -> dict[str, Multigraph]:
+    """The seeds at this delta by name: the delta-cycle, and K_4 at delta = 2."""
+    seeds = {SEED_CYCLE: cycle_graph(delta)}
+    if delta == 2:
+        seeds[SEED_K4] = complete_graph(4)
+    return seeds
+
+
 @cache
 def _seeds(delta: int) -> Mapping[Multigraph, str]:
     """The canonical seed graphs at this delta; read-only, built once per delta."""
-    seeds = {cycle_graph(delta).canonicalize()[0]: SEED_CYCLE}
-    if delta == 2:
-        seeds[complete_graph(4).canonicalize()[0]] = SEED_K4
-    return MappingProxyType(seeds)
+    return MappingProxyType(
+        {g.canonicalize()[0]: name for name, g in _seed_graphs(delta).items()}
+    )
 
 
 def _pieces(graph: Multigraph, u: int, v: int):
@@ -411,9 +405,10 @@ def _split_predecessors(state: Multigraph, delta: int):
     canonical sides) and returns (predecessor, forward step), or None.
 
     A split at {u, v} gives each side some of the pieces (`_pieces`), a
-    share of the direct u-v edges (a "delta" split withholds delta - 2 of
-    them) and a fresh u-v edge.  A "path" split needs the raw side's fresh
-    edge "del" and the partner's "con" (not None at delta = 2); a "delta"
+    share of the direct u-v edges (a "delta_glue" split withholds
+    delta - 2 of them) and a fresh u-v edge; its style is the op of the
+    step it undoes.  A "path_glue" split needs the raw side's fresh edge
+    "del" and the partner's "con" (not None at delta = 2); a "delta_glue"
     split needs both "con".  These filters run on vertex masks: per piece
     subset, `_side_kind` reads the side's fresh edge's kind off at most
     one block search, for every style and share at once (a side that
@@ -427,9 +422,9 @@ def _split_predecessors(state: Multigraph, delta: int):
         units = len(groups)
         if units + len(direct) < 2:
             continue
-        styles = [("path", 0)]
+        styles = [("path_glue", 0)]
         if delta >= 3 and len(direct) >= delta - 2:
-            styles.append(("delta", delta - 2))
+            styles.append(("delta_glue", delta - 2))
         ends = (1 << u) | (1 << v)
         apart = list(nbr)
         apart[u] &= ~(1 << v)
@@ -453,7 +448,7 @@ def _split_predecessors(state: Multigraph, delta: int):
                     if not (side_a or d_a) or not (side_b or d_a < usable):
                         continue
                     k1 = "del" if d_a else a_kind
-                    if k1 != ("del" if style == "path" else "con"):
+                    if k1 != ("del" if style == "path_glue" else "con"):
                         continue
                     k2 = "del" if d_a < usable else b_kind
                     if k2 is None or delta > 2 and k2 != "con":
@@ -476,15 +471,14 @@ def _verify_split(
     g2c, _, em2 = g2.canonicalize()
     # the fresh edges' ids, as `_side_graph` gives them
     e1c, e2c = em1[max(a_edges) + 1], em2[max(b_edges) + 1]
-    op = "path_glue" if style == "path" else "delta_glue"
-    glue = path_gluing if style == "path" else delta_edge_gluing
+    glue = path_gluing if style == "path_glue" else delta_edge_gluing
     try:
         replayed = glue(g1c, e1c, g2c, e2c, delta)
     except GluingError:
         return None
     if replayed.canonical_form != state.canonical_form:
         return None
-    return g1c, TraceStep(op, partner=g2c, self_edge=e1c, partner_edge=e2c)
+    return g1c, TraceStep(style, partner=g2c, self_edge=e1c, partner_edge=e2c)
 
 
 def _subdivision_predecessors(state: Multigraph, delta: int, max_vertices: int):
@@ -628,11 +622,10 @@ def _search(target: Multigraph, delta: int, memo: Memo):
 
 
 def seed_graph(trace: ConstructionTrace) -> Multigraph:
-    if trace.seed == SEED_CYCLE:
-        return cycle_graph(trace.delta)
-    if trace.seed == SEED_K4:
-        return complete_graph(4)
-    raise ValueError(f"unknown seed {trace.seed!r}")
+    seeds = _seed_graphs(trace.delta)
+    if trace.seed not in seeds:
+        raise ValueError(f"no seed {trace.seed!r} at delta {trace.delta}")
+    return seeds[trace.seed]
 
 
 def replay(trace: ConstructionTrace) -> Multigraph:

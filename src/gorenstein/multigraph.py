@@ -169,11 +169,6 @@ class Multigraph:
             nbr[e.v] |= 1 << e.u
         return tuple(nbr)
 
-    def parallel_class(self, eid: int) -> tuple[int, ...]:
-        """Ids of all edges sharing this edge's endpoint pair (incl. itself)."""
-        e = self.edge(eid)
-        return tuple(f.eid for f in self.edges if (f.u, f.v) == (e.u, e.v))
-
     def has_parallel_edges(self) -> bool:
         seen = set()
         for e in self.edges:
@@ -608,22 +603,12 @@ def is_canonical_order(mult: Sequence[Sequence[int]], n: int) -> bool:
     Every prefix of such a maximal matrix passes this test, which is what
     makes orderly census generation exact.  This is the census's own
     test; the canonical form of `Multigraph` is `_canonical_labelling`'s.
-    """
-    identity = tuple(mult[i][j] for j in range(n) for i in range(j))
-    return _canonical_ordering(mult, n, identity) is None
 
-
-def _canonical_ordering(
-    mult: Sequence[Sequence[int]], n: int, incumbent: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    """The first vertex ordering prefix whose sequence beats the incumbent.
-
-    An ordering's sequence is its column-wise upper-triangle sequence:
-    cells (i, j) with i < j in order (j, i), so placing the k-th vertex
-    appends exactly k known entries, which makes prefix pruning sound.
-    The branch-and-bound returns the first ordering prefix whose sequence
-    beats the incumbent's prefix of the same length, or None when none
-    does.
+    An ordering's sequence lists cells (i, j) with i < j in order (j, i),
+    so placing the k-th vertex appends exactly k known entries, which
+    makes prefix pruning sound.  The branch-and-bound answers False at
+    the first ordering prefix whose sequence beats the identity's prefix
+    of the same length.
 
     The unplaced vertices travel as an ordered partition into vertex
     cells (column, vertices): column holds the multiplicities to the
@@ -633,21 +618,20 @@ def _canonical_ordering(
     first.  Columns of equal length compare lexicographically, so the
     split keeps the vertex cells in the order of their full columns.  A
     node compares only the k entries a child appends, its column, with
-    the same k entries of the incumbent; a smaller column ends the node,
-    since every later one is smaller still.
+    the identity's entries at the same positions; a smaller column ends
+    the node, since every later one is smaller still.
     """
-    order: list[int] = []
+    identity = tuple(mult[i][j] for j in range(n) for i in range(j))
 
-    def rec(p: int, cells: list[tuple[tuple[int, ...], list[int]]]) -> tuple[int, ...] | None:
-        """Search below the current prefix, whose sequence equals the
-        incumbent's first p entries."""
-        k = len(order)
+    def beaten(p: int, k: int, cells: list[tuple[tuple[int, ...], list[int]]]) -> bool:
+        """Whether an ordering below the current prefix of k vertices, whose
+        sequence equals the identity's first p entries, beats the identity."""
+        ref = identity[p : p + k]
         for col, verts in cells:
-            ref = incumbent[p : p + k]
             if col < ref:
                 break  # every remaining column is smaller still
             if col > ref:
-                return tuple(order) + (verts[0],)
+                return True
             for v in verts:
                 row = mult[v]  # mult is symmetric: row v is column v
                 refined = []
@@ -662,14 +646,11 @@ def _canonical_ordering(
                             split.setdefault(row[w], []).append(w)
                     for x in sorted(split, reverse=True):
                         refined.append((c + (x,), split[x]))
-                order.append(v)
-                found = rec(p + k, refined)
-                if found is not None:
-                    return found
-                order.pop()
-        return None
+                if beaten(p + k, k + 1, refined):
+                    return True
+        return False
 
-    return rec(0, [((), list(range(n)))] if n else [])
+    return not beaten(0, 0, [((), list(range(n)))] if n else [])
 
 
 # -- common small graphs ---------------------------------------------------

@@ -79,9 +79,6 @@ class FacetInequality:
     def distance(self, point, dilation: int = 1) -> int:
         return dilation * self.reduced_offset - dot(self.reduced_normal, point)
 
-    def holds(self, point, dilation: int = 1) -> bool:
-        return dot(self.normal, point) <= dilation * self.offset
-
 
 @dataclass(frozen=True)
 class BasePolytope:

@@ -9,7 +9,10 @@ acceptance criteria 6, 9 and 8.  The edge-list block DFS
 `multigraph`; the census, subset-pass and edge-kind references test
 2-connectivity with them.  `spanning_trees_by_subsets` is the walk over
 every (n - 1)-subset of the edges that the backtracking spanning-tree
-listing replaced.  There are seven exceptions.
+listing replaced.  `subdivide_edge_by_hand` and
+`multi_gluing_by_vertex_map` are the builders that path-gluing the
+delta-cycle and the fold of universal gluings replaced in
+`constructions`.  There are seven exceptions.
 `edge_kinds_by_edge_search`, the per-edge kind map that the library
 replaced, runs on the kernel's `_blocks` and `_reach`: it checks the
 one-search-per-vertex rule of `matroid.edge_kinds`, not the kernel.
@@ -219,8 +222,8 @@ def enumerate_orderly_unpruned(bounds: CensusBounds) -> list[Multigraph]:
 def canonical_ordering_by_columns(
     mult: Sequence[Sequence[int]], n: int, incumbent: tuple[int, ...] | None = None
 ) -> tuple[int, ...] | None:
-    """The lex-max ordering, or `multigraph._canonical_ordering`'s answer
-    to an incumbent, with every column rebuilt per node.
+    """The lex-max ordering, or the first prefix that beats an incumbent,
+    with every column rebuilt per node.
 
     Each search node rebuilds the column of every unplaced vertex from
     the placement order and sorts the distinct columns; there are no
@@ -279,8 +282,8 @@ def canonical_ordering_by_columns(
 def canonical_ordering_by_cells(
     mult: Sequence[Sequence[int]], n: int, incumbent: tuple[int, ...] | None = None
 ) -> tuple[int, ...] | None:
-    """The lex-max ordering, or `multigraph._canonical_ordering`'s answer
-    to an incumbent, with the whole sequence compared per node.
+    """The lex-max ordering, or the first prefix that beats an incumbent,
+    with the whole sequence compared per node.
 
     Every search node builds its sequence as a tuple (`seq + col`) and
     compares it with the best sequence's prefix of the same length, both
@@ -744,6 +747,54 @@ def edges_within(graph: Multigraph, subset: frozenset[int] | set[int]) -> frozen
     )
 
 
+def parallel_class(graph: Multigraph, eid: int) -> tuple[int, ...]:
+    """Ids of all edges sharing this edge's endpoint pair (incl. itself)."""
+    e = graph.edge(eid)
+    return tuple(f.eid for f in graph.edges if (f.u, f.v) == (e.u, e.v))
+
+
+def subdivide_edge_by_hand(
+    graph: Multigraph, eid: int, delta: int
+) -> tuple[Multigraph, tuple[int, ...]]:
+    """`constructions.subdivide_edge` as the builder it replaced.
+
+    Appends delta - 2 fresh interior vertices and joins the edge's ends
+    through them by delta - 1 edges with fresh ids in path order; it
+    checks neither the edge's kind nor 2-connectivity.  The library's
+    path-gluing of the delta-cycle must return the same graph and path.
+    """
+    e = graph.edge(eid)
+    chain = [e.u, *range(graph.n, graph.n + delta - 2), e.v]
+    next_id = max(f.eid for f in graph.edges) + 1
+    edges = [f for f in graph.edges if f.eid != eid]
+    for a, b in zip(chain, chain[1:]):
+        edges.append(Edge(next_id, min(a, b), max(a, b)))
+        next_id += 1
+    return Multigraph(graph.n + delta - 2, tuple(edges)), tuple(chain)
+
+
+def multi_gluing_by_vertex_map(graphs, edges) -> Multigraph:
+    """`constructions.multi_gluing` as the builder it replaced, for
+    delta - 1 >= 2 graphs and a chosen edge in each.
+
+    Vertices 0 and 1 are the merged ends of the chosen edges, every other
+    vertex of each graph is appended in turn, all unchosen edges are kept
+    and one edge joins 0 and 1; it checks no weight or connectivity.  The
+    library's fold of universal gluings must give an isomorphic graph.
+    """
+    out_edges = []
+    nxt = 2
+    for g, chosen in zip(graphs, edges):
+        ce = g.edge(chosen)
+        vmap = {ce.u: 0, ce.v: 1}
+        for w in range(g.n):
+            if w not in vmap:
+                vmap[w] = nxt
+                nxt += 1
+        out_edges += [(vmap[e.u], vmap[e.v]) for e in g.edges if e.eid != chosen]
+    return Multigraph.from_edge_list(nxt, out_edges + [(0, 1)])
+
+
 class ReferencePolytope(NamedTuple):
     ambient_dim: int
     rank: int
@@ -934,6 +985,11 @@ def _dual_cone_rays(rows, dim):
     return rays, tights
 
 
+def facet_holds(facet: FacetInequality, point, dilation: int = 1) -> bool:
+    """Whether the point satisfies the facet's inequality at this dilation."""
+    return dot(facet.normal, point) <= dilation * facet.offset
+
+
 def lattice_points(polytope: BasePolytope, dilation: int) -> list[tuple[int, ...]]:
     """All integer points of the dilated polytope.
 
@@ -957,7 +1013,7 @@ def lattice_points(polytope: BasePolytope, dilation: int) -> list[tuple[int, ...
 
     def rec(i: int, rem: int) -> None:
         if i == m:
-            if rem == 0 and all(f.holds(x, dilation) for f in polytope.facets):
+            if rem == 0 and all(facet_holds(f, x, dilation) for f in polytope.facets):
                 out.append(tuple(x))
             return
         hi = min(dilation, rem)

@@ -25,7 +25,12 @@ from gorenstein.constructions import (
     trace_from_json,
     trace_to_json,
 )
-from gorenstein.criteria import check_spade, is_gorenstein, weight_function
+from gorenstein.criteria import (
+    check_spade,
+    delta_candidates,
+    is_gorenstein,
+    weight_function,
+)
 from gorenstein.multigraph import (
     Multigraph,
     banana_graph,
@@ -36,8 +41,11 @@ from gorenstein.multigraph import (
 from glued import glued_chain, two_connected_multigraphs
 from oracles import (
     decompose_eagerly,
+    multi_gluing_by_vertex_map,
+    parallel_class,
     pieces_by_union_find,
     split_predecessors_by_side_graphs,
+    subdivide_edge_by_hand,
     total_of,
 )
 
@@ -278,9 +286,76 @@ class TestMultiGluing:
         parts = [cycle_graph(4)] * 3
         direct = multi_gluing(parts, [0, 0, 0], 4)
         step = delta_edge_gluing(parts[0], 0, parts[1], 0, 4)
-        spare = [e.eid for e in step.edges if len(step.parallel_class(e.eid)) == 2]
+        spare = [e.eid for e in step.edges if len(parallel_class(step, e.eid)) == 2]
         composed = path_gluing(step, spare[0], parts[2], 0, 4)
         assert composed.is_isomorphic(direct)
+
+
+def weight_edges(graph, delta, weight):
+    """Ids of the graph's edges of this weight under its weight function."""
+    return [eid for eid, w in weight_function(graph, delta).weights if w == weight]
+
+
+class TestSubdivideEqualsReference:
+    """`subdivide_edge` path-glues the delta-cycle onto the edge; it must
+    return the very graph and path of the builder it replaced."""
+
+    @staticmethod
+    def same_on_light_edges(graph, delta) -> int:
+        eids = weight_edges(graph, delta, 1)
+        for eid in eids:
+            assert subdivide_edge(graph, eid, delta) == subdivide_edge_by_hand(
+                graph, eid, delta
+            )
+        return len(eids)
+
+    @pytest.mark.parametrize("delta", [2, 3, 4, 5])
+    def test_glued_chains_and_shuffles(self, delta):
+        rng = random.Random(delta)
+        for n in (6, 9, 12):
+            chain = glued_chain(delta, n)
+            for graph in (chain, chain.shuffled(rng)):
+                assert self.same_on_light_edges(graph, delta) > 0
+
+    def test_spade_positive_default_census(self, census_default):
+        checked = 0
+        for graph in census_default:
+            for delta in delta_candidates(graph):
+                if spade_at(graph, delta):
+                    checked += self.same_on_light_edges(graph, delta)
+        assert checked > 0
+
+    def test_contraction_edge_rejected(self):
+        with pytest.raises(GluingError, match="must have weight 1"):
+            subdivide_edge(cycle_graph(3), 0, 3)
+
+    def test_delta_one_rejected(self):
+        with pytest.raises(GluingError, match="delta must be >= 2"):
+            subdivide_edge(DIAMOND, 4, 1)
+
+
+class TestMultiGluingEqualsReference:
+    """`multi_gluing` folds universal gluings; it must give the graph of the
+    vertex-map builder it replaced, up to isomorphism."""
+
+    @pytest.mark.parametrize("delta", [3, 4, 5])
+    def test_cycles_and_glued_chains(self, delta):
+        rng = random.Random(delta)
+        pieces = [
+            cycle_graph(delta),
+            glued_chain(delta, 7),
+            glued_chain(delta, 10).shuffled(rng),
+        ]
+        heavy = [weight_edges(g, delta, delta - 1) for g in pieces]
+        for start in range(len(pieces)):
+            picks = [(start + i) % len(pieces) for i in range(delta - 1)]
+            for choice in range(3):
+                graphs = [pieces[k] for k in picks]
+                edges = [heavy[k][choice * (k + 1) % len(heavy[k])] for k in picks]
+                expected = multi_gluing_by_vertex_map(graphs, edges)
+                glued = multi_gluing(graphs, edges, delta)
+                assert glued.canonical_form == expected.canonical_form
+                assert spade_at(glued, delta)
 
 
 class TestCounterexample:
@@ -302,13 +377,13 @@ class TestCounterexample:
         for (a, da), (b, db) in itertools.product(gor, repeat=2):
             wa, wb = weight_function(a, 3), weight_function(b, 3)
             for ea in a.edges:
-                if a.parallel_class(ea.eid)[0] != ea.eid:
+                if parallel_class(a, ea.eid)[0] != ea.eid:
                     continue
-                fa = frozenset(a.parallel_class(ea.eid))
+                fa = frozenset(parallel_class(a, ea.eid))
                 for eb in b.edges:
-                    if b.parallel_class(eb.eid)[0] != eb.eid:
+                    if parallel_class(b, eb.eid)[0] != eb.eid:
                         continue
-                    fb = frozenset(b.parallel_class(eb.eid))
+                    fb = frozenset(parallel_class(b, eb.eid))
                     if total_of(wa, fa) + total_of(wb, fb) < 3:
                         continue
                     try:
@@ -365,6 +440,10 @@ class TestDecompose:
         trace = decompose(DIAMOND, 3)
         assert trace is not None
         assert replay(trace).canonical_form == DIAMOND.canonical_form
+
+    def test_k4_is_no_seed_past_two(self):
+        with pytest.raises(ValueError, match="no seed 'k4' at delta 3"):
+            replay(ConstructionTrace("k4", 3, ()))
 
     def test_seeds_built_once_and_read_only(self):
         seeds = constructions._seeds(2)

@@ -6,6 +6,7 @@ of two runs within one process.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -60,6 +61,36 @@ DIGESTS = {
     ("decompose --delta 3", "deep"): "ef82a5d87063d9eefad74b086e754a3a5fdc828152b120a4c6085d0a819cd851",
 }
 
+TRIANGLE = {"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+GLUE_SPECS = {
+    # two triangles along a weight-2 edge pair at delta 3: the diamond
+    "triangles": {
+        "delta": 3,
+        "left": TRIANGLE,
+        "left_class": [0],
+        "right": TRIANGLE,
+        "right_class": [0],
+    },
+    # a triangle with a doubled edge, glued along both copies (weight 2)
+    # to a weight-3 edge of C4 at delta 4: one replacement edge
+    "doubled4": {
+        "delta": 4,
+        "left": {"vertices": 3, "edges": [[0, 1], [0, 1], [1, 2], [0, 2]]},
+        "left_class": [0, 1],
+        "right": {"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+        "right_class": [1],
+    },
+}
+
+GLUE_DIGESTS = {
+    ("triangles", False, "edgelist"): "70c9a1edcd13d33ad0955c3b3a92a32dc286ee0f418de66df053fce93b491649",
+    ("triangles", False, "dot"): "bec492fb4fbeb443f4a39d1eb41fd072fae9612650824701ac496ecfee7ed68c",
+    ("triangles", True, "edgelist"): "aae76cd9bf454edb3fb6faa029dafe3bc4537048a7d9fe5c6885cbdb17138afb",
+    ("triangles", True, "dot"): "e766a9401528ee5b724385ca4e412e9066c7672b8fbf08d1664ee44dcf40fe39",
+    ("doubled4", False, "edgelist"): "2b0d4fa77feb75877b0c7c83ec8b73b28dae6e7f747bd333114662719b4579ce",
+    ("doubled4", False, "dot"): "acca4d8e67b0b4248f8c34d5ced353da87d0239a8539ca6154c2cbfcebc0fa4a",
+}
+
 
 def stdout_sha256(capsys, argv) -> str:
     assert cli.run(argv) == 0
@@ -83,3 +114,12 @@ def test_command_digest(capsys, tmp_path, command, graph):
     path.write_text(GRAPHS[graph])
     sub, *flags = command.split()
     assert stdout_sha256(capsys, [sub, str(path), *flags]) == DIGESTS[command, graph]
+
+
+@pytest.mark.parametrize("spec, flip, fmt", sorted(GLUE_DIGESTS))
+def test_glue_digest(capsys, tmp_path, spec, flip, fmt):
+    path = tmp_path / f"{spec}.json"
+    data = GLUE_SPECS[spec] | ({"flip": True} if flip else {})
+    path.write_text(json.dumps(data))
+    argv = ["glue", str(path), "--format", fmt]
+    assert stdout_sha256(capsys, argv) == GLUE_DIGESTS[spec, flip, fmt]

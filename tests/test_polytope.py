@@ -29,6 +29,7 @@ import oracles
 from glued import glued_chain, two_connected_multigraphs
 from oracles import (
     build_polytope_by_enumeration,
+    facet_holds,
     hull_facets_oracle,
     lattice_points,
     never_delta_one,
@@ -109,7 +110,7 @@ class TestBuildPolytope:
             poly = build_polytope(g)
             for f in poly.facets:
                 for v in poly.vertices:
-                    assert f.holds(v, 1)
+                    assert facet_holds(f, v, 1)
                     assert f.distance(v, 1) >= 0
 
     def test_facet_tight_sets_span(self, census_small):
@@ -245,7 +246,7 @@ class TestLatticePoints:
         grid = [
             p
             for p in itertools.product(range(4), repeat=3)
-            if sum(p) == 6 and all(f.holds(p, 3) for f in poly.facets)
+            if sum(p) == 6 and all(facet_holds(f, p, 3) for f in poly.facets)
         ]
         assert sorted(lattice_points(poly, 3)) == sorted(grid)
 
@@ -254,7 +255,7 @@ class TestLatticePoints:
         grid = [
             p
             for p in itertools.product(range(3), repeat=6)
-            if sum(p) == 6 and all(f.holds(p, 2) for f in poly.facets)
+            if sum(p) == 6 and all(facet_holds(f, p, 2) for f in poly.facets)
         ]
         assert sorted(lattice_points(poly, 2)) == sorted(grid)
 
