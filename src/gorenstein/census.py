@@ -157,7 +157,7 @@ def enumerate_census(bounds: CensusBounds) -> list[Multigraph]:
 def census_record(graph: Multigraph) -> CensusRecord:
     verdict = is_gorenstein(graph)
     delta, weights = verdict if verdict is not None else (None, None)
-    good_flats = sum(k == 1 for _, _, k in matroid.subset_pass(graph))
+    good_flats = len(matroid.good_flat_masks(graph))
     return CensusRecord(
         graph=graph,
         delta=delta,

@@ -7,14 +7,47 @@ spade check tests the two weight equalities over good flats; the heart
 check tests the block-count equality over all 2-connected vertex
 subsets.  Both decide the same property as the polyhedral oracle.
 
-`check_spade` reads `matroid.good_flats` and heart the records of
-`matroid.subset_pass`, the one pass that both views come from, since
-`is_gorenstein` runs heart after a spade check that holds.  A caller
-that never runs heart (the decomposition search) checks the same
-equalities through `spade_equalities` over the output-sensitive
-`matroid.good_flat_masks`.  Every source carries E(S) as an
-edge-position mask, so with one mask of the weight-1 edges and one of
-the weight-(delta - 1) edges, w(E(S)) is two popcounts.
+Both read the good flats of `matroid.good_flat_masks`, one cached search
+per graph: `check_spade` through the sorted view `matroid.good_flats`,
+`check_heart` directly, and the decomposition search through
+`spade_equalities`.  Every flat carries E(S) as an edge-position mask,
+so with one mask of the weight-1 edges and one of the weight-(delta - 1)
+edges, w(E(S)) is two popcounts.
+
+Heart needs only V and the good flats.  For a 2-connected G, any edge
+weights w (an assignment that leaves edges out included: they weigh 0)
+and any integer delta, let D(S) = w(E(S)) + k(S) - delta (|S| - 1),
+where k(S) is the block count of G/E(S): k(V) = 0, and for a proper S
+it is the number of components of G - S (see `matroid`).  Heart says
+D(S) = 0 for every 2-connected S.
+
+Lemma.  Let S != V be 2-connected with |S| >= 2, and let C_1, ..., C_c
+be the components of G - S, so c = k(S) >= 1.  Then each T_i = V - C_i
+is a good flat, and D(S) = (1 - c) D(V) + D(T_1) + ... + D(T_c).
+
+Proof.  Every neighbour of C_j outside C_j lies in S.  Each C_j has at
+least two neighbours in S: it has one, as G is connected, and were it
+the only one it would be a cut vertex of G, with S minus it nonempty.
+Take T_i = S with every C_j, j != i.  It is proper and holds S, and
+G - T_i = C_i is connected.  G[T_i] is connected, as each C_j meets the
+connected G[S].  Take a vertex x of T_i.  If x lies in S, G[S - x] is
+connected (S is 2-connected) and each C_j with j != i keeps a
+neighbour in S - x.  If x lies in C_j, each component of C_j - x has a
+neighbour in S, or x would be a cut vertex of G.  Either way
+G[T_i] - x is connected, so G[T_i] is 2-connected (if |T_i| = 2,
+T_i = S), and T_i is a good flat with k(T_i) = 1.  For the identity,
+no edge joins two components, so E is the disjoint union of E(S) and
+the sets F_i of edges with an end in C_i, and E(T_i) = E - F_i.  With
+n = |V|, the sum over i of D(T_i) is
+  c w(E) - (w(E) - w(E(S))) + c - delta (c (n - 1) - (n - |S|)),
+and adding (1 - c) D(V) = (1 - c) (w(E) - delta (n - 1)) leaves
+w(E(S)) + c - delta (|S| - 1) = D(S).
+
+So D vanishes on every 2-connected subset exactly when it vanishes on
+V and on every good flat, and `check_heart` tests just those, counting
+each flat's k(S) as the components of G - S rather than assuming 1.
+`tests/oracles.py` keeps the pass over every 2-connected subset, with
+k(S) from the blocks, as the full-definition reference.
 """
 
 from __future__ import annotations
@@ -23,7 +56,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from . import matroid
-from .multigraph import Multigraph
+from .multigraph import Multigraph, _components
 
 
 @dataclass(frozen=True)
@@ -110,14 +143,19 @@ def spade_equalities(
 def check_heart(graph: Multigraph, assignment: WeightAssignment) -> bool:
     """w(E(S)) + k(S) = delta (|S|-1) for every 2-connected S, V included.
 
-    k(S) is the block count of the contraction of E(S); k(V) = 0.
+    k(S) is the block count of the contraction of E(S); k(V) = 0.  By
+    the lemma in the module docstring, V and the good flats decide it.
     """
     delta = assignment.delta
     weigh = _weigher(graph, assignment)
-    for s, edges, k in matroid.subset_pass(graph):
-        if weigh(edges) + k != delta * (s.bit_count() - 1):
-            return False
-    return True
+    if weigh((1 << graph.m) - 1) != delta * (graph.n - 1):
+        return False
+    nbr = graph.neighbour_masks
+    full = (1 << graph.n) - 1
+    return all(
+        weigh(edges) + _components(full ^ s, nbr) == delta * (s.bit_count() - 1)
+        for s, edges in matroid.good_flat_masks(graph)
+    )
 
 
 def delta_candidates(graph: Multigraph) -> list[int]:

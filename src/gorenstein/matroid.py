@@ -1,21 +1,24 @@
 """Matroid-level queries on a multigraph.
 
 Deletable edges index the type-1 facets of the base polytope; good flats
-index the type-2 facets.  One cached pass over vertex subsets
-(`subset_pass`) records every S with |S| >= 2 whose induced subgraph is
-2-connected, with its induced edges E(S) and the block count k(S) of the
-contraction G/E(S).  The good flats are the proper records with k(S) = 1
-(for proper S, G/E(S) is connected, so one block means 2-connected); the
-heart check reads all of them, V included with k(V) = 0.
+index the type-2 facets.  A good flat is a proper vertex subset S with
+|S| >= 2 whose induced subgraph is 2-connected and whose contraction
+G/E(S) is 2-connected too.  In a 2-connected G the blocks of G/E(S) are
+the components of G - S, each joined to the contracted vertex: a vertex
+w other than the contracted one is no cut vertex, because G - w stays
+connected and (G/E(S)) - w = (G - w)/E(S).  So S is a good flat exactly
+when it is proper, |S| >= 2, G[S] is 2-connected and G - S is connected.
 
-A record is three ints: S as a vertex mask, E(S) as an edge-position
-mask (bit i stands for `graph.edges[i]`) and k(S), in the order the
-search finds them.  The criteria sum weights over E(S) by popcount.
-`good_flats` and `two_connected_subsets` are the frozenset views of the
-pass that heart, the spade check beside it, the census and the CLI
-output read, sorted by size, then in combinations order within a size,
-and built only when called.  A `GoodFlat` keeps its E(S) mask beside the
-edge ids.
+`good_flat_masks` lists the good flats once per graph (it is cached),
+as (S, E(S)) pairs of ints in the order its search finds them: S is a
+vertex mask and E(S) an edge-position mask (bit i stands for
+`graph.edges[i]`).  The spade and heart checks, the polytope, the
+decomposition search and the census read them; the criteria sum
+weights over E(S) by popcount.  `good_flats` is the frozenset view that
+spade and the CLI output read, sorted by size, then in combinations
+order within a size; a `GoodFlat` keeps its E(S) mask beside the
+vertex set.  `two_connected_subsets` lists every S with |S| >= 2 whose
+induced subgraph is 2-connected, V included, in the same order.
 
 Every connectivity question here is a search over bitmasks: a vertex
 subset is an int, each vertex has a neighbour mask and a mask of its
@@ -23,9 +26,9 @@ incident edge positions, and each edge an endpoint mask.  The masks,
 the blocks of G and the searches over them come from the connectivity
 kernel of `multigraph`; no minor is ever built.
 
-The pass is a flashlight search over blocks, the binary-partition
-backtrack of Read and Tarjan ("Bounds on backtrack algorithms for listing
-cycles, paths, and spanning trees", 1975).  A node is a pair (I, U) in
+The 2-connected subsets come from a flashlight search over blocks, the
+binary-partition backtrack of Read and Tarjan ("Bounds on backtrack
+algorithms for listing cycles, paths, and spanning trees", 1975).  A node is a pair (I, U) in
 which U induces a 2-connected subgraph and contains I; it stands for the
 2-connected S with I <= S <= U, and U is one of them.  The node branches
 on a vertex w of U - I: either w joins I, or w leaves U and the search
@@ -38,7 +41,7 @@ G[{v, ..., n-1}] that contain v, so each S is found once, from its
 lowest vertex.  Each branch shrinks U - I, so a root-to-leaf path has at
 most n nodes; and every node lies on such a path to an output, the one
 that keeps adding w until I = U.  So there are at most n nodes per
-record, each paying at most one block computation: a single mask-native
+subset, each paying at most one block computation: a single mask-native
 block DFS rooted at a vertex of I (`multigraph._blocks`).  An exclusion
 often needs none.  In the 2-connected G[U] every vertex has two
 neighbours, so only a vertex x of I adjacent to w can keep fewer in
@@ -46,31 +49,18 @@ U - w: with none left, no block of G[U - w] holds x and the branch
 ends; with one, y, the edge xy is a bridge and {x, y} is the one block
 that holds x, so the node (I, {x, y}) follows when I <= {x, y}.  On
 the glued delta = 3 graph with 28 vertices of the tests
-(`glued_chain(3, 28)`) that is 87,943 nodes for 39,386 records, where
+(`glued_chain(3, 28)`) that is 87,943 nodes for 39,386 subsets, where
 testing each connected subset visited 16.7 M of them.  Two adjacent
 vertices count as 2-connected, and parallel edges do not change the
 vertex sets of blocks.
 
-Each record then gets E(S) and k(S).  An S lies in one block B of G.
-In B/E(S), a vertex w other than the contracted one is no cut vertex,
-because B - w stays connected and (B/E(S)) - w = (B - w)/E(S); so the
-blocks of B/E(S) are the components of B - S, each joined to the
-contracted vertex, and the other blocks of G are untouched: k(S) =
-(blocks of G) - 1 + (components of B - S).  The blocks of G are the
-cached `Multigraph.block_masks`.
-
-The good flats have a second producer, `good_flat_masks`, for the
-callers that never run heart: the spade test of the decomposition search
-and the polytope.  The 2-connected subsets of a glued chain grow about
-4x per 4 vertices, its good flats linearly, so it runs a search of its
-own that lists only the flats, as (S, E(S)) pairs in search order.  In a
-2-connected G, k(S) is the number of components of G - S (B = V above),
-so S is a good flat exactly when it is proper, |S| >= 2, G[S] is
-2-connected and G - S is connected.  The search is the flashlight search
-above with one more prune: it drops a node (I, U) unless V - U lies in
-one component C of G[V - I].  That is sound: for every S the node stands
-for, V - S holds V - U and lies in V - I, so a connected V - S puts
-V - U in one component of G[V - I].  At a leaf I = U the test says that
+The 2-connected subsets of a glued chain grow about 4x per 4 vertices,
+its good flats linearly, so `good_flat_masks` runs a search that lists
+only the flats.  It is the flashlight search above with one more prune:
+it drops a node (I, U) unless V - U lies in one component C of
+G[V - I].  That is sound: for every S the node stands for, V - S holds
+V - U and lies in V - I, so a connected V - S puts V - U in one
+component of G[V - I].  At a leaf I = U the test says that
 G - S is connected, so every leaf but V is a good flat, with no
 component count.  Each frame carries C.  An exclusion into a block b of
 G[U - w] keeps the node exactly when w lies in C: each part of G[U - w]
@@ -112,7 +102,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .multigraph import Multigraph, _bits, _blocks, _components, _reach
+from .multigraph import Multigraph, _bits, _blocks, _reach
 
 
 @dataclass(frozen=True)
@@ -168,27 +158,6 @@ def deletable_edges(graph: Multigraph) -> frozenset[int]:
     return frozenset(e for e, k in edge_kinds(graph).items() if k == "del")
 
 
-@lru_cache(maxsize=16384)
-def subset_pass(graph: Multigraph) -> tuple[tuple[int, int, int], ...]:
-    """(S, E(S), k(S)) for every 2-connected vertex subset S, V included.
-
-    S is a vertex mask and E(S) an edge-position mask, bit i standing for
-    `graph.edges[i]`: all edges but those at a vertex outside S.  The
-    records come in the order the flashlight search emits them.
-    """
-    nbr = graph.neighbour_masks
-    blocks = graph.block_masks
-    others = len(blocks) - 1
-    masks = _two_connected_masks(nbr)
-    out = []
-    for s, edges in zip(masks, _induced_edge_masks(graph, masks)):
-        for home in blocks:
-            if s & home == s:
-                break
-        out.append((s, edges, others + _components(home & ~s, nbr)))
-    return tuple(out)
-
-
 def _induced_edge_masks(graph: Multigraph, masks: Sequence[int]) -> list[int]:
     """E(S) of each vertex mask S as an edge-position mask: all edges but
     those at a vertex outside S."""
@@ -214,9 +183,7 @@ def _two_connected_masks(nbr: Sequence[int]) -> list[int]:
     """Every vertex mask inducing a 2-connected subgraph, by flashlight search.
 
     A frame (inner, outer) is a node (I, U) of the search in the module
-    docstring; the branch vertex w is the lowest of U - I.  The exclusion
-    step is `_exclusions` written out: calling it at every node made this
-    loop, which heart runs on every graph it checks, 3 to 8 % slower.
+    docstring; the branch vertex w is the lowest of U - I.
     """
     out = []
     above = (1 << len(nbr)) - 1
@@ -232,22 +199,7 @@ def _two_connected_masks(nbr: Sequence[int]) -> list[int]:
             w = outer & ~inner
             w &= -w
             stack.append((inner | w, outer))
-            rest = outer ^ w
-            if not rest & (rest - 1):  # no block has two vertices
-                continue
-            near = nbr[w.bit_length() - 1] & inner
-            while near:  # only a neighbour of w can keep < 2 neighbours
-                x = near & -near
-                near ^= x
-                y = nbr[x.bit_length() - 1] & rest
-                if not y & (y - 1):  # {x, y} is the one block that holds x
-                    if y and not inner & ~(x | y):
-                        stack.append((inner, x | y))
-                    break
-            else:
-                for b in _blocks(inner & -inner, rest, nbr):
-                    if b & inner == inner:
-                        stack.append((inner, b))
+            stack.extend((inner, b) for b in _exclusions(inner, outer ^ w, w, nbr))
     return out
 
 
@@ -268,28 +220,21 @@ def _exclusions(inner: int, rest: int, w: int, nbr: Sequence[int]) -> Sequence[i
 
 @lru_cache(maxsize=16384)
 def good_flats(graph: Multigraph) -> tuple[GoodFlat, ...]:
-    """All good flats (type-2 facets), by size, then in combinations order.
-
-    The records of `subset_pass` with k(S) = 1, for `check_spade` and
-    the `check` output, which `is_gorenstein` pairs with heart over the
-    same pass.
-    """
-    if not graph.is_two_connected():
-        raise ValueError("graph is not 2-connected")
-    records = ((s, edges) for s, edges, k in subset_pass(graph) if k == 1)
-    return tuple(GoodFlat(frozenset(verts), edges) for verts, edges in _by_size(records))
+    """All good flats (type-2 facets), by size, then in combinations order:
+    the view of `good_flat_masks` that `check_spade` and the `check`
+    output read."""
+    return tuple(
+        GoodFlat(frozenset(verts), edges) for verts, edges in _by_size(good_flat_masks(graph))
+    )
 
 
-def good_flat_masks(graph: Multigraph) -> list[tuple[int, int]]:
-    """(S, E(S)) of every good flat as masks, in search order.
-
-    Its own search (`_good_flat_vertex_masks`), not a filter of
-    `subset_pass`: it makes no other record and counts no blocks.
-    """
+@lru_cache(maxsize=16384)
+def good_flat_masks(graph: Multigraph) -> tuple[tuple[int, int], ...]:
+    """(S, E(S)) of every good flat as masks, in search order."""
     if not graph.is_two_connected():
         raise ValueError("graph is not 2-connected")
     masks = _good_flat_vertex_masks(graph.neighbour_masks)
-    return list(zip(masks, _induced_edge_masks(graph, masks)))
+    return tuple(zip(masks, _induced_edge_masks(graph, masks)))
 
 
 def _good_flat_vertex_masks(nbr: Sequence[int]) -> list[int]:
@@ -343,8 +288,8 @@ def _good_flat_vertex_masks(nbr: Sequence[int]) -> list[int]:
 def two_connected_subsets(graph: Multigraph) -> tuple[frozenset[int], ...]:
     """All vertex subsets (including V) inducing a 2-connected subgraph,
     by size, then in combinations order."""
-    records = ((s, edges) for s, edges, _ in subset_pass(graph))
-    return tuple(frozenset(verts) for verts, _ in _by_size(records))
+    masks = _two_connected_masks(graph.neighbour_masks)
+    return tuple(frozenset(verts) for verts, _ in _by_size((s, 0) for s in masks))
 
 
 def _by_size(masks) -> list[tuple[tuple[int, ...], int]]:

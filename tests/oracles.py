@@ -12,7 +12,7 @@ every (n - 1)-subset of the edges that the backtracking spanning-tree
 listing replaced.  `subdivide_edge_by_hand` and
 `multi_gluing_by_vertex_map` are the builders that path-gluing the
 delta-cycle and the fold of universal gluings replaced in
-`constructions`.  There are seven exceptions.
+`constructions`.  There are eight exceptions.
 `edge_kinds_by_edge_search`, the per-edge kind map that the library
 replaced, runs on the kernel's `_blocks` and `_reach`: it checks the
 one-search-per-vertex rule of `matroid.edge_kinds`, not the kernel.
@@ -26,21 +26,25 @@ and reads `matroid.edge_kinds`, where the library filters on masks.
 `two_connected_mask` share the kernel's mask helpers `_bits`, `_reach`
 and `_components`, but not its block search or the flashlight
 enumeration.  `build_polytope_by_enumeration` reads the library's
-deletable edges and good flats.  `good_flat_masks_by_subset_pass`
-filters the library's subset pass, which the tests hold to the
-references above, so it checks only the pruned good-flat search.
-`records_as_sets` turns the library's mask records back into the set
-records the subset-pass references return; the set-based criteria
-`check_spade_by_sets` and `check_heart_by_sets` read the library's good
-flats and those records, and sum weights by edge id (`total_of`), where
-the library sums them by popcount.
+deletable edges and good flats.  `subset_pass` is the heart reference:
+the library's flashlight search `matroid._two_connected_masks` lists
+every 2-connected subset S, and it adds E(S) and the block count k(S)
+of G/E(S); the tests hold its records to the two subset-pass
+references above.  `good_flat_masks_by_subset_pass` filters it, so it
+checks only the pruned good-flat search.  `records_as_sets` turns its
+mask records back into the set records the subset-pass references
+return; the set-based criteria `check_spade_by_sets` and
+`check_heart_by_sets` read the library's good flats and those records,
+and sum weights by edge id (`total_of`), where the library sums them by
+popcount.  So `check_heart_by_sets` tests heart on every 2-connected
+subset, where `criteria.check_heart` tests V and the good flats only.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from functools import partial
+from functools import lru_cache, partial
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
@@ -493,7 +497,7 @@ def two_connected_mask(s: int, nbr: Sequence[int]) -> bool:
 def subset_pass_by_combinations(
     graph: Multigraph,
 ) -> tuple[tuple[frozenset[int], frozenset[int], int], ...]:
-    """`matroid.subset_pass` by testing all 2^n vertex subsets.
+    """`subset_pass` by testing all 2^n vertex subsets.
 
     Builds the induced subgraph of every subset with at least two
     vertices, in `itertools.combinations` order by size, and keeps
@@ -515,7 +519,7 @@ def subset_pass_by_combinations(
 def subset_pass_by_reverse_search(
     graph: Multigraph,
 ) -> tuple[tuple[frozenset[int], frozenset[int], int], ...]:
-    """`matroid.subset_pass` by testing every connected vertex subset.
+    """`subset_pass` by testing every connected vertex subset.
 
     The pass the flashlight search replaced: reverse search grows each
     connected subset once from its minimum vertex, the mask test
@@ -540,10 +544,38 @@ def subset_pass_by_reverse_search(
     return tuple(rec for _, rec in out)
 
 
+@lru_cache(maxsize=256)
+def subset_pass(graph: Multigraph) -> tuple[tuple[int, int, int], ...]:
+    """(S, E(S), k(S)) for every 2-connected vertex subset S, V included,
+    as three ints: the pass over every 2-connected subset that the heart
+    check ran before it read only V and the good flats.
+
+    S comes from the library's flashlight search `_two_connected_masks`,
+    which the tests hold to the two references above, in its order; E(S)
+    is an edge-position mask, bit i standing for `graph.edges[i]`.  k(S)
+    is the block count of G/E(S).  S lies in one block B of G.  In
+    B/E(S), a vertex w other than the contracted one is no cut vertex,
+    because B - w stays connected and (B/E(S)) - w = (B - w)/E(S); so the
+    blocks of B/E(S) are the components of B - S, each joined to the
+    contracted vertex, and the other blocks of G are untouched: k(S) =
+    (blocks of G) - 1 + (components of B - S).  Cached: the set-based
+    heart reads it once per assignment.
+    """
+    nbr = graph.neighbour_masks
+    blocks = graph.block_masks
+    others = len(blocks) - 1
+    masks = matroid._two_connected_masks(nbr)
+    out = []
+    for s, edges in zip(masks, matroid._induced_edge_masks(graph, masks)):
+        home = next(b for b in blocks if s & b == s)
+        out.append((s, edges, others + _components(home & ~s, nbr)))
+    return tuple(out)
+
+
 def records_as_sets(
     graph: Multigraph,
 ) -> tuple[tuple[frozenset[int], frozenset[int], int], ...]:
-    """The mask records of `matroid.subset_pass` as (S, E(S), k(S)) sets.
+    """The mask records of `subset_pass` as (S, E(S), k(S)) sets.
 
     Vertex sets and edge-id sets, ordered by size, then in combinations
     order within a size: the record format of the two subset-pass
@@ -551,7 +583,7 @@ def records_as_sets(
     """
     ids = [e.eid for e in graph.edges]
     out = []
-    for s, edges, k in matroid.subset_pass(graph):
+    for s, edges, k in subset_pass(graph):
         verts = _bits(s)
         edge_ids = frozenset(ids[i] for i in _bits(edges))
         out.append(((len(verts), verts), (frozenset(verts), edge_ids, k)))
@@ -561,9 +593,9 @@ def records_as_sets(
 
 def good_flat_masks_by_subset_pass(graph: Multigraph) -> list[tuple[int, int]]:
     """`matroid.good_flat_masks` as the filter that its own search
-    replaced: the (S, E(S)) mask pairs of the `matroid.subset_pass`
-    records with k(S) = 1, in search order."""
-    return [(s, edges) for s, edges, k in matroid.subset_pass(graph) if k == 1]
+    replaced: the (S, E(S)) mask pairs of the `subset_pass` records with
+    k(S) = 1, in search order."""
+    return [(s, edges) for s, edges, k in subset_pass(graph) if k == 1]
 
 
 def total_of(assignment: WeightAssignment, edge_ids) -> int:
@@ -588,8 +620,9 @@ def check_spade_by_sets(graph: Multigraph, assignment: WeightAssignment) -> bool
 
 
 def check_heart_by_sets(graph: Multigraph, assignment: WeightAssignment) -> bool:
-    """`criteria.check_heart` by summing weights over the edge ids of each
-    record of `records_as_sets`."""
+    """`criteria.check_heart` by its full definition: the block-count
+    equality on every record of `records_as_sets`, that is on every
+    2-connected subset, with weights summed over edge ids."""
     delta = assignment.delta
     for subset, edges, k in records_as_sets(graph):
         if total_of(assignment, edges) + k != delta * (len(subset) - 1):

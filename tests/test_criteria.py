@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,13 @@ from gorenstein.multigraph import (
 )
 from gorenstein.polytope import gorenstein_oracle
 from glued import glued_chain, two_connected_multigraphs
-from oracles import check_heart_by_sets, check_spade_by_sets, contract_subset, total_of
+from oracles import (
+    check_heart_by_sets,
+    check_spade_by_sets,
+    contract_subset,
+    records_as_sets,
+    total_of,
+)
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 
@@ -106,16 +114,109 @@ class TestCriteriaEqualSetReferences:
         weights = tuple(sorted((e.eid, w) for e, w in zip(g.edges, picks) if w is not None))
         w = WeightAssignment(delta, weights)
         assert check_spade(g, w) == check_spade_by_sets(g, w)
-        assert check_heart(g, w) == check_heart_by_sets(g, w)
+        assert check_heart(g, w) == check_heart_by_sets(g, w) == check_spade(g, w)
+        assert_heart_identity(g, w)
+
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_glued_graphs_with_random_weights(self, delta):
+        rng = random.Random(delta)
+        for n in range(4, 21):
+            chain = glued_chain(delta, n)
+            if chain.n != n:  # no gluing reaches n vertices at this delta
+                continue
+            for g in (chain, chain.shuffled(rng)):
+                for w in random_assignments(g, delta, rng):
+                    assert check_heart(g, w) == check_heart_by_sets(g, w)
 
     def test_spade_rejects_graph_that_is_not_two_connected(self):
         # two triangles at a cut vertex, every weight delta - 1 = 2: the
-        # global equation 12 = 3 (5 - 1) holds, so only 2-connectivity fails
+        # global equation 12 = 3 (5 - 1) holds, so only 2-connectivity
+        # fails; heart reads the same good flats
         g = Multigraph.from_edge_list(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
         w = WeightAssignment(3, tuple((eid, 2) for eid in range(6)))
-        for check in (check_spade, check_spade_by_sets):
+        for check in (check_spade, check_spade_by_sets, check_heart):
             with pytest.raises(ValueError, match="not 2-connected"):
                 check(g, w)
+
+
+def random_assignments(g: Multigraph, delta: int, rng: random.Random):
+    """The forced weights, three shuffles of them over the edges (w(E)
+    stays delta (|V| - 1), so the good flats decide heart), and three
+    partial assignments with weights from {1, delta - 1}."""
+    forced = weight_function(g, delta)
+    out = [forced]
+    ids = [e.eid for e in g.edges]
+    values = [w for _, w in forced.weights]
+    for _ in range(3):
+        rng.shuffle(values)
+        out.append(WeightAssignment(delta, tuple(sorted(zip(ids, values)))))
+    for _ in range(3):
+        picks = [(eid, rng.choice([1, delta - 1])) for eid in ids if rng.random() < 0.8]
+        out.append(WeightAssignment(delta, tuple(picks)))
+    return out
+
+
+def components_of(g: Multigraph, rest: frozenset[int]) -> list[frozenset[int]]:
+    """The vertex sets of the components of G[rest], by a search over the
+    edge list."""
+    adjacent = {v: set() for v in rest}
+    for e in g.edges:
+        if e.u in rest and e.v in rest:
+            adjacent[e.u].add(e.v)
+            adjacent[e.v].add(e.u)
+    out, seen = [], set()
+    for v in sorted(rest):
+        if v in seen:
+            continue
+        comp, todo = {v}, [v]
+        while todo:
+            for x in adjacent[todo.pop()] - comp:
+                comp.add(x)
+                todo.append(x)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
+
+
+def assert_heart_identity(g: Multigraph, w: WeightAssignment) -> None:
+    """The lemma of `criteria` on every 2-connected S != V of the
+    reference pass: each T_i = V - C_i over the components C_i of G - S is
+    a good flat, and D(S) = (1 - c) D(V) + sum D(T_i) with c = k(S)."""
+    records = {s: (edges, k) for s, edges, k in records_as_sets(g)}
+    flats = {f.subset for f in matroid.good_flats(g)}
+    whole = frozenset(range(g.n))
+
+    def defect(s):
+        edges, k = records[s]
+        return total_of(w, edges) + k - w.delta * (len(s) - 1)
+
+    for s, (_, k) in records.items():
+        if s == whole:
+            continue
+        sides = [whole - c for c in components_of(g, whole - s)]
+        assert len(sides) == k
+        assert all(t in flats for t in sides)
+        assert defect(s) == (1 - k) * defect(whole) + sum(defect(t) for t in sides)
+
+
+class TestHeartReduction:
+    """Heart on V and the good flats decides heart on every 2-connected
+    subset (the lemma in the `criteria` docstring)."""
+
+    def test_identity_on_census(self, census_full):
+        rng = random.Random(5)
+        for g in census_full:
+            for delta in range(2, 6):
+                if weight_function(g, delta) is not None:
+                    for w in random_assignments(g, delta, rng):
+                        assert_heart_identity(g, w)
+
+    @pytest.mark.parametrize("delta, n", [(2, 14), (3, 14), (4, 14)])
+    def test_identity_on_glued_graphs(self, delta, n):
+        rng = random.Random(n * delta)
+        g = glued_chain(delta, n).shuffled(rng)
+        for w in random_assignments(g, delta, rng):
+            assert_heart_identity(g, w)
 
 
 class TestCheckHeart:

@@ -24,6 +24,7 @@ from oracles import (
     is_matroid_connected,
     rank,
     records_as_sets,
+    subset_pass,
     subset_pass_by_combinations,
     subset_pass_by_reverse_search,
     two_connected_mask,
@@ -227,7 +228,7 @@ class TestGoodFlats:
 
 
 def assert_mask_pairs_match_the_pass(g: Multigraph) -> None:
-    """`good_flat_masks` lists the k(S) = 1 records of the subset pass,
+    """`good_flat_masks` lists the k(S) = 1 records of the reference pass,
     each once, and sorts into the same `_by_size` order."""
     pairs = matroid.good_flat_masks(g)
     reference = good_flat_masks_by_subset_pass(g)
@@ -348,19 +349,19 @@ class TestSubsetPass:
     @settings(deadline=None)
     @given(multigraphs())
     def test_records_are_masks_without_repeats(self, g):
-        records = matroid.subset_pass(g)
+        records = subset_pass(g)
         assert all(type(x) is int for record in records for x in record)
         assert len({s for s, _, _ in records}) == len(records)
 
     @pytest.mark.parametrize("delta, n", [(2, 18), (3, 20), (4, 20)])
     def test_no_mask_repeats_on_glued_graphs(self, delta, n):
-        records = matroid.subset_pass(glued_chain(delta, n))
+        records = subset_pass(glued_chain(delta, n))
         assert len({s for s, _, _ in records}) == len(records)
 
     def test_edge_mask_bits_are_edge_positions(self):
         # edge ids in reverse of their positions: bit i is graph.edges[i]
         pairs = [(0, 1), (1, 2), (0, 2), (0, 1)]
         g = Multigraph(3, tuple(Edge(9 - i, u, v) for i, (u, v) in enumerate(pairs)))
-        by_vertices = {s: edges for s, edges, _ in matroid.subset_pass(g)}
+        by_vertices = {s: edges for s, edges, _ in subset_pass(g)}
         assert by_vertices == {0b011: 0b1001, 0b110: 0b0010, 0b101: 0b0100, 0b111: 0b1111}
         assert records_as_sets(g)[0] == (frozenset({0, 1}), frozenset({9, 6}), 1)
