@@ -42,7 +42,7 @@ lowest vertex.  Each branch shrinks U - I, so a root-to-leaf path has at
 most n nodes; and every node lies on such a path to an output, the one
 that keeps adding w until I = U.  So there are at most n nodes per
 subset, each paying at most one block computation: a single mask-native
-block DFS rooted at a vertex of I (`multigraph._blocks`).  An exclusion
+block DFS of the connected G[U - w] (`multigraph._blocks`).  An exclusion
 often needs none.  In the 2-connected G[U] every vertex has two
 neighbours, so only a vertex x of I adjacent to w can keep fewer in
 U - w: with none left, no block of G[U - w] holds x and the branch
@@ -55,24 +55,24 @@ vertices count as 2-connected, and parallel edges do not change the
 vertex sets of blocks.
 
 The 2-connected subsets of a glued chain grow about 4x per 4 vertices,
-its good flats linearly, so `good_flat_masks` runs a search that lists
-only the flats.  It is the flashlight search above with one more prune:
-it drops a node (I, U) unless V - U lies in one component C of
-G[V - I].  That is sound: for every S the node stands for, V - S holds
-V - U and lies in V - I, so a connected V - S puts V - U in one
-component of G[V - I].  At a leaf I = U the test says that
-G - S is connected, so every leaf but V is a good flat, with no
-component count.  Each frame carries C.  An exclusion into a block b of
-G[U - w] keeps the node exactly when w lies in C: each part of G[U - w]
-outside b meets b in one vertex, so the 2-connected G[U] joins it to w,
-and V - b is V - U, w and those parts.  An inclusion of w
-shrinks C to C - w, which needs a search of C only when w has two
-neighbours in it.  The prune breaks the node bound above: a node that
-passes may have no flat under it.  Measured on `glued_chain(delta, n)`
-for n = 16 to 40, the search visits 3.8 to 7.4 nodes per flat at
-delta = 2, 4.2 to 8.2 at delta = 3 and 3.8 to 6.8 at delta = 4 (at
-n = 40: 1,408 nodes for 190 flats, 933 for 114 and 515 for 76), rising
-by about one node per flat per 6 vertices.
+its good flats linearly, so `good_flat_masks` runs the flashlight search
+above on the nodes (I, U) whose V - U is connected and nonempty, so
+that U is a flat under each node.  It branches on the lowest w of U - I
+with a neighbour in V - U, and both children keep V - U connected: an
+inclusion leaves U as it is, and an exclusion into a block b of
+G[U - w] leaves V - b as V - U, w and the parts of G[U - w] outside b,
+each of which meets b in at most one vertex, so the 2-connected G[U]
+joins it to w.  A node with no vertex of U - I next to V - U is a leaf
+with the one flat U, since any smaller S cuts the rest of U - I off from
+V - U.  A flat S is found from c, its lowest outside vertex: the roots
+for c are I = {0, ..., c - 1} and U = each block of G - c that holds I,
+read from the table `Multigraph.vertex_deleted_blocks`, and V - U is
+connected as above.  So no node needs a component search, every leaf is
+a flat, and each node's inclusion path ends in one: at most n nodes per
+flat.  On `glued_chain(delta, n)` for n = 16 to 40 the search visits
+2.0 nodes per flat at delta = 2 and 3 and 2.25 at delta = 4 (at n = 40:
+380 nodes for 190 flats, 228 for 114, 171 for 76); on the 4 x 8 grid,
+3.6 (8,079 for 2,266).
 
 The edge kinds follow from the blocks of G and the same fact about
 contractions.  A cut vertex of G is a vertex that lies in two blocks.
@@ -80,14 +80,14 @@ contractions.  A cut vertex of G is a vertex that lies in two blocks.
 - "del": G - e is 2-connected.  That needs G 2-connected, i.e. its
   blocks are the single full mask; then a parallel copy of e keeps it
   so, and otherwise (n >= 3) the blocks of G - e must be the full mask
-  again.  `edge_kinds` runs one block search per vertex x, on G - x,
-  instead of one per edge on G - e: G - uv is connected, so it is
-  2-connected exactly when no x is a cut vertex of it.  Neither u nor v
-  can be one, as (G - uv) - u = G - u is connected; and for any other
-  x, (G - uv) - x = (G - x) - uv with G - x connected, so x is a cut
-  vertex of G - uv exactly when uv is a bridge of G - x, i.e. when
-  {u, v} is a two-vertex block of G - x.  A simple edge uv is "del"
-  exactly when {u, v} is a block of no G - x.
+  again.  `edge_kinds` reads the blocks of each G - x, from the table
+  it shares with the good-flat search, instead of searching each G - e:
+  G - uv is connected, so it is 2-connected exactly when no x is a cut
+  vertex of it.  Neither u nor v can be one, as (G - uv) - u = G - u is
+  connected; and for any other x, (G - uv) - x = (G - x) - uv with
+  G - x connected, so x is a cut vertex of G - uv exactly when uv is a
+  bridge of G - x, i.e. when {u, v} is a two-vertex block of G - x.  A
+  simple edge uv is "del" exactly when {u, v} is a block of no G - x.
 - "con": G/e is 2-connected, which needs n >= 3 and G connected.  For a
   vertex w outside e, (G/e) - w = (G - w)/e, so w is a cut vertex of G/e
   exactly when it is one of G; and the merged vertex is a cut vertex of
@@ -118,6 +118,7 @@ def edge_kinds(graph: Multigraph) -> Mapping[int, str | None]:
     'del' if deleting the edge keeps 2-connectivity (weight 1; ties go
     here), else 'con' if contracting keeps 2-connectivity (weight
     delta - 1), else None.  Read-only: every caller shares the cached map.
+    The deletion test reads the table `graph.vertex_deleted_blocks`.
     """
     n = graph.n
     nbr = graph.neighbour_masks
@@ -125,9 +126,7 @@ def edge_kinds(graph: Multigraph) -> Mapping[int, str | None]:
     two_connected = graph.is_two_connected()
     bridged = set()  # the two-vertex blocks of every G - x
     if two_connected and n >= 3:
-        for x in range(n):
-            rest = full ^ (1 << x)
-            blocks = _blocks(rest & -rest, rest, nbr)
+        for blocks in graph.vertex_deleted_blocks:
             bridged.update(b for b in blocks if b.bit_count() == 2)
     copies = Counter((e.u, e.v) for e in graph.edges)
     # the cut vertices of G (those in two blocks) as a mask, or None when no
@@ -215,7 +214,7 @@ def _exclusions(inner: int, rest: int, w: int, nbr: Sequence[int]) -> Sequence[i
         y = nbr[x.bit_length() - 1] & rest
         if not y & (y - 1):  # {x, y} is the one block that holds x
             return (x | y,) if y and not inner & ~(x | y) else ()
-    return [b for b in _blocks(inner & -inner, rest, nbr) if b & inner == inner]
+    return [b for b in _blocks(rest & -rest, rest, nbr) if b & inner == inner]
 
 
 @lru_cache(maxsize=16384)
@@ -233,55 +232,43 @@ def good_flat_masks(graph: Multigraph) -> tuple[tuple[int, int], ...]:
     """(S, E(S)) of every good flat as masks, in search order."""
     if not graph.is_two_connected():
         raise ValueError("graph is not 2-connected")
-    masks = _good_flat_vertex_masks(graph.neighbour_masks)
+    masks = _good_flat_vertex_masks(graph)
     return tuple(zip(masks, _induced_edge_masks(graph, masks)))
 
 
-def _good_flat_vertex_masks(nbr: Sequence[int]) -> list[int]:
+def _good_flat_vertex_masks(graph: Multigraph) -> list[int]:
     """Every good flat of a 2-connected G as a vertex mask.
 
-    The flashlight search of `_two_connected_masks`, pruned: a frame
-    (inner, outer, comp) is a node (I, U) that keeps V - U inside one
-    component of G[V - I], and comp is that component (0 while U = V).
+    A frame (inner, outer, rim) is a node (I, U) of the search in the
+    module docstring, whose V - U is connected, and rim the neighbours of
+    V - U.
     """
+    nbr = graph.neighbour_masks
+    full = (1 << graph.n) - 1
+    stack = []
+    inner = 0
+    for c, blocks in enumerate(graph.vertex_deleted_blocks):
+        stack.extend((inner, b, _rim(full ^ b, nbr)) for b in blocks if b & inner == inner)
+        inner |= 1 << c
     out = []
-    full = (1 << len(nbr)) - 1
-    # G is 2-connected: V is the one block of G, and each G - v is connected
-    stack = [(1, full, 0)]
-    above = full ^ 1
-    for v in range(1, len(nbr)):
-        low = 1 << v
-        stack.extend((low, b, full ^ low) for b in _blocks(low, above, nbr) if b & low)
-        above ^= low
     while stack:
-        inner, outer, comp = stack.pop()
-        if inner == outer:
-            if comp:  # proper, and V - S is connected
-                out.append(inner)
+        inner, outer, rim = stack.pop()
+        free = outer & rim & ~inner
+        if not free:  # U is the only flat under the node
+            out.append(outer)
             continue
-        w = outer & ~inner
-        w &= -w
-        # w joins I: comp loses w, and may fall apart if w has two
-        # neighbours in it
-        if comp & w:
-            near = nbr[w.bit_length() - 1] & comp
-            if near & (near - 1):
-                outside = full ^ outer
-                kept = _reach(comp ^ w, nbr, outside & -outside)
-                if not outside & ~kept:
-                    stack.append((inner | w, outer, kept))
-            else:
-                stack.append((inner | w, outer, comp ^ w))
-        else:
-            stack.append((inner | w, outer, comp))
-        # w leaves U: w must join the component of V - U, and then the
-        # rest of U - w outside a child's block hangs on w
-        if not comp:
-            comp = _reach(full ^ inner, nbr, w)
-        elif not comp & w:
-            continue
+        w = free & -free
+        stack.append((inner | w, outer, rim))
         for b in _exclusions(inner, outer ^ w, w, nbr):
-            stack.append((inner, b, comp))
+            stack.append((inner, b, rim | _rim(outer ^ b, nbr)))
+    return out
+
+
+def _rim(mask: int, nbr: Sequence[int]) -> int:
+    """The neighbours of the vertices of the mask."""
+    out = 0
+    for v in _bits(mask):
+        out |= nbr[v]
     return out
 
 

@@ -6,12 +6,13 @@ immutable values; every operation returns a new graph.
 
 This module is the only one that knows how connectivity is computed.
 A vertex subset is an int mask; each graph caches one neighbour mask
-per vertex (`neighbour_masks`) and the vertex masks of its blocks
+per vertex (`neighbour_masks`), the vertex masks of its blocks
 (`block_masks`), found by one mask-native block DFS (`_blocks`) per
-component.  `is_connected` and `is_two_connected` read those,
-and `matroid`, `constructions` and `census` import the mask helpers
-(`_bits`, `_reach`, `_components`, `_blocks`) instead of searching on
-their own.
+component, and those of each G - v (`vertex_deleted_blocks`), which
+`matroid`'s edge kinds and good-flat search share.  `is_connected` and
+`is_two_connected` read the blocks, and `matroid`, `constructions` and
+`census` import the mask helpers (`_bits`, `_reach`, `_components`,
+`_blocks`) instead of searching on their own.
 
 Canonical forms come from canonical labelling by
 individualization-refinement (`_canonical_labelling`; McKay 1981, McKay
@@ -208,14 +209,13 @@ class Multigraph:
     def block_masks(self) -> tuple[int, ...]:
         """The blocks of every component as vertex masks, component by
         component from the lowest vertex not yet reached."""
-        nbr = self.neighbour_masks
-        out: list[int] = []
-        rest = (1 << self.n) - 1
-        while rest:
-            comp = _reach(rest, nbr)
-            out += _blocks(rest & -rest, comp, nbr)
-            rest ^= comp
-        return tuple(out)
+        return _all_blocks((1 << self.n) - 1, self.neighbour_masks)
+
+    @cached_property
+    def vertex_deleted_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex v, the `block_masks` of G - v."""
+        full = (1 << self.n) - 1
+        return tuple(_all_blocks(full ^ (1 << v), self.neighbour_masks) for v in range(self.n))
 
     def is_two_connected(self) -> bool:
         """Connected, at least two vertices, and no cut vertex.
@@ -381,10 +381,9 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reach(mask: int, nbr: Sequence[int], start: int = 0) -> int:
-    """BFS within the mask from the vertex bit start, by default its lowest
-    vertex: the vertices reached."""
-    seen = frontier = start or mask & -mask
+def _reach(mask: int, nbr: Sequence[int]) -> int:
+    """BFS within the mask from its lowest vertex: the vertices reached."""
+    seen = frontier = mask & -mask
     while frontier:
         reach = 0
         while frontier:
@@ -403,6 +402,19 @@ def _components(mask: int, nbr: Sequence[int]) -> int:
         mask &= ~_reach(mask, nbr)
         count += 1
     return count
+
+
+def _all_blocks(mask: int, nbr: Sequence[int]) -> tuple[int, ...]:
+    """`Multigraph.block_masks` of G[mask]."""
+    out: list[int] = []
+    while mask:
+        root = mask & -mask
+        mask ^= root
+        # the blocks of root's component cover it, unless root is isolated
+        for b in _blocks(root, mask | root, nbr):
+            out.append(b)
+            mask &= ~b
+    return tuple(out)
 
 
 def _blocks(root: int, mask: int, nbr: Sequence[int]) -> list[int]:

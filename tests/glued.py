@@ -1,5 +1,5 @@
-"""2-connected test graphs: larger ones glued from small pieces, and
-random small ones by ear decomposition."""
+"""2-connected test graphs: larger ones glued from small pieces, grids,
+and random small ones by ear decomposition."""
 
 from hypothesis import strategies as st
 
@@ -20,6 +20,13 @@ def glued_chain(delta: int, n: int) -> Multigraph:
         g = _glue_somewhere(g, piece, delta, 5 * step)
         step += 1
     return g
+
+
+def grid(rows: int, cols: int) -> Multigraph:
+    """The rows x cols grid graph; vertex r * cols + c sits at row r, column c."""
+    pairs = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    pairs += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Multigraph.from_edge_list(rows * cols, pairs)
 
 
 def _glue_somewhere(g: Multigraph, piece: Multigraph, delta: int, start: int) -> Multigraph:

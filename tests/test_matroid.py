@@ -10,12 +10,14 @@ from gorenstein import matroid
 from gorenstein.multigraph import (
     Edge,
     Multigraph,
+    _bits,
     banana_graph,
     complete_graph,
     cycle_graph,
 )
-from glued import glued_chain, two_connected_multigraphs
+from glued import glued_chain, grid, two_connected_multigraphs
 from oracles import (
+    blocks_by_edge_dfs,
     contract_subset,
     edge_kinds_by_edge_search,
     edge_kinds_by_minors,
@@ -225,6 +227,92 @@ class TestGoodFlats:
     def test_mask_pairs_need_two_connected_graph(self, g):
         with pytest.raises(ValueError, match="not 2-connected"):
             matroid.good_flat_masks(g)
+
+
+def wheel(k: int) -> Multigraph:
+    """The wheel W_k: a hub, vertex k, joined to every vertex of C_k."""
+    rim = [(i, (i + 1) % k) for i in range(k)]
+    return Multigraph.from_edge_list(k + 1, rim + [(i, k) for i in range(k)])
+
+
+def complete_bipartite(a: int, b: int) -> Multigraph:
+    return Multigraph.from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def doubled(g: Multigraph) -> Multigraph:
+    """g with a parallel copy of its first edge."""
+    return Multigraph.from_edge_list(g.n, [(e.u, e.v) for e in g.edges + g.edges[:1]])
+
+
+DENSE = (
+    [complete_graph(n) for n in range(2, 9)]
+    + [wheel(k) for k in range(4, 9)]
+    + [complete_bipartite(3, 3), complete_bipartite(3, 4), grid(3, 3)]
+)
+
+
+class TestGoodFlatsEqualCombinations:
+    """The good-flat search against the code-disjoint subset pass, on dense
+    graphs: a good flat is a record with k(S) = 1."""
+
+    @pytest.mark.parametrize("g", DENSE, ids=lambda g: f"n{g.n}m{g.m}")
+    def test_built_shuffled_and_with_a_doubled_edge(self, g):
+        rng = random.Random(g.m)
+        for h in (g, g.shuffled(rng), doubled(g), doubled(g).shuffled(rng)):
+            pairs = matroid.good_flat_masks(h)
+            flats = {
+                (frozenset(_bits(s)), frozenset(h.edges[i].eid for i in _bits(edges)))
+                for s, edges in pairs
+            }
+            reference = {(s, edges) for s, edges, k in subset_pass_by_combinations(h) if k == 1}
+            assert len(pairs) == len(flats)
+            assert flats == reference
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_complete_graph_has_every_proper_subset_of_two_or_more(self, n):
+        assert len(matroid.good_flat_masks(complete_graph(n))) == 2**n - n - 2
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_cycle_has_its_edges(self, n):
+        flats = matroid.good_flat_masks(cycle_graph(n))
+        arcs = [(1 << i) | (1 << (i + 1) % n) for i in range(n)]
+        assert sorted(s for s, _ in flats) == sorted(arcs)
+
+    def test_four_by_eight_grid(self):
+        # the count the component-pruned search found before
+        assert len(matroid.good_flat_masks(grid(4, 8))) == 2266
+
+
+def assert_vertex_deleted_blocks_match(g: Multigraph) -> None:
+    """Each G - v's blocks are those of the edge-list DFS on
+    `induced_subgraph(V - v)`, with its vertices mapped back."""
+    assert len(g.vertex_deleted_blocks) == g.n
+    for v, blocks in enumerate(g.vertex_deleted_blocks):
+        rest = [x for x in range(g.n) if x != v]
+        found = blocks_by_edge_dfs(g.induced_subgraph(set(rest))) if rest else []
+        assert len(blocks) == len(found)
+        mapped_back = {frozenset(rest[x] for x in b) for b in found}
+        assert {frozenset(_bits(b)) for b in blocks} == mapped_back
+
+
+class TestVertexDeletedBlocks:
+    def test_default_census(self, census_default):
+        for g in census_default:
+            assert_vertex_deleted_blocks_match(g)
+
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_glued_chains(self, delta):
+        rng = random.Random(delta)
+        for n in (8, 14, 20):
+            g = glued_chain(delta, n)
+            assert_vertex_deleted_blocks_match(g)
+            assert_vertex_deleted_blocks_match(g.shuffled(rng))
+
+    @settings(deadline=None)
+    @given(multigraphs())
+    def test_random_multigraphs(self, g):
+        # disconnected graphs and isolated vertices included
+        assert_vertex_deleted_blocks_match(g)
 
 
 def assert_mask_pairs_match_the_pass(g: Multigraph) -> None:
