@@ -73,6 +73,8 @@ def _edge_weight(graph: Multigraph, eid: int, delta: int) -> int:
         kind = matroid.edge_kinds(graph)[eid]
     except KeyError:
         raise GluingError(f"unknown edge id {eid}") from None
+    except ValueError:
+        raise GluingError("both graphs must be 2-connected") from None
     if kind == "del":
         return 1
     if kind == "con":
@@ -234,8 +236,7 @@ def simplify(graph: Multigraph, delta: int) -> Multigraph:
     Requires the spade equalities at delta; the result satisfies them
     again and, for delta >= 3, is a simple graph.
     """
-    assignment = weight_function(graph, delta)
-    if assignment is None or not check_spade(graph, assignment):
+    if not _spade_holds(graph, delta):
         raise GluingError("graph does not satisfy the spade equalities")
     by_pair: dict[tuple[int, int], list[int]] = {}
     for e in graph.edges:
@@ -350,15 +351,14 @@ def _side_graph(graph: Multigraph, eids, u: int, v: int) -> Multigraph:
     return Multigraph(len(order), tuple(edges))
 
 
-def _side_kind(side: int, ends: int, single: bool, apart: Sequence[int]) -> str | None:
+def _side_kind(side: int, ends: int, apart: Sequence[int]) -> str | None:
     """The kind of a side's fresh u-v edge when the side keeps no direct edge.
 
     The side graph is G[side] with the fresh edge and the direct edges it
-    keeps in place of G's u-v edges; ends is the mask of u and v, single
-    says whether the side holds exactly one piece, and apart holds the
-    neighbour masks of G with u and v made apart.  The kind is
-    `matroid.edge_kinds(side graph)[fresh]` for a side that keeps no
-    direct edge; with one, it is always "del".
+    keeps in place of G's u-v edges; ends is the mask of u and v, and
+    apart holds the neighbour masks of G with u and v made apart.  The
+    kind is `matroid.edge_kinds(side graph)[fresh]` for a side that keeps
+    no direct edge; with one, it is always "del".
 
     G must be 2-connected; then every side graph is (the lemma).  G - u
     and G - v are connected, so each component of G - {u, v} has a
@@ -370,16 +370,14 @@ def _side_kind(side: int, ends: int, single: bool, apart: Sequence[int]) -> str 
     that is not, and `_search` queues only predecessors that pass
     `_spade_holds`, whose first test is 2-connectivity.
 
-    So a parallel copy gives "del".  Without one, two vertices give None;
-    more give "del" if the side stays 2-connected without the u-v
-    adjacency, else "con" if G[side] - {u, v} is connected (one piece; a
-    2-connected side has no cut vertex), else None.
+    So a parallel copy gives "del".  Without one, two vertices give None
+    (the side graph is K_2); more give "del" if the side stays
+    2-connected without the u-v adjacency, else "con", by Tutte's theorem
+    (see `matroid`).
     """
     if side == ends:
         return None
-    if _blocks(ends & -ends, side, apart) == [side]:
-        return "del"
-    return "con" if single else None
+    return "del" if _blocks(ends & -ends, side, apart) == [side] else "con"
 
 
 def _spade_holds(graph: Multigraph, delta: int) -> bool:
@@ -432,7 +430,7 @@ def _split_predecessors(state: Multigraph, delta: int):
         sides = [ends]  # piece subset -> its side's vertex mask
         for piece in groups:
             sides += [side | piece for side in sides]
-        kinds = [_side_kind(side, ends, side ^ ends in groups, apart) for side in sides]
+        kinds = [_side_kind(side, ends, apart) for side in sides]
         pieces = list(groups.values())
         every = (1 << units) - 1
         for mask in range(1 << units):
@@ -445,8 +443,6 @@ def _split_predecessors(state: Multigraph, delta: int):
             for style, withheld in styles:
                 usable = len(direct) - withheld
                 for d_a in range(usable + 1):
-                    if not (side_a or d_a) or not (side_b or d_a < usable):
-                        continue
                     k1 = "del" if d_a else a_kind
                     if k1 != ("del" if style == "path_glue" else "con"):
                         continue
@@ -539,9 +535,9 @@ def decompose(
 
     Splits are filtered on vertex masks before any graph is built: a
     side's fresh u-v edge is "del" when the side keeps a direct u-v edge
-    or stays 2-connected without the u-v adjacency, else "con" when it
-    holds one component of the graph minus {u, v}, else None; these are
-    the `matroid.edge_kinds` readings of the built side (`_side_kind`).
+    or stays 2-connected without the u-v adjacency, else "con" on three
+    or more vertices; these are the `matroid.edge_kinds` readings of the
+    built side (`_side_kind`).
 
     Predecessors are verified lazily: an expansion first verifies only
     those that could end the search (a seed or a memo hit), and the rest,

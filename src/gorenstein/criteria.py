@@ -79,8 +79,8 @@ class WeightAssignment:
 def weight_function(graph: Multigraph, delta: int) -> WeightAssignment | None:
     """The forced weight function at the given dilation, if it exists.
 
-    Absent when some edge survives neither deletion nor contraction as a
-    2-connected graph.
+    Absent only for K_2, whose edge survives neither deletion nor
+    contraction as a 2-connected graph; the graph must be 2-connected.
     """
     if delta < 2:
         raise ValueError("delta must be >= 2")
@@ -166,8 +166,6 @@ def delta_candidates(graph: Multigraph) -> list[int]:
     the degenerate branch (a = b = |V| - 1) admits every delta and is
     left to the spade check over the standard scan range.
     """
-    if not graph.is_two_connected():
-        raise ValueError("graph is not 2-connected")
     kinds = matroid.edge_kinds(graph)
     if any(k is None for k in kinds.values()):
         return []

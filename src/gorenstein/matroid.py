@@ -74,24 +74,33 @@ flat.  On `glued_chain(delta, n)` for n = 16 to 40 the search visits
 380 nodes for 190 flats, 228 for 114, 171 for 76); on the 4 x 8 grid,
 3.6 (8,079 for 2,266).
 
-The edge kinds follow from the blocks of G and the same fact about
-contractions.  A cut vertex of G is a vertex that lies in two blocks.
+The edge kinds of a 2-connected G follow from the blocks of each G - x.
 
-- "del": G - e is 2-connected.  That needs G 2-connected, i.e. its
-  blocks are the single full mask; then a parallel copy of e keeps it
-  so, and otherwise (n >= 3) the blocks of G - e must be the full mask
-  again.  `edge_kinds` reads the blocks of each G - x, from the table
-  it shares with the good-flat search, instead of searching each G - e:
-  G - uv is connected, so it is 2-connected exactly when no x is a cut
-  vertex of it.  Neither u nor v can be one, as (G - uv) - u = G - u is
-  connected; and for any other x, (G - uv) - x = (G - x) - uv with
-  G - x connected, so x is a cut vertex of G - uv exactly when uv is a
-  bridge of G - x, i.e. when {u, v} is a two-vertex block of G - x.  A
-  simple edge uv is "del" exactly when {u, v} is a block of no G - x.
-- "con": G/e is 2-connected, which needs n >= 3 and G connected.  For a
-  vertex w outside e, (G/e) - w = (G - w)/e, so w is a cut vertex of G/e
-  exactly when it is one of G; and the merged vertex is a cut vertex of
-  G/e exactly when G - {u, v} is disconnected.
+- "del": G - e is 2-connected.  A parallel copy of e keeps it so, and
+  otherwise (n >= 3) the blocks of G - e must be the full mask again.
+  `edge_kinds` reads the blocks of each G - x, from the table it shares
+  with the good-flat search, instead of searching each G - e: G - uv is
+  connected, so it is 2-connected exactly when no x is a cut vertex of
+  it.  Neither u nor v can be one, as (G - uv) - u = G - u is connected;
+  and for any other x, (G - uv) - x = (G - x) - uv with G - x connected,
+  so x is a cut vertex of G - uv exactly when uv is a bridge of G - x,
+  i.e. when {u, v} is a two-vertex block of G - x.  A simple edge uv is
+  "del" exactly when {u, v} is a block of no G - x.
+- "con": G/e is 2-connected, for every other edge when n >= 3.  This
+  is Tutte's theorem that each element of a connected matroid can be
+  deleted or contracted with the matroid staying connected (Tutte 1966,
+  "Connectivity in matroids"; Oxley, Matroid Theory, 4.3), shown here
+  for graphs.  A vertex w outside e is a cut vertex of G/e exactly when
+  it is one of G, since (G/e) - w = (G - w)/e; and the merged vertex is
+  one exactly when G - {u, v} is disconnected.  Take e = uv with no
+  parallel copy and G - e not 2-connected.  G - e is connected; let x
+  be a cut vertex of it.  x is neither u nor v, because (G - e) - u =
+  G - u is connected, so e is a bridge of G - x.  Were G - {u, v}
+  disconnected, its component without x would have a neighbour at u
+  and one at v, or v or u would be a cut vertex of G; that gives a u-v
+  path avoiding x and e, so e would be no bridge of G - x.  So G - {u, v}
+  is connected, G has no cut vertex, and G/e is 2-connected.
+- None: only the single edge of K_2, whose contraction has one vertex.
 """
 
 from __future__ import annotations
@@ -102,7 +111,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .multigraph import Multigraph, _bits, _blocks, _reach
+from .multigraph import Multigraph, _bits, _blocks
 
 
 @dataclass(frozen=True)
@@ -113,47 +122,35 @@ class GoodFlat:
 
 @lru_cache(maxsize=16384)
 def edge_kinds(graph: Multigraph) -> Mapping[int, str | None]:
-    """Per-edge weight dichotomy, independent of the dilation.
+    """Per-edge weight dichotomy of a 2-connected graph, independent of
+    the dilation.
 
     'del' if deleting the edge keeps 2-connectivity (weight 1; ties go
-    here), else 'con' if contracting keeps 2-connectivity (weight
-    delta - 1), else None.  Read-only: every caller shares the cached map.
-    The deletion test reads the table `graph.vertex_deleted_blocks`.
+    here), else 'con' (weight delta - 1): by Tutte's theorem in the
+    module docstring contracting it then does, on three or more
+    vertices.  Only the edge of K_2 gets None.  Read-only: every caller
+    shares the cached map.  The deletion test reads the table
+    `graph.vertex_deleted_blocks`.
     """
+    if not graph.is_two_connected():
+        raise ValueError("graph is not 2-connected")
     n = graph.n
-    nbr = graph.neighbour_masks
-    full = (1 << n) - 1
-    two_connected = graph.is_two_connected()
     bridged = set()  # the two-vertex blocks of every G - x
-    if two_connected and n >= 3:
+    if n >= 3:
         for blocks in graph.vertex_deleted_blocks:
             bridged.update(b for b in blocks if b.bit_count() == 2)
     copies = Counter((e.u, e.v) for e in graph.edges)
-    # the cut vertices of G (those in two blocks) as a mask, or None when no
-    # G/e is 2-connected: G is disconnected or has fewer than 3 vertices
-    cut = None
-    if n >= 3 and graph.is_connected():
-        seen = cut = 0
-        for b in graph.block_masks:
-            cut |= seen & b
-            seen |= b
     kinds: dict[int, str | None] = {}
     for e in graph.edges:
-        pair = (1 << e.u) | (1 << e.v)
-        rest = full & ~pair
-        if two_connected and (copies[e.u, e.v] > 1 or n >= 3 and pair not in bridged):
+        if copies[e.u, e.v] > 1 or n >= 3 and (1 << e.u) | (1 << e.v) not in bridged:
             kinds[e.eid] = "del"
-        elif cut is None or cut & rest or _reach(rest, nbr) != rest:
-            kinds[e.eid] = None
         else:
-            kinds[e.eid] = "con"
+            kinds[e.eid] = "con" if n >= 3 else None
     return MappingProxyType(kinds)
 
 
 def deletable_edges(graph: Multigraph) -> frozenset[int]:
     """Edges whose deletion keeps the graph 2-connected (type-1 facets)."""
-    if not graph.is_two_connected():
-        raise ValueError("graph is not 2-connected")
     return frozenset(e for e, k in edge_kinds(graph).items() if k == "del")
 
 

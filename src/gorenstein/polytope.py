@@ -281,8 +281,6 @@ def gorenstein_oracle(graph: Multigraph) -> GorensteinPoint | None:
     and so is at most dim + 1 = m (Ehrhart-Macdonald reciprocity); the
     scan bound covers it, so no larger bound can find more.
     """
-    if not graph.is_two_connected():
-        raise ValueError("graph is not 2-connected")
     polytope = build_polytope(graph)
     for delta in range(2, default_delta_max(graph) + 1):
         point = gorenstein_point_at(polytope, delta)

@@ -113,13 +113,19 @@ class TestPathGluing:
             path_gluing(cycle_graph(left), e1, cycle_graph(3), e2, 3)
 
     def test_edge_of_no_kind_raises_its_own_error(self):
-        # two triangles sharing vertex 2: edge 3 = {2, 3} exists, and
-        # neither deleting nor contracting it gives a 2-connected graph
+        # two triangles sharing vertex 2 have no edge kinds at all
         bowtie = Multigraph.from_edge_list(
             5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
         )
-        with pytest.raises(GluingError, match="edge 3: neither deletion nor contraction"):
-            path_gluing(bowtie, 3, cycle_graph(3), 0, 3)
+        for glue in (path_gluing, delta_edge_gluing):
+            with pytest.raises(GluingError, match="both graphs must be 2-connected"):
+                glue(bowtie, 3, cycle_graph(3), 0, 3)
+        with pytest.raises(GluingError, match="both graphs must be 2-connected"):
+            multi_gluing([cycle_graph(3), bowtie], [0, 3], 3)
+        # the edge of K_2 is the only one that neither deleting nor
+        # contracting leaves 2-connected
+        with pytest.raises(GluingError, match="edge 0: neither deletion nor contraction"):
+            path_gluing(complete_graph(2), 0, cycle_graph(3), 0, 3)
 
     def test_c2_is_neutral_at_two(self):
         glued = path_gluing(cycle_graph(2), 0, cycle_graph(2), 0, 2)
@@ -242,6 +248,12 @@ class TestSimplify:
     def test_requires_spade(self):
         with pytest.raises(GluingError):
             simplify(banana_graph(3), 4)
+        # a graph that is not 2-connected fails spade, with no edge kinds
+        bowtie = Multigraph.from_edge_list(
+            5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
+        )
+        with pytest.raises(GluingError, match="spade"):
+            simplify(bowtie, 3)
 
     def test_broken_result_spade_raises(self, monkeypatch):
         real = constructions.weight_function
@@ -544,7 +556,7 @@ def fresh_kinds_checked(graph) -> Counter:
             for pick in (True, False):
                 held = [m for m, c in zip(groups, chosen) if c == pick]
                 side = ends | sum(held)
-                kind = constructions._side_kind(side, ends, len(held) == 1, apart)
+                kind = constructions._side_kind(side, ends, apart)
                 sides.append((kind, [eid for m in held for eid in groups[m]]))
             (a_kind, a_edges), (b_kind, b_edges) = sides
             for withheld in range(len(direct) + 1):

@@ -1,12 +1,15 @@
 import itertools
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gorenstein import matroid
+from gorenstein.census import CensusBounds, enumerate_census
+from gorenstein.criteria import delta_candidates, weight_function
 from gorenstein.multigraph import (
     Edge,
     Multigraph,
@@ -15,6 +18,7 @@ from gorenstein.multigraph import (
     complete_graph,
     cycle_graph,
 )
+from gorenstein.polytope import build_polytope, gorenstein_oracle
 from glued import glued_chain, grid, two_connected_multigraphs
 from oracles import (
     blocks_by_edge_dfs,
@@ -94,10 +98,13 @@ class TestDeletableEdges:
 
 
 def kinds_checked(g) -> dict:
-    """`edge_kinds` against the per-edge block search it replaced and the
-    minor reference; returns the kinds."""
+    """`edge_kinds` of a 2-connected graph against the per-edge block
+    search it replaced and the minor reference; returns the kinds.  The
+    reference gives None only on K_2, as Tutte's theorem says."""
     kinds = matroid.edge_kinds(g)
-    assert kinds == edge_kinds_by_edge_search(g) == edge_kinds_by_minors(g)
+    minors = edge_kinds_by_minors(g)
+    assert kinds == edge_kinds_by_edge_search(g) == minors
+    assert None not in minors.values() or (g.n, g.m) == (2, 1)
     return kinds
 
 
@@ -117,15 +124,20 @@ class TestEdgeKinds:
     def test_k2_edge_has_no_kind(self):
         assert matroid.edge_kinds(complete_graph(2)) == {0: None}
 
-    def test_equals_minor_reference_on_census(self, census_full):
-        for g in census_full:
-            assert matroid.edge_kinds(g) == edge_kinds_by_minors(g)
+    def test_equals_minor_reference_on_census(self):
+        graphs = enumerate_census(CensusBounds(7, 10, 4))
+        assert len(graphs) == 1232
+        for g in graphs:
+            kinds_checked(g)
 
     @settings(deadline=None)
-    @given(multigraphs())
+    @given(st.one_of(multigraphs(), two_connected_multigraphs()))
     def test_equals_minor_reference_on_random_multigraphs(self, g):
-        # not only 2-connected graphs: path_gluing reads kinds before any check
-        kinds_checked(g)
+        if g.is_two_connected():
+            kinds_checked(g)
+        else:
+            with pytest.raises(ValueError, match="not 2-connected"):
+                matroid.edge_kinds(g)
 
     @pytest.mark.parametrize("delta, n", [(2, 12), (3, 13), (4, 14)])
     def test_equals_minor_reference_on_glued_graphs(self, delta, n):
@@ -224,9 +236,22 @@ class TestGoodFlats:
             Multigraph(1, ()),
         ],
     )
-    def test_mask_pairs_need_two_connected_graph(self, g):
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            matroid.good_flat_masks,
+            matroid.edge_kinds,
+            matroid.deletable_edges,
+            delta_candidates,
+            partial(weight_function, delta=3),
+            build_polytope,
+            gorenstein_oracle,
+        ],
+        ids=lambda f: getattr(f, "__name__", None) or f.func.__name__,
+    )
+    def test_mask_pairs_need_two_connected_graph(self, g, entry):
         with pytest.raises(ValueError, match="not 2-connected"):
-            matroid.good_flat_masks(g)
+            entry(g)
 
 
 def wheel(k: int) -> Multigraph:
