@@ -1,17 +1,23 @@
 """Exact polyhedral layer for graphic-matroid base polytopes.
 
 H-representation from the two facet families (nonnegativity for
-deletable edges, upper bounds for good flats), each facet with its
-primitive lattice form.  The good flats come from the output-sensitive
-search `matroid.good_flat_masks`, sorted as `matroid.good_flats` sorts
-them, so the polytope never pays for the pass over every 2-connected
-subset that heart reads.  The polyhedral Gorenstein oracle scans
-dilations 2..max(m, 3) + 1 for the lattice point at distance 1 from
-every facet.  All arithmetic is arbitrary-precision integer; the
-Gorenstein property is lattice-exact, so tolerances would be
-meaningless.  The references the tests hold this layer to (a
-double-description hull oracle, lattice-point enumeration, the
-dilation-1 check) live in `tests/oracles.py`.
+deletable edges, upper bounds for good flats).  A `BasePolytope` holds
+each facet as one edge-position mask (bit i stands for `graph.edges[i]`):
+`deletable`, the mask of the deletable edges, one nonnegativity facet per
+bit; and `flats`, the (S, E(S)) pairs exactly as the output-sensitive
+search `matroid.good_flat_masks` returns them, one facet
+x(E(S)) <= |S| - 1 per pair.  The masks are the polytope.  The dense
+rows, one `FacetInequality` per facet with its normal and primitive
+lattice form as length-m tuples, are built only when `facets` is read
+(`polytope_to_json` and the tests), in the order deletable edges by
+position, then good flats by size, then in combinations order (as
+`matroid._by_size` sorts them).  The polyhedral Gorenstein oracle
+reads the masks only.  It scans dilations 2..max(m, 3) + 1 for the
+lattice point at distance 1 from every facet.  All arithmetic is
+arbitrary-precision integer; the Gorenstein property is lattice-exact,
+so tolerances would be meaningless.  The references the tests hold this
+layer to (a double-description hull oracle, lattice-point enumeration,
+the dilation-1 check) live in `tests/oracles.py`.
 
 Each facet's reduced form is closed-form.  On the affine span
 sum x = rank the direction lattice {z : sum z = 0} has basis e_j - e_0
@@ -20,6 +26,15 @@ normal_j - normal_0.  In both families one of these is +-1 (a
 nonnegativity normal is -e_i, a good-flat normal is 0/1 and not
 constant), so the functional is already primitive: the reduced normal
 is normal - normal_0 and the reduced offset is offset - normal_0 * rank.
+Only a facet whose mask holds edge position 0 has normal_0 != 0, so the
+reduced distance d * reduced_offset - reduced_normal . x of a point x
+from the facet of the d-th dilation is, with X = sum x:
+  x_i                                   for a deletable edge i != 0,
+  d * rank - (X - x_0)                  for deletable edge 0,
+  d (|S| - 1) - x(E(S))                 for a good flat without edge 0,
+  d (|S| - 1 - rank) + X - x(E(S))      for a good flat with edge 0.
+`BasePolytope.distances` reads them off the masks; they equal
+`FacetInequality.distance` at every integer point, on the polytope or not.
 
 Each facet's face must still hold a spanning tree, which is checked by
 matroid greedy (Edmonds 1971) over a union-find: greedy avoiding the
@@ -35,16 +50,17 @@ read; the oracle and the census never read it.
 
 The oracle's equations at distance 1 from every facet have the same
 coordinate sets at every dilation; only their targets scale.  So the
-polytope builds them once, as its cached `distance_one_system` (the
-coordinates the nonnegativity facets fix, each equation's free
-coordinates and offset, the equations each free coordinate enters), and
-each dilation only scales the targets, rejects an unreachable one in
-one pass over the equations, and backtracks on fresh copies of the
-partial sums.
+polytope builds them once from the masks, as its cached
+`distance_one_system` (the coordinates the nonnegativity facets fix,
+each equation's free coordinates and offset, the equations each free
+coordinate enters), and each dilation only scales the targets, rejects
+an unreachable one in one pass over the equations, and backtracks on
+fresh copies of the partial sums.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -85,8 +101,30 @@ class BasePolytope:
     ambient_dim: int
     rank: int
     edge_ids: tuple[int, ...]  # coordinate index -> edge id
-    facets: tuple[FacetInequality, ...]
+    deletable: int  # edge-position mask: one nonnegativity facet per bit
+    flats: tuple[tuple[int, int], ...]  # (S, E(S)) per good flat, search order
     graph: Multigraph = field(repr=False)
+
+    @cached_property
+    def facets(self) -> tuple[FacetInequality, ...]:
+        """The dense facet rows, built on first read: deletable edges by
+        position, then good flats by size, then in combinations order."""
+        m, rank = self.ambient_dim, self.rank
+        out = []
+        for i in _bits(self.deletable):
+            normal = tuple(-1 if j == i else 0 for j in range(m))
+            out.append(FacetInequality(
+                KIND_NONNEGATIVITY, self.edge_ids[i], None, normal, 0,
+                tuple(a - normal[0] for a in normal), -normal[0] * rank,
+            ))
+        for verts, inside in matroid._by_size(self.flats):
+            normal = tuple(inside >> i & 1 for i in range(m))
+            offset = len(verts) - 1
+            out.append(FacetInequality(
+                KIND_GOOD_FLAT, None, frozenset(verts), normal, offset,
+                tuple(a - normal[0] for a in normal), offset - normal[0] * rank,
+            ))
+        return tuple(out)
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
@@ -97,6 +135,22 @@ class BasePolytope:
                 for tree in self.graph.spanning_trees()
             )
         )
+
+    def distances(self, point, dilation: int) -> Iterator[int]:
+        """The reduced distance of the point from each facet of the
+        dilation, read off the masks by the closed form in the module
+        docstring: deletable edges by position, then good flats in
+        `flats` order."""
+        total = sum(point)
+        rank = self.rank
+        for i in _bits(self.deletable):
+            yield point[i] if i else dilation * rank - total + point[0]
+        for s, edges in self.flats:
+            inside = sum(point[i] for i in _bits(edges))
+            if edges & 1:
+                yield dilation * (s.bit_count() - 1 - rank) + total - inside
+            else:
+                yield dilation * (s.bit_count() - 1) - inside
 
     @cached_property
     def distance_one_system(self) -> tuple[tuple, ...]:
@@ -110,31 +164,24 @@ class BasePolytope:
         members[k] the equations that free[k] enters; equation q asks its
         free_counts[q] free coordinates to sum to d * scales[q] - shifts[q].
         """
-        m = self.ambient_dim
-        fixed = set()
-        equations = [(range(m), self.rank, 0)]
-        for f in self.facets:
-            if f.kind == KIND_NONNEGATIVITY:
-                fixed.add(next(i for i, c in enumerate(f.normal) if c))
-            elif f.kind == KIND_GOOD_FLAT:
-                idxs = [i for i, c in enumerate(f.normal) if c]
-                equations.append((idxs, f.offset, 1))
-            else:
-                raise ValueError("gorenstein search needs classified facets")
-        free = [i for i in range(m) if i not in fixed]
+        m, fixed = self.ambient_dim, self.deletable
+        every_edge = (1 << m) - 1
+        free = _bits(every_edge & ~fixed)
         slot = {i: k for k, i in enumerate(free)}
         members: list[list[int]] = [[] for _ in free]
+        equations = [(every_edge, self.rank, 0)]
+        equations += [(edges, s.bit_count() - 1, 1) for s, edges in self.flats]
         scales, shifts, free_counts = [], [], []
-        for q, (idxs, scale, shift) in enumerate(equations):
-            held = [slot[i] for i in idxs if i in slot]
-            for k in held:
-                members[k].append(q)
+        for q, (edges, scale, shift) in enumerate(equations):
+            held = _bits(edges & ~fixed)
+            for i in held:
+                members[slot[i]].append(q)
             scales.append(scale)
-            shifts.append(shift + len(idxs) - len(held))
+            shifts.append(shift + (edges & fixed).bit_count())
             free_counts.append(len(held))
-        start = tuple(1 if i in fixed else 0 for i in range(m))
+        start = tuple(fixed >> i & 1 for i in range(m))
         return (
-            start, tuple(free), tuple(map(tuple, members)),
+            start, free, tuple(map(tuple, members)),
             tuple(scales), tuple(shifts), tuple(free_counts),
         )
 
@@ -174,42 +221,29 @@ def build_polytope(graph: Multigraph) -> BasePolytope:
     if not graph.is_two_connected():
         raise ValueError("graph is not 2-connected")
     edge_ids = tuple(e.eid for e in graph.edges)
-    index = {eid: i for i, eid in enumerate(edge_ids)}
     m = len(edge_ids)
     ends = [(e.u, e.v) for e in graph.edges]
-    rank = graph.n - 1
+    kinds = matroid.edge_kinds(graph)
+    deletable = sum(1 << i for i, eid in enumerate(edge_ids) if kinds[eid] == "del")
     shared = _greedy_tree(graph.n, ends, range(m))
-    facets = []
-    for eid in sorted(matroid.deletable_edges(graph), key=index.__getitem__):
-        i = index[eid]
-        normal = tuple(-1 if j == i else 0 for j in range(m))
-        # G - e is 2-connected, so greedy without e spans; when the shared
-        # tree avoids e it is that tree
-        if shared >> i & 1:
-            _greedy_tree(graph.n, ends, (j for j in range(m) if j != i))
-        facets.append(FacetInequality(
-            KIND_NONNEGATIVITY, eid, None, normal, 0,
-            tuple(a - normal[0] for a in normal), -normal[0] * rank,
-        ))
+    # G - e is 2-connected, so greedy without e spans; when the shared tree
+    # avoids e it is that tree
+    for i in _bits(deletable & shared):
+        _greedy_tree(graph.n, ends, (j for j in range(m) if j != i))
     every_edge = (1 << m) - 1
-    for verts, inside in matroid._by_size(matroid.good_flat_masks(graph)):
-        subset = frozenset(verts)
-        normal = tuple(inside >> i & 1 for i in range(m))
-        offset = len(verts) - 1
+    flats = matroid.good_flat_masks(graph)
+    for s, inside in flats:
         # G[S] is connected, so taking E(S) first puts |S| - 1 of its edges in
+        offset = s.bit_count() - 1
         if (shared & inside).bit_count() != offset:
             witness = _greedy_tree(
                 graph.n, ends, _bits(inside) + _bits(every_edge & ~inside)
             )
             if (witness & inside).bit_count() != offset:
                 raise RuntimeError(
-                    f"greedy witness is off the flat {sorted(subset)}"
+                    f"greedy witness is off the flat {list(_bits(s))}"
                 )
-        facets.append(FacetInequality(
-            KIND_GOOD_FLAT, None, subset, normal, offset,
-            tuple(a - normal[0] for a in normal), offset - normal[0] * rank,
-        ))
-    return BasePolytope(m, rank, edge_ids, tuple(facets), graph)
+    return BasePolytope(m, graph.n - 1, edge_ids, deletable, flats, graph)
 
 
 # -- the Gorenstein oracle -------------------------------------------------
@@ -225,7 +259,7 @@ def gorenstein_point_at(polytope: BasePolytope, dilation: int) -> tuple[int, ...
     """
     if dilation < 2:
         raise ValueError("dilation must be >= 2")
-    if not polytope.facets:
+    if not polytope.deletable and not polytope.flats:
         # 0-dimensional polytope (single spanning tree): the distance
         # conditions are vacuous and the Gorenstein index is 1, below scan
         return None
@@ -264,7 +298,7 @@ def gorenstein_point_at(polytope: BasePolytope, dilation: int) -> tuple[int, ...
     point = rec(0)
     if point is None:
         return None
-    if any(f.distance(point, dilation) != 1 for f in polytope.facets):
+    if any(r != 1 for r in polytope.distances(point, dilation)):
         raise RuntimeError("lattice point is not at distance 1 from every facet")
     return point
 

@@ -6,11 +6,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from gorenstein import cli, matroid
+from gorenstein import cli, matroid, polytope
 from gorenstein.census import CensusBounds, census_record, verify_equivalence
+from gorenstein.criteria import is_gorenstein
 from gorenstein.lattice import dot, kernel_basis_with_dual
 from gorenstein.multigraph import (
     Multigraph,
+    _bits,
     banana_graph,
     complete_graph,
     cycle_graph,
@@ -18,6 +20,7 @@ from gorenstein.multigraph import (
 from gorenstein.polytope import (
     KIND_GOOD_FLAT,
     KIND_NONNEGATIVITY,
+    BasePolytope,
     FacetInequality,
     build_polytope,
     default_delta_max,
@@ -35,7 +38,8 @@ from oracles import (
     never_delta_one,
 )
 
-DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+DIAMOND_PAIRS = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
+DIAMOND = Multigraph.from_edge_list(4, DIAMOND_PAIRS)
 
 
 def polytope_dim(poly):
@@ -300,7 +304,7 @@ class TestGorensteinOracle:
 
     def test_point_off_distance_one_raises(self, monkeypatch):
         poly = build_polytope(complete_graph(4))
-        monkeypatch.setattr(FacetInequality, "distance", lambda self, point, dilation=1: 2)
+        monkeypatch.setattr(BasePolytope, "distances", lambda self, point, dilation: iter([1, 2]))
         with pytest.raises(RuntimeError, match="distance 1"):
             gorenstein_point_at(poly, 2)
 
@@ -346,6 +350,108 @@ class TestDistanceOneSystem:
         for n in (6, 8, 10):
             # Gorenstein at delta: one hit per direction
             assert self.scan_matches_fresh(glued_chain(delta, n)) == 2
+
+
+def assert_mask_distances(poly, point, dilation) -> None:
+    """`BasePolytope.distances` equals `FacetInequality.distance` of the
+    dense rows, facet by facet, at the point and dilation."""
+    dense = {}
+    for f in poly.facets:
+        key = f.subset if f.kind == KIND_GOOD_FLAT else poly.edge_ids.index(f.edge)
+        dense[key] = f.distance(point, dilation)
+    keys = list(_bits(poly.deletable)) + [frozenset(_bits(s)) for s, _ in poly.flats]
+    assert len(keys) == len(dense)
+    assert dict(zip(keys, poly.distances(point, dilation), strict=True)) == dense
+
+
+def shuffled_glued_chains():
+    """glued_chain(delta, n) for delta 2..4 and n up to 20, with vertices
+    relabelled and edge positions shuffled."""
+    rng = random.Random(29)
+    for delta in (2, 3, 4):
+        for n in range(4, 21, 2):
+            for _ in range(3):
+                h = glued_chain(delta, n).shuffled(rng)
+                pairs = [(e.u, e.v) for e in h.edges]
+                rng.shuffle(pairs)
+                yield Multigraph.from_edge_list(h.n, pairs)
+
+
+class TestMaskDistances:
+    """The closed-form reduced distances read off the masks equal the
+    dense rows' at every integer point, on the polytope or not."""
+
+    @staticmethod
+    def check(graph, delta, rng) -> tuple[bool, bool]:
+        """Oracle point at delta (if any) and random points; returns whether
+        edge position 0 is deletable and whether it lies in some E(S)."""
+        poly = build_polytope(graph)
+        if delta is not None:
+            point = gorenstein_point_at(poly, delta)
+            assert point is not None
+            assert_mask_distances(poly, point, delta)
+            assert all(r == 1 for r in poly.distances(point, delta))
+        for _ in range(3):
+            point = tuple(rng.randint(-3, 6) for _ in range(poly.ambient_dim))
+            assert_mask_distances(poly, point, rng.randint(1, 7))
+        return bool(poly.deletable & 1), any(edges & 1 for _, edges in poly.flats)
+
+    def test_census(self, census_default):
+        rng = random.Random(6)
+        forms = [self.check(g, census_record(g).delta, rng) for g in census_default]
+        assert any(d for d, _ in forms) and any(f for _, f in forms)
+
+    def test_shuffled_glued_chains(self):
+        rng = random.Random(20)
+        forms = []
+        for g in shuffled_glued_chains():
+            verdict = is_gorenstein(g)
+            forms.append(self.check(g, verdict and verdict[0], rng))
+        assert any(d for d, _ in forms) and any(f for _, f in forms)
+
+
+class TestFacetsBuiltOnRead:
+    """The oracle reads the masks only: the dense rows are built when
+    `facets` is read, and then equal the enumeration reference's."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        out = []
+
+        def record(graph):
+            poly = build_polytope(graph)
+            out.append(poly)
+            return poly
+
+        monkeypatch.setattr(polytope, "build_polytope", record)
+        return out
+
+    @staticmethod
+    def assert_lazy(polys) -> None:
+        assert polys
+        for poly in polys:
+            assert "facets" not in poly.__dict__
+            assert poly.facets == build_polytope_by_enumeration(poly.graph).facets
+
+    def test_gorenstein_oracle(self, built):
+        graphs = [complete_graph(4), DIAMOND, glued_chain(3, 9), banana_graph(3)]
+        graphs.append(Multigraph.from_edge_list(4, DIAMOND_PAIRS + [(0, 1)]))
+        for g in graphs:
+            gorenstein_oracle(g)
+        self.assert_lazy(built)
+
+    def test_gorenstein_point_at(self):
+        polys = []
+        for g in (complete_graph(4), DIAMOND, glued_chain(4, 8)):
+            poly = build_polytope(g)
+            for d in range(2, default_delta_max(g) + 1):
+                gorenstein_point_at(poly, d)
+            polys.append(poly)
+        self.assert_lazy(polys)
+
+    def test_verify_equivalence(self, built):
+        assert verify_equivalence(CensusBounds(4, 6, 3))["mismatches"] == []
+        self.assert_lazy(built)
 
 
 class TestNeverDeltaOne:
