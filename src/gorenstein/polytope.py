@@ -12,8 +12,9 @@ lattice form as length-m tuples, are built only when `facets` is read
 (`polytope_to_json` and the tests), in the order deletable edges by
 position, then good flats by size, then in combinations order (as
 `matroid._by_size` sorts them).  The polyhedral Gorenstein oracle
-reads the masks only.  It scans dilations 2..max(m, 3) + 1 for the
-lattice point at distance 1 from every facet.  All arithmetic is
+reads the masks only.  It solves the distance-1 equations for the one
+dilation and lattice point at distance 1 from every facet, and accepts
+a dilation in 2..max(m, 3) + 1.  All arithmetic is
 arbitrary-precision integer; the Gorenstein property is lattice-exact,
 so tolerances would be meaningless.  The references the tests hold this
 layer to (a double-description hull oracle, lattice-point enumeration,
@@ -36,26 +37,56 @@ from the facet of the d-th dilation is, with X = sum x:
 `BasePolytope.distances` reads them off the masks; they equal
 `FacetInequality.distance` at every integer point, on the polytope or not.
 
-Each facet's face must still hold a spanning tree, which is checked by
-matroid greedy (Edmonds 1971) over a union-find: greedy avoiding the
-deletable edge must span, and greedy taking the good flat's edges first
-must put |S| - 1 of them in.  One shared tree T, greedy over all edges
-in order, settles every facet it lies on: it is the greedy tree without
-each deletable edge it leaves out (skipping an edge greedy rejected
-changes no later choice), and it lies on each good flat S on which it
-has |S| - 1 edges, counted by popcount against the flat's edge mask.
-Only the other facets run greedy of their own.  The V-representation
-(every spanning tree) is listed only when `BasePolytope.vertices` is
-read; the oracle and the census never read it.
+Each facet's face must still hold a spanning tree.  One shared tree T,
+matroid greedy (Edmonds 1971) over all edges in order on a union-find,
+lies on every nonnegativity facet whose edge it leaves out and on each
+good flat S on which it has |S| - 1 edges, counted by popcount against
+the flat's edge mask.  For a deletable edge e of T, the tree T - e + f
+lies on e's facet, for an edge f off T whose path in T holds e; such an
+f exists since G - e is connected.  Paths to vertex 0 in T as edge
+masks give each f's path by one xor, and one pass over the edges off T
+covers every e.  A good flat S that T misses needs a tree with
+|S| - 1 edges in E(S), which exists exactly when E(S) has rank |S| - 1
+(greedy taking E(S) first puts rank(E(S)) of them in), counted by a
+union-find over E(S) alone.  The V-representation (every spanning tree)
+is listed only when `BasePolytope.vertices` is read; the oracle and the
+census never read it.
 
-The oracle's equations at distance 1 from every facet have the same
-coordinate sets at every dilation; only their targets scale.  So the
-polytope builds them once from the masks, as its cached
-`distance_one_system` (the coordinates the nonnegativity facets fix,
-each equation's free coordinates and offset, the equations each free
-coordinate enters), and each dilation only scales the targets, rejects
-an unreachable one in one pass over the equations, and backtracks on
-fresh copies of the partial sums.
+The oracle solves the equations at distance 1 from every facet of the
+d-th dilation for d and the point x together: x_e = 1 for each
+deletable e, x(E(S)) = d(|S| - 1) - 1 for each good flat S, and
+x(E) = d * rank.  `BasePolytope.distance_one_point` takes them in order
+of how many free (non-deletable) coordinates each holds, and holds each
+free coordinate as an integer affine function of d.  An equation with
+one unknown coordinate fixes it; one with none either fixes d, which
+must then be an integer, or checks it.  Two facts make this a complete
+solve with at most one solution, raising RuntimeError if either fails.
+
+1. Every free coordinate is the only free one in some equation.  A free
+   coordinate is a "con" edge uv (the one edge of K_2, the only other
+   non-deletable edge, gives a polytope with no facet, which has no
+   equations to solve).  The `matroid` docstring proves that G - {u, v}
+   is connected for such an edge, with n >= 3 and no parallel copy of
+   uv.  So {u, v} is a proper vertex subset whose induced subgraph, two
+   adjacent vertices, is 2-connected, with G - {u, v} connected and
+   nonempty: a good flat, whose E(S) is {uv}.  So by the time the
+   equations with two or more free coordinates come, every coordinate
+   is known.
+2. Some equation fixes d.  Were none to, every equation would hold for
+   the slopes b of x = a + b d alone, with the targets of dilation 1
+   and no shift: b_e = 0 for each deletable e, b(E(S)) = |S| - 1 for
+   each good flat S, and sum b = rank.  So b would lie in the affine
+   span of P and on every facet hyperplane.  A point q of the relative
+   interior of P lies strictly inside every facet inequality, and q != b
+   as P has a facet.  Then every point b + t (q - b) with t > 0 lies
+   strictly inside every facet inequality too, so the whole ray would
+   lie in P, which is bounded.  So a polytope that has a facet has no
+   such point b.
+
+So the solution (d, x) is unique: at most one dilation has a point at
+distance 1 from every facet, and the point is that x.  `gorenstein_point_at`
+returns x at that d when 0 <= x <= d, and checks it against every facet
+by the closed-form distances above.
 """
 
 from __future__ import annotations
@@ -153,37 +184,53 @@ class BasePolytope:
                 yield dilation * (s.bit_count() - 1) - inside
 
     @cached_property
-    def distance_one_system(self) -> tuple[tuple, ...]:
-        """The dilation-free part of the distance-1 equations, built on first read.
+    def distance_one_point(self) -> tuple[int, tuple[int, ...]] | None:
+        """(d, x): the one dilation and lattice point at distance 1 from
+        every facet of dP, solved exactly on first read (see the module
+        docstring); None when the equations have no integer solution or
+        the polytope has no facet.
 
-        At distance 1 from every facet of the d-th dilation, x_e = 1 for
-        each deletable edge e, x(E(S)) = d(|S| - 1) - 1 for each good flat
-        S, and x(E) = d * rank.  Returns (start, free, members, scales,
-        shifts, free_counts): start has the fixed coordinates at 1 and the
-        rest at 0; free lists the other coordinates in order, and
-        members[k] the equations that free[k] enters; equation q asks its
-        free_counts[q] free coordinates to sum to d * scales[q] - shifts[q].
+        Raises RuntimeError when a free coordinate has no equation of its
+        own or no equation fixes d: either would contradict the proofs.
         """
-        m, fixed = self.ambient_dim, self.deletable
-        every_edge = (1 << m) - 1
-        free = _bits(every_edge & ~fixed)
-        slot = {i: k for k, i in enumerate(free)}
-        members: list[list[int]] = [[] for _ in free]
-        equations = [(every_edge, self.rank, 0)]
-        equations += [(edges, s.bit_count() - 1, 1) for s, edges in self.flats]
-        scales, shifts, free_counts = [], [], []
-        for q, (edges, scale, shift) in enumerate(equations):
-            held = _bits(edges & ~fixed)
-            for i in held:
-                members[slot[i]].append(q)
-            scales.append(scale)
-            shifts.append(shift + (edges & fixed).bit_count())
-            free_counts.append(len(held))
-        start = tuple(fixed >> i & 1 for i in range(m))
-        return (
-            start, free, tuple(map(tuple, members)),
-            tuple(scales), tuple(shifts), tuple(free_counts),
-        )
+        fixed = self.deletable
+        if not fixed and not self.flats:
+            return None
+        m = self.ambient_dim
+        # x(edges) = d * scale - shift; each x_i is held as a + b * d
+        equations = [(edges, s.bit_count() - 1, 1) for s, edges in self.flats]
+        equations.append(((1 << m) - 1, self.rank, 0))
+        equations.sort(key=lambda q: (q[0] & ~fixed).bit_count())
+        a = [fixed >> i & 1 for i in range(m)]
+        b = [0] * m
+        solved = 0  # the free coordinates held so far
+        dilation = None
+        pinned, solvable = False, True
+        for edges, scale, shift in equations:
+            const, slope = -shift - (edges & fixed).bit_count(), scale
+            for i in _bits(edges & solved):
+                const -= a[i]
+                slope -= b[i]
+            unknown = edges & ~fixed & ~solved
+            if unknown & (unknown - 1):
+                raise RuntimeError("a free coordinate has no equation of its own")
+            if unknown:  # it fixes that coordinate
+                i = unknown.bit_length() - 1
+                a[i], b[i] = const, slope
+                solved |= unknown
+            elif slope:  # it fixes d: const + slope * d = 0
+                pinned = True
+                d = -const // slope
+                if const % slope or dilation not in (None, d):
+                    solvable = False
+                dilation = d
+            elif const:  # it holds at no d
+                solvable = False
+        if not pinned:
+            raise RuntimeError("no distance-1 equation fixes the dilation")
+        if not solvable:
+            return None
+        return dilation, tuple(p + q * dilation for p, q in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -192,10 +239,9 @@ class GorensteinPoint:
     coordinates: tuple[int, ...]
 
 
-def _greedy_tree(n: int, ends, order) -> int:
-    """Edge-position mask of the spanning tree that matroid greedy grows
-    from the positions in `order`: an edge is taken when it joins two
-    components."""
+def _forest(n: int, ends, order) -> int:
+    """Edge-position mask of the forest that matroid greedy grows from the
+    positions in `order`: an edge is taken when it joins two components."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -204,16 +250,35 @@ def _greedy_tree(n: int, ends, order) -> int:
             x = parent[x]
         return x
 
-    tree = 0
+    forest = 0
     for i in order:
         u, v = ends[i]
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[rv] = ru
-            tree |= 1 << i
-    if tree.bit_count() != n - 1:
-        raise RuntimeError("greedy witness is not a spanning tree")
-    return tree
+            forest |= 1 << i
+    return forest
+
+
+def _tree_paths(n: int, ends, tree: int) -> list[int]:
+    """Per vertex, the edge-position mask of its path to vertex 0 in the
+    spanning tree `tree`."""
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i in _bits(tree):
+        u, v = ends[i]
+        adjacent[u].append((v, i))
+        adjacent[v].append((u, i))
+    path = [0] * n
+    seen = 1
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v, i in adjacent[u]:
+            if not seen >> v & 1:
+                seen |= 1 << v
+                path[v] = path[u] | 1 << i
+                stack.append(v)
+    return path
 
 
 def build_polytope(graph: Multigraph) -> BasePolytope:
@@ -225,24 +290,27 @@ def build_polytope(graph: Multigraph) -> BasePolytope:
     ends = [(e.u, e.v) for e in graph.edges]
     kinds = matroid.edge_kinds(graph)
     deletable = sum(1 << i for i, eid in enumerate(edge_ids) if kinds[eid] == "del")
-    shared = _greedy_tree(graph.n, ends, range(m))
-    # G - e is 2-connected, so greedy without e spans; when the shared tree
-    # avoids e it is that tree
-    for i in _bits(deletable & shared):
-        _greedy_tree(graph.n, ends, (j for j in range(m) if j != i))
-    every_edge = (1 << m) - 1
+    shared = _forest(graph.n, ends, range(m))
+    if shared.bit_count() != graph.n - 1:
+        raise RuntimeError("greedy witness is not a spanning tree")
+    # G - e is 2-connected, so some edge f off the shared tree T closes a
+    # cycle through e, and T - e + f is a spanning tree without e
+    path = _tree_paths(graph.n, ends, shared)
+    cycled = 0
+    for i in _bits(((1 << m) - 1) & ~shared):
+        u, v = ends[i]
+        cycled |= path[u] ^ path[v]
+    if deletable & shared & ~cycled:
+        raise RuntimeError("greedy witness is not a spanning tree")
     flats = matroid.good_flat_masks(graph)
     for s, inside in flats:
-        # G[S] is connected, so taking E(S) first puts |S| - 1 of its edges in
+        # G[S] is connected, so greedy over E(S) alone takes |S| - 1 edges
         offset = s.bit_count() - 1
-        if (shared & inside).bit_count() != offset:
-            witness = _greedy_tree(
-                graph.n, ends, _bits(inside) + _bits(every_edge & ~inside)
-            )
-            if (witness & inside).bit_count() != offset:
-                raise RuntimeError(
-                    f"greedy witness is off the flat {list(_bits(s))}"
-                )
+        if (
+            (shared & inside).bit_count() != offset
+            and _forest(graph.n, ends, _bits(inside)).bit_count() != offset
+        ):
+            raise RuntimeError(f"greedy witness is off the flat {list(_bits(s))}")
     return BasePolytope(m, graph.n - 1, edge_ids, deletable, flats, graph)
 
 
@@ -251,52 +319,18 @@ def build_polytope(graph: Multigraph) -> BasePolytope:
 def gorenstein_point_at(polytope: BasePolytope, dilation: int) -> tuple[int, ...] | None:
     """Lattice point of the dilated polytope at distance 1 from every facet.
 
-    Searches the lattice points of the dilation under the equality
-    constraints the distance-1 condition imposes; returns the first hit.
-    The part of those constraints that no dilation changes is the
-    polytope's cached `distance_one_system`; this call only scales the
-    targets and searches.
+    The polytope's cached `distance_one_point` is the one solution of the
+    distance-1 equations; this returns its point when its dilation is
+    this one and the point lies in [0, dilation]^m, else None.  The point
+    is then checked against every facet by the closed-form distances.
     """
     if dilation < 2:
         raise ValueError("dilation must be >= 2")
-    if not polytope.deletable and not polytope.flats:
-        # 0-dimensional polytope (single spanning tree): the distance
-        # conditions are vacuous and the Gorenstein index is 1, below scan
+    solved = polytope.distance_one_point
+    if solved is None or solved[0] != dilation:
         return None
-    start, free, members, scales, shifts, free_counts = polytope.distance_one_system
-    # need[q]: what equation q's free coordinates must still sum to
-    need = [dilation * a - c for a, c in zip(scales, shifts)]
-    if any(r < 0 or r > dilation * k for r, k in zip(need, free_counts)):
-        return None
-    left = list(free_counts)
-    x = list(start)
-
-    def rec(pos: int) -> tuple[int, ...] | None:
-        if pos == len(free):
-            # every equation's need was held in [0, dilation * left] = [0, 0]
-            return tuple(x)
-        eqs = members[pos]
-        low, high = 0, dilation
-        for q in eqs:
-            left[q] -= 1
-            high = min(high, need[q])
-            low = max(low, need[q] - dilation * left[q])
-        found = None
-        for val in range(low, high + 1):
-            for q in eqs:
-                need[q] -= val
-            x[free[pos]] = val
-            found = rec(pos + 1)
-            for q in eqs:
-                need[q] += val
-            if found is not None:
-                break
-        for q in eqs:
-            left[q] += 1
-        return found
-
-    point = rec(0)
-    if point is None:
+    point = solved[1]
+    if not all(0 <= x <= dilation for x in point):
         return None
     if any(r != 1 for r in polytope.distances(point, dilation)):
         raise RuntimeError("lattice point is not at distance 1 from every facet")
@@ -308,19 +342,22 @@ def default_delta_max(graph: Multigraph) -> int:
 
 
 def gorenstein_oracle(graph: Multigraph) -> GorensteinPoint | None:
-    """Scan dilations 2..max(m, 3) + 1 for a point at lattice distance 1
-    from every facet; first hit wins (at most one can exist).
+    """The point at lattice distance 1 from every facet of some dilation
+    2..max(m, 3) + 1, if there is one.
 
-    The hit, if any, is the Gorenstein index, which equals the codegree
-    and so is at most dim + 1 = m (Ehrhart-Macdonald reciprocity); the
-    scan bound covers it, so no larger bound can find more.
+    The distance-1 equations have at most one solution (d, x) over all
+    dilations, solved exactly as the polytope's `distance_one_point`; its
+    d, when x is a lattice point of dP, is the Gorenstein index.  That
+    equals the codegree and so is at most dim + 1 = m
+    (Ehrhart-Macdonald reciprocity); the bound accepts every such d, so
+    no larger bound can find more.
     """
     polytope = build_polytope(graph)
-    for delta in range(2, default_delta_max(graph) + 1):
-        point = gorenstein_point_at(polytope, delta)
-        if point is not None:
-            return GorensteinPoint(delta, point)
-    return None
+    solved = polytope.distance_one_point
+    if solved is None or not 2 <= solved[0] <= default_delta_max(graph):
+        return None
+    point = gorenstein_point_at(polytope, solved[0])
+    return None if point is None else GorensteinPoint(solved[0], point)
 
 
 # -- serialization ---------------------------------------------------------

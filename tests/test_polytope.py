@@ -167,6 +167,13 @@ class TestBuildPolytope:
         with pytest.raises(RuntimeError, match="off the flat"):
             build_polytope(cycle_graph(4))
 
+    def test_witness_off_nonnegativity_raises(self, monkeypatch):
+        # K2's one edge is in every tree, so no tree lies on its facet
+        g = complete_graph(2)
+        monkeypatch.setattr(matroid, "edge_kinds", lambda graph: {e.eid: "del" for e in graph.edges})
+        with pytest.raises(RuntimeError, match="not a spanning tree"):
+            build_polytope(g)
+
     def test_reduced_functionals_primitive(self, census_small):
         from math import gcd
 
@@ -350,6 +357,60 @@ class TestDistanceOneSystem:
         for n in (6, 8, 10):
             # Gorenstein at delta: one hit per direction
             assert self.scan_matches_fresh(glued_chain(delta, n)) == 2
+
+
+def distance_one_points(poly, dilation) -> list[tuple[int, ...]]:
+    """The lattice points of the dilation at distance 1 from every facet,
+    by enumeration and the dense rows; none on a polytope with no facet,
+    whose Gorenstein index 1 lies below every dilation scanned."""
+    if not poly.facets:
+        return []
+    return [
+        p
+        for p in lattice_points(poly, dilation)
+        if all(f.distance(p, dilation) == 1 for f in poly.facets)
+    ]
+
+
+class TestDistanceOnePoint:
+    """The solved point equals the one lattice point at distance 1 from
+    every facet, found by enumeration, at every dilation 2..m+1."""
+
+    @staticmethod
+    def hits(graph) -> int:
+        """Checks every dilation; returns the number with a point."""
+        poly = build_polytope(graph)
+        hits = 0
+        for d in range(2, graph.m + 2):
+            found = distance_one_points(poly, d)
+            assert len(found) <= 1, d
+            assert gorenstein_point_at(poly, d) == (found[0] if found else None), d
+            hits += len(found)
+        return hits
+
+    def test_census(self, census_small):
+        hits = Counter(self.hits(g) for g in census_small)
+        assert set(hits) == {0, 1} and hits[1] > 0
+
+    @pytest.mark.parametrize("delta, n", [(3, 3), (3, 4), (4, 4)])
+    def test_glued_chain_and_twin(self, delta, n):
+        g = glued_chain(delta, n)
+        pairs = [(e.u, e.v) for e in g.edges]
+        assert self.hits(g) == 1
+        # one edge doubled: the twin's one dilation, if any, is its own
+        self.hits(Multigraph.from_edge_list(g.n, pairs + [pairs[0]]))
+
+    @pytest.mark.parametrize(
+        "dropped, message", [(1, "fixes the dilation"), (2, "of its own")]
+    )
+    def test_missing_edge_flat_raises(self, monkeypatch, dropped, message):
+        # every edge of C4 is "con" and its 2-vertex flat its only good flat
+        g = cycle_graph(4)
+        flats = matroid.good_flat_masks(g)
+        assert all(s.bit_count() == 2 and e.bit_count() == 1 for s, e in flats)
+        monkeypatch.setattr(matroid, "good_flat_masks", lambda graph: flats[dropped:])
+        with pytest.raises(RuntimeError, match=message):
+            gorenstein_oracle(g)
 
 
 def assert_mask_distances(poly, point, dilation) -> None:
