@@ -9,14 +9,23 @@ therefore built once, as its lex-max matrix, and nothing is
 deduplicated.  That orderly representative is not the graph's
 `canonical_form`, which individualization-refinement labels
 (`Multigraph.canonicalize`); the census prints and sorts the lex-max
-matrices, and the harnesses compare canonical forms.  On top of the
-census sit the two verification harnesses: criterion equivalence (the
-weight checks against the polyhedral oracle, every dilation in range)
-and classification (spade verdict against the decomposition search).
+matrices, and the harnesses compare canonical forms.
+
+The census is a stream.  The search keeps each lex-max matrix packed as
+its edge count and upper triangle (a few dozen bytes), and
+`enumerate_census` builds each `Multigraph` only when it is reached, so
+no list of graphs exists; the `census` command writes each graph's
+record as soon as it is made, and the harnesses keep only their reports.
+
+On top of the census sit the two verification harnesses: criterion
+equivalence (the weight checks against the polyhedral oracle, every
+dilation in range) and classification (spade verdict against the
+decomposition search).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 from . import matroid, polytope
@@ -51,8 +60,15 @@ class CensusRecord:
     facet_count: int
 
 
-def _graphs_on(n: int, bounds: CensusBounds):
-    """Lex-max 2-connected multiplicity matrices on exactly n vertices.
+def _matrices_on(n: int, bounds: CensusBounds) -> list:
+    """Lex-max 2-connected multiplicity matrices on exactly n vertices,
+    packed and sorted.
+
+    Each matrix is packed as its edge count followed by its upper
+    triangle read row by row, (0,1), (0,2), ..., (0,n-1), (1,2), ..., in
+    `bytes` while the edge bound (which caps every entry) fits a byte, in
+    a tuple otherwise; both compare as sequences of ints, so the list is
+    sorted by (edges, matrix), see `enumerate_census`.
 
     Orderly generation: cells are filled column by column in the order
     (0,1), (0,2), (1,2), (0,3), ..., the cell order of the column-wise
@@ -87,16 +103,16 @@ def _graphs_on(n: int, bounds: CensusBounds):
       2-connected, tested on neighbour masks read off the matrix by the
       block search of `multigraph`.  Both this test and the canonicity
       test must pass for a census graph, and neither changes the matrix,
-      so testing the cheap one first keeps the same list; the `Multigraph`
-      is built only for a matrix that passes both.
+      so testing the cheap one first keeps the same list; a matrix is
+      packed only when it passes both.
     """
+    pack = bytes if bounds.max_edges < 256 else tuple
     if n == 2:
-        for k in range(1, min(bounds.max_edges, bounds.max_multiplicity) + 1):
-            yield Multigraph.from_edge_list(2, [(0, 1)] * k)
-        return
+        return [pack([k, k]) for k in range(1, min(bounds.max_edges, bounds.max_multiplicity) + 1)]
     mat = [[0] * n for _ in range(n)]
     out = []
     full = (1 << n) - 1
+    cells = _upper_cells(n)
     # edge total allowed once column j is complete (the edge reserve)
     budget = [bounds.max_edges - (n - j) for j in range(n - 1)] + [bounds.max_edges]
 
@@ -108,15 +124,6 @@ def _graphs_on(n: int, bounds: CensusBounds):
         nbr = [sum(1 << k for k, c in enumerate(row) if c) for row in mat]
         return _blocks(1, full, nbr) == [full]
 
-    def graph() -> Multigraph:
-        """The complete matrix with its edges sorted by endpoints and
-        numbered in that order; not the graph's canonicalize()[0], whose
-        labelling is individualization-refinement's."""
-        pairs = [
-            (i, j) for i in range(n) for j in range(i + 1, n) for _ in range(mat[i][j])
-        ]
-        return Multigraph.from_edge_list(n, pairs)
-
     def fill(i: int, j: int, total: int, column: int, tight: list[int]) -> None:
         """Choose mat[i][j]; column is the sum of column j so far, and the
         columns k in tight (all k > i) equal column j in rows 0..i-1."""
@@ -125,7 +132,7 @@ def _graphs_on(n: int, bounds: CensusBounds):
                 if column and is_canonical_order(mat, j + 1):
                     fill(0, j + 1, total, 0, list(range(1, j + 1)))
             elif two_connected(total) and is_canonical_order(mat, n):
-                out.append(graph())
+                out.append(pack([total, *(mat[a][b] for a, b in cells)]))
             return
         cap = min(bounds.max_multiplicity, budget[j] - total)
         for k in tight:
@@ -138,20 +145,63 @@ def _graphs_on(n: int, bounds: CensusBounds):
         mat[i][j] = mat[j][i] = 0
 
     fill(0, 1, 0, 0, [])
-    yield from out
+    out.sort()
+    return out
 
 
-def enumerate_census(bounds: CensusBounds) -> list[Multigraph]:
+def _upper_cells(n: int) -> list[tuple[int, int]]:
+    """The cells above the diagonal of an n x n matrix, row by row."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _graph(n: int, packed) -> Multigraph:
+    """The packed matrix with its edges sorted by endpoints and numbered in
+    that order; not the graph's canonicalize()[0], whose labelling is
+    individualization-refinement's."""
+    pairs = [cell for cell, c in zip(_upper_cells(n), packed[1:]) for _ in range(c)]
+    return Multigraph.from_edge_list(n, pairs)
+
+
+class _Census(Iterator[Multigraph]):
+    """The census graphs in order, each built when it is reached; `len` is
+    their number, known once the search has run."""
+
+    def __init__(self, matrices: list[tuple[int, list]]):
+        self._total = sum(len(packed) for _, packed in matrices)
+        self._graphs = (_graph(n, p) for n, packed in matrices for p in packed)
+
+    def __next__(self) -> Multigraph:
+        return next(self._graphs)
+
+    def __len__(self) -> int:
+        return self._total
+
+
+def enumerate_census(bounds: CensusBounds) -> Iterator[Multigraph]:
     """Every 2-connected multigraph within bounds, once up to isomorphism.
 
-    Returns the orderly representatives, sorted by (vertices, edges,
-    multiplicity matrix) so downstream reports are deterministic.  Each
-    representative's multiplicity matrix is the lex-max matrix of its
-    class, which need not be its `canonical_form`.
+    Returns an iterator over the orderly representatives, sorted by
+    (vertices, edges, multiplicity matrix) so downstream reports are
+    deterministic; `len` of it is the census size.  Each representative's
+    multiplicity matrix is the lex-max matrix of its class, which need not
+    be its `canonical_form`.
+
+    The search runs in this call, for every vertex count, so the iterator
+    knows its length and the call's time is the search's (the benchmark
+    tracer's census span reads both).  It keeps only packed matrices
+    (`_matrices_on`); each `Multigraph` is built as the iterator reaches
+    it, so a caller that keeps no graph holds a few dozen bytes per
+    census graph.  One sort per vertex count gives the order: n is the
+    outer loop, and within one n, sorting the packed (edges, upper
+    triangle row by row) sorts by (edges, matrix).  Two symmetric
+    matrices with zero diagonals first differ, row by row, at some (i, j)
+    with i < j: were j < i, the entry (j, i), equal to it by symmetry,
+    would differ one row earlier, and the diagonal never differs.  Every
+    upper-triangle cell before (i, j) in the packed order also comes
+    before it row by row, so (i, j) is the first difference of the upper
+    triangles too, and both comparisons order the two matrices by it.
     """
-    out = [g for n in range(2, bounds.max_vertices + 1) for g in _graphs_on(n, bounds)]
-    out.sort(key=lambda g: (g.n, g.m, g.multiplicity_matrix))
-    return out
+    return _Census([(n, _matrices_on(n, bounds)) for n in range(2, bounds.max_vertices + 1)])
 
 
 def census_record(graph: Multigraph) -> CensusRecord:

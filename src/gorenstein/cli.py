@@ -2,8 +2,18 @@
 
 Thin adapters only: parse arguments and files, call the library, print
 JSON (byte-deterministic: sorted keys, fixed separators) or DOT text.
-Exit codes: 0 success/verdict, 1 verification mismatch, 2 input error,
-3 internal error (a crash, with its traceback on stderr).
+`census` writes its JSON one graph record at a time, as each is made.
+
+Exit codes:
+- 0 success/verdict;
+- 1 verification mismatch;
+- 2 input error;
+- 3 internal error: a crash, with its traceback on stderr.  Stdout then
+  holds what was written before it, for `census` the records made so
+  far, which is not a whole JSON document;
+- 141 (128 + SIGPIPE) stdout closed by its reader, as in
+  `gorenstein census | head`: the rest of the output is dropped, with no
+  traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import traceback
 
@@ -38,6 +49,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 # `facets` prints the V-representation, one 0/1 vector per spanning tree,
 # so its output grows with the number of trees: a graph with more than
@@ -113,6 +125,13 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
 
 def _print_json(obj) -> None:
     print(_dumps(obj))
+
+
+def _write_at(prefix: str, obj, newline: str) -> None:
+    """Write prefix, then obj's JSON at the indent that newline carries."""
+    out = [prefix]
+    _write_json(obj, newline, out)
+    sys.stdout.write("".join(out))
 
 
 def _to_dot(graph: Multigraph) -> str:
@@ -311,26 +330,30 @@ def _bounds_from(args) -> CensusBounds:
 
 
 def _cmd_census(args) -> int:
+    """`_print_json` of {"bounds", "graphs", "total"}, written as it is made.
+
+    The keys sort as bounds < graphs < total, so each graph's record is
+    written as soon as `census_record` returns it and the count is known
+    when it is due; a census always holds K2, so the list is never empty.
+    """
     bounds = _bounds_from(args)
-    records = [census_record(g) for g in enumerate_census(bounds)]
-    _print_json(
-        {
-            "bounds": dataclasses.asdict(bounds),
-            "total": len(records),
-            "graphs": [
-                {
-                    # the orderly representative's lex-max matrix
-                    "canonical": [list(row) for row in r.graph.multiplicity_matrix],
-                    "vertices": r.graph.n,
-                    "edges": r.graph.m,
-                    "delta": r.delta,
-                    "good_flats": r.good_flat_count,
-                    "facets": r.facet_count,
-                }
-                for r in records
-            ],
+    graphs = enumerate_census(bounds)
+    _write_at('{\n  "bounds": ', dataclasses.asdict(bounds), "\n  ")
+    sep = ',\n  "graphs": [\n    '
+    for g in graphs:
+        r = census_record(g)
+        record = {
+            # the orderly representative's lex-max matrix
+            "canonical": [list(row) for row in g.multiplicity_matrix],
+            "vertices": g.n,
+            "edges": g.m,
+            "delta": r.delta,
+            "good_flats": r.good_flat_count,
+            "facets": r.facet_count,
         }
-    )
+        _write_at(sep, record, "\n    ")
+        sep = ",\n    "
+    sys.stdout.write(f'\n  ],\n  "total": {len(graphs)}\n}}\n')
     return EXIT_OK
 
 
@@ -414,6 +437,12 @@ def run(argv=None) -> int:
 def main() -> None:
     try:
         code = run()
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send what is left to devnull
+        # (the Python docs' "Note on SIGPIPE") and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
     except Exception:  # a bug, not bad input; exit 1 stays the mismatch code
         traceback.print_exc()
         code = EXIT_INTERNAL

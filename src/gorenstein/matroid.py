@@ -20,6 +20,16 @@ order within a size; a `GoodFlat` keeps its E(S) mask beside the
 vertex set.  `two_connected_subsets` lists every S with |S| >= 2 whose
 induced subgraph is 2-connected, V included, in the same order.
 
+The three caches, `edge_kinds`, `good_flats` and `good_flat_masks`, keep
+the 256 graphs read last.  A command reads them again mostly for its
+current graph or a handful of recent ones (a `decompose` search, for
+the state it expands and its predecessors); an evicted entry costs one
+search of a small graph when it is read again, as when a `verify`
+harness's search memo reaches back to an early census graph.  A larger
+cache keeps census graphs alive, each with its block tables, long after
+their records are written: at 16,384 entries the streamed census at
+(10, 13, 4) peaked near 300 MB, at 256 near 33 MB.
+
 Every connectivity question here is a search over bitmasks: a vertex
 subset is an int, each vertex has a neighbour mask and a mask of its
 incident edge positions, and each edge an endpoint mask.  The masks,
@@ -120,7 +130,7 @@ class GoodFlat:
     edge_mask: int  # E(S) by position: bit i stands for graph.edges[i]
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=256)
 def edge_kinds(graph: Multigraph) -> Mapping[int, str | None]:
     """Per-edge weight dichotomy of a 2-connected graph, independent of
     the dilation.
@@ -214,7 +224,7 @@ def _exclusions(inner: int, rest: int, w: int, nbr: Sequence[int]) -> Sequence[i
     return [b for b in _blocks(rest & -rest, rest, nbr) if b & inner == inner]
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=256)
 def good_flats(graph: Multigraph) -> tuple[GoodFlat, ...]:
     """All good flats (type-2 facets), by size, then in combinations order:
     the view of `good_flat_masks` that `check_spade` and the `check`
@@ -224,7 +234,7 @@ def good_flats(graph: Multigraph) -> tuple[GoodFlat, ...]:
     )
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=256)
 def good_flat_masks(graph: Multigraph) -> tuple[tuple[int, int], ...]:
     """(S, E(S)) of every good flat as masks, in search order."""
     if not graph.is_two_connected():

@@ -54,22 +54,39 @@ class TestBounds:
 class TestEnumerate:
     def test_two_vertex_family(self):
         # K_2 counts as 2-connected, so bananas with 1..5 edges: 5 graphs
-        graphs = enumerate_census(CensusBounds(2, 5, 5))
+        graphs = list(enumerate_census(CensusBounds(2, 5, 5)))
         assert len(graphs) == 5
         assert sorted(g.m for g in graphs) == [1, 2, 3, 4, 5]
 
     def test_three_vertices_simple(self):
-        graphs = enumerate_census(CensusBounds(3, 3, 1))
+        graphs = list(enumerate_census(CensusBounds(3, 3, 1)))
         assert [g.n for g in graphs] == [2, 3]
         assert graphs[1].is_isomorphic(cycle_graph(3))
 
     def test_four_vertices_simple(self):
-        graphs = enumerate_census(CensusBounds(4, 6, 1))
+        graphs = list(enumerate_census(CensusBounds(4, 6, 1)))
         four = [g for g in graphs if g.n == 4]
         assert len(four) == 3
         assert any(g.is_isomorphic(cycle_graph(4)) for g in four)
         assert any(g.is_isomorphic(DIAMOND) for g in four)
         assert any(g.is_isomorphic(complete_graph(4)) for g in four)
+
+    def test_iterator_builds_each_graph_when_reached(self, monkeypatch):
+        built = []
+        make = census._graph
+        monkeypatch.setattr(census, "_graph", lambda n, packed: built.append(n) or make(n, packed))
+        graphs = enumerate_census(CensusBounds(4, 6, 3))
+        assert iter(graphs) is graphs and len(graphs) == 18 and built == []
+        first = next(graphs)
+        assert (first.n, first.m, built) == (2, 1, [2])
+        assert len(list(graphs)) == 17 and len(built) == 18
+
+    def test_packed_as_tuples_past_a_byte(self):
+        # an edge bound of 256 packs each matrix in a tuple, not in bytes;
+        # at (4, _, 2) no graph has more than 12 edges, so the lists agree
+        wide = list(enumerate_census(CensusBounds(4, 256, 2)))
+        assert wide == list(enumerate_census(CensusBounds(4, 255, 2)))
+        assert isinstance(census._matrices_on(3, CensusBounds(3, 256, 2))[0], tuple)
 
     def test_duplicate_free(self, census_full):
         forms = [g.canonical_form for g in census_full]
@@ -86,15 +103,15 @@ class TestEnumerate:
         assert len(census_full) == 106
 
     def test_deterministic(self):
-        a = enumerate_census(CensusBounds(4, 6, 3))
-        b = enumerate_census(CensusBounds(4, 6, 3))
+        a = list(enumerate_census(CensusBounds(4, 6, 3)))
+        b = list(enumerate_census(CensusBounds(4, 6, 3)))
         assert [g.canonical_form for g in a] == [g.canonical_form for g in b]
 
     @pytest.mark.parametrize("bounds", [(4, 6, 3), (5, 8, 4)])
     def test_equals_canonicalizing_reference(self, bounds):
         # same Multigraphs (lex-max matrices, edges and ids), same order
         b = CensusBounds(*bounds)
-        assert enumerate_census(b) == enumerate_by_canonicalizing(b)
+        assert list(enumerate_census(b)) == enumerate_by_canonicalizing(b)
 
     # at each bound the transposition bound alone and the edge reserve
     # alone both save canonicity tests
@@ -104,7 +121,7 @@ class TestEnumerate:
         pruned = count_canonicity_tests(monkeypatch, census)
         unpruned = count_canonicity_tests(monkeypatch, oracles)
         b = CensusBounds(*bounds)
-        assert enumerate_census(b) == enumerate_orderly_unpruned(b)
+        assert list(enumerate_census(b)) == enumerate_orderly_unpruned(b)
         assert 0 < pruned[0] < unpruned[0]
 
     def test_canonicity_tests_at_benchmark_bounds(self, monkeypatch):

@@ -1,10 +1,18 @@
+import contextlib
+import dataclasses
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gorenstein import cli
+from gorenstein.census import CensusBounds, census_record, enumerate_census
 from gorenstein.criteria import is_gorenstein, weight_function
 from gorenstein.multigraph import Multigraph, complete_graph, cycle_graph
 from glued import glued_chain
@@ -310,6 +318,62 @@ class TestCensusCommand:
         data = json.loads(out)
         assert data["total"] == 2
 
+    @pytest.mark.parametrize("bounds", [(2, 1, 1), (4, 6, 3), (5, 8, 4)])
+    def test_same_bytes_as_stdlib_json(self, capsys, bounds):
+        # the streamed output against the stdlib encoder on the whole object
+        b = CensusBounds(*bounds)
+        records = []
+        for g in enumerate_census(b):
+            r = census_record(g)
+            records.append(
+                {
+                    "canonical": [list(row) for row in g.multiplicity_matrix],
+                    "vertices": g.n,
+                    "edges": g.m,
+                    "delta": r.delta,
+                    "good_flats": r.good_flat_count,
+                    "facets": r.facet_count,
+                }
+            )
+        whole = {"bounds": dataclasses.asdict(b), "total": len(records), "graphs": records}
+        argv = ["--max-v", str(b.max_vertices), "--max-e", str(b.max_edges)]
+        code, out, _ = run_cli(capsys, "census", *argv, "--max-mult", str(b.max_multiplicity))
+        assert code == 0
+        assert out == json.dumps(whole, sort_keys=True, indent=2) + "\n"
+
+    def test_each_record_written_before_the_next_is_made(self, monkeypatch):
+        out = io.StringIO()
+        written = []  # records on stdout at each census_record call
+
+        def recording(graph):
+            written.append(out.getvalue().count('"canonical"'))
+            return census_record(graph)
+
+        monkeypatch.setattr(cli, "census_record", recording)
+        with contextlib.redirect_stdout(out):
+            assert cli.run(["census", "--max-v", "4", "--max-e", "6", "--max-mult", "3"]) == 0
+        assert written == list(range(18))
+        assert json.loads(out.getvalue())["total"] == 18
+
+    def test_closed_pipe_exits_141_without_traceback(self):
+        # 610 kB of JSON, far more than a pipe holds, so the census still
+        # has output to write when its reader leaves after 50 bytes
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gorenstein.cli", "census"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+        assert head.startswith(b'{\n  "bounds": {')
+        assert "Traceback" not in err and "Error" not in err
+
 
 class TestVerifyCommand:
     def test_equivalence_clean(self, capsys):
@@ -375,7 +439,6 @@ class TestDumps:
             ["check", "--oracle", "{c5}"],
             ["decompose", "{k4}", "--delta", "2"],
             ["facets", "{k4}"],
-            ["census", "--max-v", "5", "--max-e", "7", "--max-mult", "3"],
             ["verify", "equivalence", "--max-v", "3", "--max-e", "4", "--max-mult", "3"],
             ["verify", "classification", "--delta", "3", "--max-v", "4", "--max-e", "6", "--max-mult", "3"],
         ],

@@ -125,7 +125,7 @@ class TestEdgeKinds:
         assert matroid.edge_kinds(complete_graph(2)) == {0: None}
 
     def test_equals_minor_reference_on_census(self):
-        graphs = enumerate_census(CensusBounds(7, 10, 4))
+        graphs = list(enumerate_census(CensusBounds(7, 10, 4)))
         assert len(graphs) == 1232
         for g in graphs:
             kinds_checked(g)

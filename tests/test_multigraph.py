@@ -586,7 +586,7 @@ class TestIndividualizationRefinement:
     exactly when they have equal lex-max matrices."""
 
     def test_census_and_shuffled_copies(self):
-        graphs = enumerate_census(CensusBounds(7, 10, 4))
+        graphs = list(enumerate_census(CensusBounds(7, 10, 4)))
         assert len({g.canonical_form for g in graphs}) == len(graphs)
         rng = random.Random(74)
         for g in graphs:
