@@ -553,6 +553,15 @@ def decompose(
     canonical labelling by individualization-refinement makes that one
     cheap canonicalization of the replayed graph.  The gluing reads the
     glued edges' kinds from the cached `matroid.edge_kinds`.
+
+    Limits (one run each, 2 vCPUs, Python 3.11.7): the search has no
+    work bound.  On the theta graph of delta paths of length delta - 1,
+    Gorenstein at delta, it takes 0.58, 4.2, 22 and 93 s at delta = 6,
+    8, 10 and 12 (26 to 122 vertices), where one `canonicalize` of the
+    graph takes at most 0.07 s and `criteria.is_gorenstein` at most
+    0.04 s.  Under cProfile at delta = 8, three quarters of the time is
+    split verification canonicalizing replayed graphs: 265
+    `_verify_split` calls make 805 `canonicalize` calls.
     """
     if delta < 2:
         raise ValueError("delta must be >= 2")

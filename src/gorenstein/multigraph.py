@@ -302,6 +302,14 @@ class Multigraph:
         sorted by endpoint pair; within a parallel class, old ids are
         mapped in increasing order.  The canonical graph is its own
         canonical form, so it comes with `canonical_form` already set.
+
+        Limits (one run each, 2 vCPUs, Python 3.11.7): the search takes
+        one recursion frame per individualized vertex, and on K_{2,k}
+        (k paths of length 2) individualizing a middle vertex splits no
+        other cell, so each leaf lies about k frames deep.  It takes 1.0 s
+        at k = 25, 6.6 s at k = 35 and 53 s at k = 50, and at k = 1,200
+        it passes Python's default limit of 1,000 frames and raises
+        RecursionError.
         """
         order = _canonical_labelling(self.multiplicity_matrix, self.n)
         vperm = [0] * self.n

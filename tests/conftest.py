@@ -19,3 +19,11 @@ def census_full():
 def census_default():
     """Census at the CLI's default bounds (6, 10, 5): 983 graphs."""
     return list(enumerate_census(CensusBounds(6, 10, 5)))
+
+
+@pytest.fixture(scope="session")
+def census_frontier():
+    """Census at (7, 10, 4): 1,232 graphs, the largest census tier-1 enumerates."""
+    graphs = list(enumerate_census(CensusBounds(7, 10, 4)))
+    assert len(graphs) == 1232
+    return graphs

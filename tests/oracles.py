@@ -12,10 +12,11 @@ every (n - 1)-subset of the edges that the backtracking spanning-tree
 listing replaced.  `subdivide_edge_by_hand` and
 `multi_gluing_by_vertex_map` are the builders that path-gluing the
 delta-cycle and the fold of universal gluings replaced in
-`constructions`.  There are eight exceptions.
-`edge_kinds_by_edge_search`, the per-edge kind map that the library
-replaced, runs on the kernel's `_blocks` and `_reach`: it checks the
-one-search-per-vertex rule of `matroid.edge_kinds`, not the kernel.
+`constructions`.  `canonical_ordering_by_columns` is the lex-max
+ordering search that rebuilds every column per node; `lex_max_graph`
+relabels by it, and the tests hold the census's canonicity test and
+the canonical form to it.  `edge_kinds_by_minors` builds G - e and
+G/e for every edge.  There are seven exceptions.
 `enumerate_orderly_unpruned` shares the library's canonicity test
 `is_canonical_order` and checks only the census's pre-filters.
 `decompose_eagerly` shares the subdivision generator with
@@ -43,7 +44,7 @@ subset, where `criteria.check_heart` tests V and the good flats only.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from functools import lru_cache, partial
 from fractions import Fraction
 from math import gcd
@@ -58,7 +59,6 @@ from gorenstein.multigraph import (
     Edge,
     Multigraph,
     _bits,
-    _blocks,
     _components,
     _reach,
     is_canonical_order,
@@ -126,12 +126,14 @@ def enumerate_by_canonicalizing(bounds: CensusBounds) -> list[Multigraph]:
 
 def lex_max_graph(graph: Multigraph) -> Multigraph:
     """The graph relabelled by its lex-max ordering
-    (`canonical_ordering_by_cells`), edges sorted by endpoints and
+    (`canonical_ordering_by_columns`), edges sorted by endpoints and
     numbered in that order: the census's orderly representative of the
     graph's class, and the canonical graph of the ordering search that
-    individualization-refinement replaced in `Multigraph.canonicalize`."""
+    individualization-refinement replaced in `Multigraph.canonicalize`.
+    Ties among maximal orderings give one matrix, since the column-wise
+    upper-triangle sequence determines it."""
     n, mat = graph.n, graph.multiplicity_matrix
-    order = canonical_ordering_by_cells(mat, n)
+    order = canonical_ordering_by_columns(mat, n)
     pairs = [
         (i, j)
         for i in range(n)
@@ -280,87 +282,6 @@ def canonical_ordering_by_columns(
         return False
 
     rec(())
-    return best_ord
-
-
-def canonical_ordering_by_cells(
-    mult: Sequence[Sequence[int]], n: int, incumbent: tuple[int, ...] | None = None
-) -> tuple[int, ...] | None:
-    """The lex-max ordering, or the first prefix that beats an incumbent,
-    with the whole sequence compared per node.
-
-    Every search node builds its sequence as a tuple (`seq + col`) and
-    compares it with the best sequence's prefix of the same length, both
-    O(n^2); the library compares only the new column.
-
-    The ordering maximizes the column-wise upper-triangle sequence.
-
-    Cells (i, j) with i < j are compared in order (j, i), so placing the
-    k-th vertex appends exactly k known entries; this makes prefix pruning
-    sound.  Any fixed total order on cells gives a valid canonical form;
-    the maximizing one keeps adjacent vertices early, which prunes well on
-    the sparse, path-heavy graphs produced by subdivision.
-
-    The unplaced vertices travel as an ordered partition (McKay and
-    Piperno 2014, without their automorphism pruning) into vertex cells
-    (column, vertices): column holds the multiplicities to the placed
-    vertices in placement order, columns strictly decrease from one
-    vertex cell to the next, and vertices increase within one.  Placing
-    v splits every vertex cell by the multiplicity to v, highest first.
-    Columns of equal length compare lexicographically, so the split keeps
-    the vertex cells in the order of their full columns: children are
-    tried in the same order as when every node rebuilt and sorted the
-    column of each unplaced vertex, and the first maximal leaf, hence
-    the ordering returned, is the same.  Automorphism pruning was
-    measured and left out: it saved about a tenth of the nodes on
-    decomposition and census inputs and slowed census enumeration.
-
-    Given an incumbent sequence instead, the branch-and-bound stops at the
-    first ordering prefix whose sequence beats the incumbent's prefix of
-    the same length and returns it, or returns None when none does.
-    """
-    stop_on_gain = incumbent is not None
-    best_seq = incumbent
-    best_ord: tuple[int, ...] | None = None
-    order: list[int] = []
-
-    def rec(seq: tuple[int, ...], cells: list[tuple[tuple[int, ...], list[int]]]) -> bool:
-        """Search below the current prefix; True once a gain ends the search."""
-        nonlocal best_seq, best_ord
-        if not cells:
-            if best_seq is None or seq > best_seq:
-                best_seq, best_ord = seq, tuple(order)
-            return False
-        for col, verts in cells:
-            ns = seq + col
-            if best_seq is not None:
-                prefix = best_seq[: len(ns)]
-                if ns < prefix:
-                    break  # every remaining column is smaller still
-                if stop_on_gain and ns > prefix:
-                    best_ord = tuple(order) + (verts[0],)
-                    return True
-            for v in verts:
-                row = mult[v]  # mult is symmetric: row v is column v
-                refined = []
-                for c, ws in cells:
-                    if len(ws) == 1:  # nothing to split
-                        if ws[0] != v:
-                            refined.append((c + (row[ws[0]],), ws))
-                        continue
-                    split: dict[int, list[int]] = {}
-                    for w in ws:
-                        if w != v:
-                            split.setdefault(row[w], []).append(w)
-                    for x in sorted(split, reverse=True):
-                        refined.append((c + (x,), split[x]))
-                order.append(v)
-                if rec(ns, refined):
-                    return True
-                order.pop()
-        return False
-
-    rec((), [((), list(range(n)))] if n else [])
     return best_ord
 
 
@@ -663,41 +584,6 @@ def edge_kinds_by_minors(graph: Multigraph) -> dict[int, str | None]:
         if is_two_connected_by_edge_dfs(delete_edge(graph, e.eid)):
             kinds[e.eid] = "del"
         elif is_two_connected_by_edge_dfs(contract_edge(graph, e.eid)):
-            kinds[e.eid] = "con"
-        else:
-            kinds[e.eid] = None
-    return kinds
-
-
-def edge_kinds_by_edge_search(graph: Multigraph) -> dict[int, str | None]:
-    """`matroid.edge_kinds` with one block search per edge.
-
-    The kind map that the one-search-per-vertex rule replaced, unchanged:
-    a simple edge of a 2-connected graph on three or more vertices is
-    'del' when the blocks of G - e are the single full mask.
-    """
-    n = graph.n
-    nbr = graph.neighbour_masks
-    full = (1 << n) - 1
-    blocks = graph.block_masks
-    connected = graph.is_connected()
-    seen = cut = 0
-    for b in blocks:  # a vertex in two blocks is a cut vertex
-        cut |= seen & b
-        seen |= b
-    two_connected = blocks == (full,)
-    copies = Counter((e.u, e.v) for e in graph.edges)
-    kinds: dict[int, str | None] = {}
-    for e in graph.edges:
-        rest = full & ~((1 << e.u) | (1 << e.v))
-        without = list(nbr)
-        without[e.u] &= ~(1 << e.v)
-        without[e.v] &= ~(1 << e.u)
-        if two_connected and (
-            copies[e.u, e.v] > 1 or n >= 3 and _blocks(1, full, without) == [full]
-        ):
-            kinds[e.eid] = "del"
-        elif n >= 3 and connected and not cut & rest and _reach(rest, nbr) == rest:
             kinds[e.eid] = "con"
         else:
             kinds[e.eid] = None

@@ -23,9 +23,18 @@ from oracles import (
     enumerate_naive,
     enumerate_orderly_unpruned,
     is_two_connected_by_edge_dfs,
+    lex_max_graph,
 )
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+
+
+def graph_of(mat) -> Multigraph:
+    """The multigraph with multiplicity matrix mat."""
+    n = len(mat)
+    return Multigraph.from_edge_list(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) for _ in range(mat[i][j])]
+    )
 
 
 def count_canonicity_tests(monkeypatch, module) -> list[int]:
@@ -163,19 +172,16 @@ class TestEnumerate:
     def test_known_total_at_default_bounds(self):
         assert len(enumerate_census(CensusBounds())) == 983
 
-    def test_naive_cross_check(self, census_small):
-        naive = enumerate_naive(CensusBounds(4, 6, 3))
-        assert len(naive) == len(census_small)
-        # same multigraphs: compare isomorphism-invariant signatures
-        def signature(mat):
-            n = len(mat)
-            degrees = sorted(sum(row) for row in mat)
-            mults = sorted(x for row in mat for x in row)
-            return (n, sum(degrees) // 2, tuple(degrees), tuple(mults))
-
-        assert sorted(signature(g.multiplicity_matrix) for g in census_small) == sorted(
-            signature(m) for m in naive
-        )
+    def test_naive_cross_check(self):
+        # the naive classes, each relabelled lex-max, are the census's
+        # matrices: one for one, with none missing and none twice
+        for bounds in (CensusBounds(4, 6, 3), CensusBounds(5, 6, 3)):
+            naive = [
+                lex_max_graph(graph_of(mat)).multiplicity_matrix
+                for mat in enumerate_naive(bounds)
+            ]
+            census_matrices = [g.multiplicity_matrix for g in enumerate_census(bounds)]
+            assert sorted(naive) == sorted(census_matrices)
 
 
 class TestCensusRecord:

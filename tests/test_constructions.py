@@ -406,8 +406,9 @@ class TestCounterexample:
 
 
 class TestSpadePaths:
-    """The search's `_spade_holds` reads the pruned good-flat search,
-    `check_spade` the subset pass; they must give one verdict."""
+    """The search's `_spade_holds` reads the good-flat mask pairs
+    `matroid.good_flat_masks`, `check_spade` their sorted view
+    `matroid.good_flats`; they must give one verdict."""
 
     @settings(max_examples=60, deadline=None)
     @given(two_connected_multigraphs())

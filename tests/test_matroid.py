@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gorenstein import matroid
-from gorenstein.census import CensusBounds, enumerate_census
 from gorenstein.criteria import delta_candidates, weight_function
 from gorenstein.multigraph import (
     Edge,
@@ -23,7 +22,6 @@ from glued import glued_chain, grid, two_connected_multigraphs
 from oracles import (
     blocks_by_edge_dfs,
     contract_subset,
-    edge_kinds_by_edge_search,
     edge_kinds_by_minors,
     edges_within,
     good_flat_masks_by_subset_pass,
@@ -98,12 +96,12 @@ class TestDeletableEdges:
 
 
 def kinds_checked(g) -> dict:
-    """`edge_kinds` of a 2-connected graph against the per-edge block
-    search it replaced and the minor reference; returns the kinds.  The
-    reference gives None only on K_2, as Tutte's theorem says."""
+    """`edge_kinds` of a 2-connected graph against the minor reference;
+    returns the kinds.  The reference gives None only on K_2, as Tutte's
+    theorem says."""
     kinds = matroid.edge_kinds(g)
     minors = edge_kinds_by_minors(g)
-    assert kinds == edge_kinds_by_edge_search(g) == minors
+    assert kinds == minors
     assert None not in minors.values() or (g.n, g.m) == (2, 1)
     return kinds
 
@@ -124,11 +122,15 @@ class TestEdgeKinds:
     def test_k2_edge_has_no_kind(self):
         assert matroid.edge_kinds(complete_graph(2)) == {0: None}
 
-    def test_equals_minor_reference_on_census(self):
-        graphs = list(enumerate_census(CensusBounds(7, 10, 4)))
-        assert len(graphs) == 1232
-        for g in graphs:
+    def test_equals_minor_reference_on_census(self, census_frontier):
+        for g in census_frontier:
             kinds_checked(g)
+
+    def test_equals_minor_reference_on_default_census(self, census_default):
+        seen = Counter()
+        for g in census_default:
+            seen.update(kinds_checked(g).values())
+        assert seen["del"] and seen["con"]
 
     @settings(deadline=None)
     @given(st.one_of(multigraphs(), two_connected_multigraphs()))
@@ -144,24 +146,8 @@ class TestEdgeKinds:
         g = glued_chain(delta, n)
         assert matroid.edge_kinds(g) == edge_kinds_by_minors(g)
 
-    def test_cached_map_is_read_only(self):
-        kinds = matroid.edge_kinds(cycle_graph(4))
-        with pytest.raises(TypeError):
-            kinds[0] = "del"
-        assert matroid.edge_kinds(cycle_graph(4))[0] == "con"
-
-
-class TestEdgeKindsEqualPerEdgeSearch:
-    """One block search per vertex against one per edge."""
-
-    def test_default_census(self, census_default):
-        seen = Counter()
-        for g in census_default:
-            seen.update(kinds_checked(g).values())
-        assert seen["del"] and seen["con"]
-
     @pytest.mark.parametrize("delta", [2, 3, 4])
-    def test_shuffled_glued_chains(self, delta):
+    def test_equals_minor_reference_on_shuffled_glued_chains(self, delta):
         rng = random.Random(delta)
         for n in range(4, 21):
             chain = glued_chain(delta, n)
@@ -169,6 +155,12 @@ class TestEdgeKindsEqualPerEdgeSearch:
                 continue
             for g in (chain, chain.shuffled(rng)):
                 kinds_checked(g)
+
+    def test_cached_map_is_read_only(self):
+        kinds = matroid.edge_kinds(cycle_graph(4))
+        with pytest.raises(TypeError):
+            kinds[0] = "del"
+        assert matroid.edge_kinds(cycle_graph(4))[0] == "con"
 
 
 class TestGoodFlats:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gorenstein.census import CensusBounds, enumerate_census
 from gorenstein.multigraph import (
     Edge,
     GraphParseError,
@@ -20,7 +19,6 @@ from gorenstein.multigraph import (
 from glued import glued_chain
 from oracles import (
     blocks_by_edge_dfs,
-    canonical_ordering_by_cells,
     canonical_ordering_by_columns,
     contract_edge,
     contract_edge_with_map,
@@ -427,7 +425,8 @@ class TestCanonicalForm:
 class TestCanonicalSearchEqualsColumnReference:
     """The census's canonicity test must answer as the reference does:
     no prefix beats the identity; on a lex-max matrix it runs the search
-    to the end."""
+    to the end.  The shuffled glued chains are large enough for many
+    prefixes to tie."""
 
     @given(st.one_of(small_multigraphs(), connected_multigraphs()), st.integers(0, 2**31))
     @settings(max_examples=80, deadline=None)
@@ -441,28 +440,16 @@ class TestCanonicalSearchEqualsColumnReference:
         for h in (g, g.shuffled(rng), g.shuffled(rng), lex_max_graph(g)):
             assert_search_equals_column_reference(h.multiplicity_matrix)
 
+    @pytest.mark.parametrize("delta,n", [(2, 28), (3, 40), (4, 20)])
+    def test_shuffled_glued_chains(self, delta, n):
+        g = glued_chain(delta, n).shuffled(random.Random(delta * 100 + n))
+        for h in (g, lex_max_graph(g)):
+            assert_search_equals_column_reference(h.multiplicity_matrix)
+
     def test_no_vertices(self):
         assert is_canonical_order((), 0)
         assert canonical_ordering_by_columns((), 0, ()) is None
         assert Multigraph(0, ()).canonicalize() == (Multigraph(0, ()), (), {})
-
-
-class TestCanonicalSearchEqualsCellReference:
-    """The search that compares only each new column answers as the one
-    that compares whole sequences does, on graphs large enough for many
-    prefixes to tie: the same verdict on every identity prefix of the
-    shuffled and of the lex-max matrix.  The second runs the search to
-    the end, as the census does."""
-
-    @pytest.mark.parametrize("delta,n", [(2, 28), (3, 40), (4, 20)])
-    def test_shuffled_glued_chains(self, delta, n):
-        g = glued_chain(delta, n).shuffled(random.Random(delta * 100 + n))
-        for mat in (g.multiplicity_matrix, lex_max_graph(g).multiplicity_matrix):
-            for k in range(1, g.n + 1):
-                identity = tuple(mat[i][j] for j in range(k) for i in range(j))
-                assert is_canonical_order(mat, k) == (
-                    canonical_ordering_by_cells(mat, k, identity) is None
-                )
 
 
 def matched(g: Multigraph, h: Multigraph) -> bool:
@@ -585,11 +572,10 @@ class TestIndividualizationRefinement:
     it replaced (`lex_max_graph`): two graphs have equal canonical forms
     exactly when they have equal lex-max matrices."""
 
-    def test_census_and_shuffled_copies(self):
-        graphs = list(enumerate_census(CensusBounds(7, 10, 4)))
-        assert len({g.canonical_form for g in graphs}) == len(graphs)
+    def test_census_and_shuffled_copies(self, census_frontier):
+        assert len({g.canonical_form for g in census_frontier}) == len(census_frontier)
         rng = random.Random(74)
-        for g in graphs:
+        for g in census_frontier:
             h = g.shuffled(rng)
             assert h.canonical_form == g.canonical_form
             assert lex_max_graph(h).multiplicity_matrix == g.multiplicity_matrix
