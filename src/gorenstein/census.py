@@ -98,40 +98,56 @@ def _matrices_on(n: int, bounds: CensusBounds) -> list:
       to the placed vertices, since a single one would be a bridge; with
       e edges among them and x across, 2e + x >= 2r and x >= 2 give
       e + x >= r + 1.
-    - Leaf conditions first: once the last column is complete, the matrix
-      must have at least n edges, every degree at least 2 and be
-      2-connected, tested on neighbour masks read off the matrix by the
-      block search of `multigraph`.  Both this test and the canonicity
-      test must pass for a census graph, and neither changes the matrix,
-      so testing the cheap one first keeps the same list; a matrix is
-      packed only when it passes both.
+    - Leaf blocks of the prefix: the last column joins z = n-1 to the
+      rows N where it is nonzero, and G = G' + z, G' the canonical prefix
+      on vertices 0..n-2, is 2-connected exactly when |N| >= 2 and N
+      meets the interior of every leaf block of G' (`_leaf_interiors`).
+      G' is connected, since each of its columns is nonzero.  If |N| <= 1,
+      z is isolated or hangs from a cut vertex.  If N misses the interior
+      I of a leaf block L with cut vertex c, every neighbour of a vertex
+      of I lies in L, so G - c separates I from z.  Conversely, G - z = G'
+      is connected; for a vertex v of G' that is no cut vertex of G',
+      G' - v is connected and z keeps a neighbour other than v; and for a
+      cut vertex c of G', each component C of G' - c holds a leaf
+      interior, so G - c is connected through z.  (The blocks and cut
+      vertices within C form a subtree of the block-cut tree of G' that
+      hangs from c by one block B.  Alone, B is a leaf block with
+      interior B - c in C; otherwise the subtree has a leaf other than B,
+      which is a block, since a cut vertex lies in two blocks, and a leaf
+      block of G' whose cut vertex is not c.)  So one block search per
+      canonical prefix serves every last column on it.  While that column
+      fills top-down, the mask of its nonzero rows is carried, and row i
+      may not be 0 when it is the highest vertex of a leaf interior that
+      the rows above missed; on the complete column, |N| >= 2 is the rest
+      of the test.  It runs before the canonicity test; both must pass
+      for a census graph and neither changes the matrix, so testing the
+      cheap one first keeps the same list, and a matrix is packed only
+      when it passes both.
     """
     pack = bytes if bounds.max_edges < 256 else tuple
     if n == 2:
         return [pack([k, k]) for k in range(1, min(bounds.max_edges, bounds.max_multiplicity) + 1)]
     mat = [[0] * n for _ in range(n)]
     out = []
-    full = (1 << n) - 1
     cells = _upper_cells(n)
     # edge total allowed once column j is complete (the edge reserve)
     budget = [bounds.max_edges - (n - j) for j in range(n - 1)] + [bounds.max_edges]
-
-    def two_connected(total: int) -> bool:
-        """The leaf conditions on the complete matrix; n edges and minimum
-        degree 2 are cheap necessary conditions of 2-connectivity here."""
-        if total < n or min(map(sum, mat)) < 2:
-            return False
-        nbr = [sum(1 << k for k, c in enumerate(row) if c) for row in mat]
-        return _blocks(1, full, nbr) == [full]
+    # per row i, the leaf interior of the prefix whose highest vertex is i, or 0
+    top = [0] * n
 
     def fill(i: int, j: int, total: int, column: int, tight: list[int]) -> None:
-        """Choose mat[i][j]; column is the sum of column j so far, and the
-        columns k in tight (all k > i) equal column j in rows 0..i-1."""
+        """Choose mat[i][j]; column is the mask of rows 0..i-1 where column j
+        is nonzero, and the columns k in tight (all k > i) equal column j
+        in those rows."""
         if i == j:
             if j < n - 1:
                 if column and is_canonical_order(mat, j + 1):
+                    if j == n - 2:
+                        top[:] = [0] * n
+                        for inner in _leaf_interiors(mat, j + 1):
+                            top[inner.bit_length() - 1] = inner
                     fill(0, j + 1, total, 0, list(range(1, j + 1)))
-            elif two_connected(total) and is_canonical_order(mat, n):
+            elif column.bit_count() >= 2 and is_canonical_order(mat, n):
                 out.append(pack([total, *(mat[a][b] for a, b in cells)]))
             return
         cap = min(bounds.max_multiplicity, budget[j] - total)
@@ -139,9 +155,11 @@ def _matrices_on(n: int, bounds: CensusBounds) -> list:
             cap = min(cap, mat[i][k])
         # columns that stay tight when row i takes the cap
         still = [k for k in tight if k > i + 1 and mat[i][k] == cap]
-        for c in range(cap + 1):
+        # the last column must meet the leaf interior that row i completes
+        low = 1 if j == n - 1 and top[i] and not top[i] & column else 0
+        for c in range(low, cap + 1):
             mat[i][j] = mat[j][i] = c
-            fill(i + 1, j, total + c, column + c, still if c == cap else [])
+            fill(i + 1, j, total + c, column | (1 << i if c else 0), still if c == cap else [])
         mat[i][j] = mat[j][i] = 0
 
     fill(0, 1, 0, 0, [])
@@ -149,17 +167,43 @@ def _matrices_on(n: int, bounds: CensusBounds) -> list:
     return out
 
 
+def _leaf_interiors(mat, k: int) -> list[int]:
+    """The interiors of the leaf blocks of the connected graph on vertices
+    0..k-1 of mat, k >= 2, as vertex masks.
+
+    A leaf block is a block with at most one cut vertex (the whole graph,
+    when it is one block), and its interior is its vertices that are no
+    cut vertex.  Blocks share at most one vertex, so a vertex met in a
+    second block is a cut vertex.  One block search (`_blocks`).
+    """
+    nbr = [sum(1 << b for b, c in enumerate(row[:k]) if c) for row in mat[:k]]
+    blocks = _blocks(1, (1 << k) - 1, nbr)
+    seen = cut = 0
+    for b in blocks:
+        cut |= seen & b
+        seen |= b
+    return [b & ~cut for b in blocks if (b & cut).bit_count() < 2]
+
+
 def _upper_cells(n: int) -> list[tuple[int, int]]:
     """The cells above the diagonal of an n x n matrix, row by row."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _graph(n: int, packed) -> Multigraph:
+def _graph(n: int, cells: list[tuple[int, int]], packed) -> Multigraph:
     """The packed matrix with its edges sorted by endpoints and numbered in
     that order; not the graph's canonicalize()[0], whose labelling is
-    individualization-refinement's."""
-    pairs = [cell for cell, c in zip(_upper_cells(n), packed[1:]) for _ in range(c)]
+    individualization-refinement's.  cells is `_upper_cells(n)`."""
+    pairs = [cell for cell, c in zip(cells, packed[1:]) for _ in range(c)]
     return Multigraph.from_edge_list(n, pairs)
+
+
+def _graphs(matrices: list[tuple[int, list]]) -> Iterator[Multigraph]:
+    """Each packed matrix as a graph, with one cell list per vertex count."""
+    for n, packed in matrices:
+        cells = _upper_cells(n)
+        for p in packed:
+            yield _graph(n, cells, p)
 
 
 class _Census(Iterator[Multigraph]):
@@ -168,7 +212,7 @@ class _Census(Iterator[Multigraph]):
 
     def __init__(self, matrices: list[tuple[int, list]]):
         self._total = sum(len(packed) for _, packed in matrices)
-        self._graphs = (_graph(n, p) for n, packed in matrices for p in packed)
+        self._graphs = _graphs(matrices)
 
     def __next__(self) -> Multigraph:
         return next(self._graphs)

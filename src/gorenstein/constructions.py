@@ -69,12 +69,23 @@ class GluingError(ValueError):
 
 
 def _edge_weight(graph: Multigraph, eid: int, delta: int) -> int:
+    """The weight of one edge of a 2-connected graph, from its
+    `matroid.edge_kinds` reading found alone.  A parallel copy gives
+    "del"; without one, the graph is the side graph of its whole vertex
+    set with the edge as the fresh edge, so `_side_kind` reads the kind
+    off one block search (None on K_2)."""
+    if not graph.is_two_connected():
+        raise GluingError("both graphs must be 2-connected")
     try:
-        kind = matroid.edge_kinds(graph)[eid]
+        e = graph.edge(eid)
     except KeyError:
         raise GluingError(f"unknown edge id {eid}") from None
-    except ValueError:
-        raise GluingError("both graphs must be 2-connected") from None
+    if any(f.u == e.u and f.v == e.v and f.eid != eid for f in graph.edges):
+        return 1
+    apart = list(graph.neighbour_masks)
+    apart[e.u] &= ~(1 << e.v)
+    apart[e.v] &= ~(1 << e.u)
+    kind = _side_kind((1 << graph.n) - 1, (1 << e.u) | (1 << e.v), apart)
     if kind == "del":
         return 1
     if kind == "con":
@@ -551,8 +562,8 @@ def decompose(
     Verifying a step replays it forward on the canonical predecessor and
     partner and compares the result's canonical form with the state's;
     canonical labelling by individualization-refinement makes that one
-    cheap canonicalization of the replayed graph.  The gluing reads the
-    glued edges' kinds from the cached `matroid.edge_kinds`.
+    cheap canonicalization of the replayed graph.  The gluing reads each
+    glued edge's kind alone (`_edge_weight`, one block search).
 
     Limits (one run each, 2 vCPUs, Python 3.11.7): the search has no
     work bound.  On the theta graph of delta paths of length delta - 1,

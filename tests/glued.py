@@ -1,5 +1,6 @@
-"""2-connected test graphs: larger ones glued from small pieces, grids,
-and random small ones by ear decomposition."""
+"""Test graphs: larger 2-connected ones glued from small pieces, grids,
+random small 2-connected ones by ear decomposition and random connected
+ones grown from a tree."""
 
 from hypothesis import strategies as st
 
@@ -59,3 +60,14 @@ def two_connected_multigraphs(draw):
         n += inner
         pairs.extend(zip(path, path[1:]))
     return Multigraph.from_edge_list(n, draw(st.permutations(pairs)))
+
+
+@st.composite
+def connected_multigraphs(draw, max_n=9):
+    """Random multigraphs on 1..max_n vertices grown from a random tree."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if n > 1:
+        extra = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        pairs += [(u, (u + d) % n) for u, d in draw(st.lists(extra, max_size=8))]
+    return Multigraph.from_edge_list(n, pairs)

@@ -182,12 +182,15 @@ def _labelled_fillings(n: int, bounds: CensusBounds):
 
 
 def enumerate_orderly_unpruned(bounds: CensusBounds) -> list[Multigraph]:
-    """`census.enumerate_census` without its transposition bound and edge reserve.
+    """`census.enumerate_census` without its transposition bound, edge
+    reserve and leaf-block prune.
 
-    The orderly fill as it was before those two pre-filters: every column
-    value up to the multiplicity and edge caps, and the canonicity test on
-    every completed column.  Returns the census in `enumerate_census`'s
-    order, so the two lists must be equal.
+    The orderly fill as it was before those pre-filters: every column
+    value up to the multiplicity and edge caps, the canonicity test on
+    every completed column, and each complete matrix tested for
+    2-connectivity on its own by edge DFS, with no block search of its
+    prefix.  Returns the census in `enumerate_census`'s order, so the two
+    lists must be equal.
     """
     out = []
     for n in range(2, bounds.max_vertices + 1):

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
 
 from gorenstein.census import (
     CensusBounds,
@@ -17,6 +20,7 @@ from gorenstein.multigraph import (
     is_canonical_order,
 )
 import oracles
+from glued import connected_multigraphs
 from gorenstein import census
 from oracles import (
     enumerate_by_canonicalizing,
@@ -37,17 +41,53 @@ def graph_of(mat) -> Multigraph:
     )
 
 
-def count_canonicity_tests(monkeypatch, module) -> list[int]:
-    """Count the calls module makes to `is_canonical_order` from now on."""
+def count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Count the calls module makes to its global `name` from now on."""
     calls = [0]
-    test = module.is_canonical_order
+    function = getattr(module, name)
 
     def counting(*args):
         calls[0] += 1
-        return test(*args)
+        return function(*args)
 
-    monkeypatch.setattr(module, "is_canonical_order", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def count_canonicity_tests(monkeypatch, module) -> list[int]:
+    """Count the calls module makes to `is_canonical_order` from now on."""
+    return count_calls(monkeypatch, module, "is_canonical_order")
+
+
+def lex_max_prefixes(max_k: int, max_mult: int):
+    """Every lex-max matrix on 2..max_k vertices with entries at most
+    max_mult and every column nonzero: the canonical prefixes the census
+    can reach, up to its edge bounds.  Built column by column, since
+    every prefix of a lex-max matrix is lex-max."""
+    mats = [[[0]]]
+    for k in range(2, max_k + 1):
+        grown = []
+        for mat in mats:
+            for column in itertools.product(range(max_mult + 1), repeat=k - 1):
+                if any(column):
+                    new = [row + [c] for row, c in zip(mat, column)] + [[*column, 0]]
+                    if is_canonical_order(new, k):
+                        grown.append(new)
+        yield from grown
+        mats = grown
+
+
+def leaf_rule_checked(mat, k: int) -> None:
+    """The leaf-block rule of `census._matrices_on` against the edge-DFS
+    2-connectivity of G' + z, for every nonzero set N of z's neighbours,
+    G' the connected graph on vertices 0..k-1 of mat."""
+    interiors = census._leaf_interiors(mat, k)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k) for _ in range(mat[i][j])]
+    for rows in range(1, 1 << k):
+        z = [(i, k) for i in range(k) if rows >> i & 1]
+        expected = is_two_connected_by_edge_dfs(Multigraph.from_edge_list(k + 1, pairs + z))
+        rule = rows.bit_count() >= 2 and all(rows & inner for inner in interiors)
+        assert rule == expected, (mat, k, bin(rows))
 
 
 class TestBounds:
@@ -83,7 +123,9 @@ class TestEnumerate:
     def test_iterator_builds_each_graph_when_reached(self, monkeypatch):
         built = []
         make = census._graph
-        monkeypatch.setattr(census, "_graph", lambda n, packed: built.append(n) or make(n, packed))
+        monkeypatch.setattr(
+            census, "_graph", lambda n, cells, packed: built.append(n) or make(n, cells, packed)
+        )
         graphs = enumerate_census(CensusBounds(4, 6, 3))
         assert iter(graphs) is graphs and len(graphs) == 18 and built == []
         first = next(graphs)
@@ -123,8 +165,9 @@ class TestEnumerate:
         assert list(enumerate_census(b)) == enumerate_by_canonicalizing(b)
 
     # at each bound the transposition bound alone and the edge reserve
-    # alone both save canonicity tests
-    @pytest.mark.parametrize("bounds", [(6, 8, 4), (5, 10, 5), (6, 6, 2), (7, 8, 3)])
+    # alone both save canonicity tests; (7, 9, 4), 400 classes, holds the
+    # leaf-block prune on 7 vertices in about a second
+    @pytest.mark.parametrize("bounds", [(6, 8, 4), (5, 10, 5), (6, 6, 2), (7, 9, 4)])
     def test_equals_unpruned_orderly_reference(self, bounds, monkeypatch):
         # same Multigraphs, same order, with fewer canonicity tests
         pruned = count_canonicity_tests(monkeypatch, census)
@@ -141,9 +184,28 @@ class TestEnumerate:
         assert len(enumerate_census(CensusBounds(6, 8, 4))) == 134
         assert calls[0] <= 700
 
+    def test_block_searches_at_benchmark_bounds(self, monkeypatch):
+        # 681 searches while every complete matrix ran its own, 107 with
+        # one per canonical prefix of the last column
+        calls = count_calls(monkeypatch, census, "_blocks")
+        assert len(enumerate_census(CensusBounds(6, 8, 4))) == 134
+        assert calls[0] <= 107
+
+    def test_leaf_rule_on_lex_max_prefixes(self):
+        count = 0
+        for mat in lex_max_prefixes(5, 2):
+            leaf_rule_checked(mat, len(mat))
+            count += 1
+        assert count == 774
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_multigraphs(max_n=7).filter(lambda g: g.n >= 2))
+    def test_leaf_rule_on_connected_multigraphs(self, g):
+        leaf_rule_checked(g.multiplicity_matrix, g.n)
+
     def test_last_column_tested_only_after_leaf_conditions(self, monkeypatch):
         # a canonicity test on a complete matrix runs only when the matrix
-        # has n edges, minimum degree 2 and is 2-connected
+        # is 2-connected, hence has n edges and minimum degree 2
         test = census.is_canonical_order
         last = [0]
 

@@ -142,6 +142,32 @@ class TestPathGluing:
         assert glued.is_isomorphic(direct)
 
 
+def weights_checked(graph, delta=3) -> None:
+    """`_edge_weight` of every edge against the weight of its
+    `matroid.edge_kinds` reading at delta; the edge of no kind raises."""
+    weights = {"del": 1, "con": delta - 1}
+    for eid, kind in matroid.edge_kinds(graph).items():
+        if kind is None:
+            with pytest.raises(GluingError, match="neither deletion nor contraction"):
+                constructions._edge_weight(graph, eid, delta)
+        else:
+            assert constructions._edge_weight(graph, eid, delta) == weights[kind], eid
+
+
+class TestEdgeWeightEqualsEdgeKinds:
+    def test_default_census(self, census_default):
+        for graph in census_default:
+            weights_checked(graph)
+
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_shuffled_glued_chains(self, delta):
+        rng = random.Random(delta)
+        for n in range(4, 21):
+            chain = glued_chain(delta, n)
+            for graph in (chain, chain.shuffled(rng), chain.shuffled(rng)):
+                weights_checked(graph, delta + 1)
+
+
 class TestDeltaEdgeGluing:
     def test_two_triangles(self):
         glued = delta_edge_gluing(cycle_graph(3), 0, cycle_graph(3), 0, 3)

@@ -16,7 +16,7 @@ from gorenstein.multigraph import (
     _bits,
     is_canonical_order,
 )
-from glued import glued_chain
+from glued import connected_multigraphs, glued_chain
 from oracles import (
     blocks_by_edge_dfs,
     canonical_ordering_by_columns,
@@ -52,17 +52,6 @@ def small_multigraphs():
         return Multigraph.from_edge_list(n, pairs)
 
     return build()
-
-
-@st.composite
-def connected_multigraphs(draw, max_n=9):
-    """Random multigraphs on 1..max_n vertices grown from a random tree."""
-    n = draw(st.integers(1, max_n))
-    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    if n > 1:
-        extra = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
-        pairs += [(u, (u + d) % n) for u, d in draw(st.lists(extra, max_size=8))]
-    return Multigraph.from_edge_list(n, pairs)
 
 
 def complete_bipartite_2(n: int) -> Multigraph:
