@@ -6,11 +6,17 @@ Its two specializations (gluing along a weight-1/weight-(delta-1) edge
 pair with zero replacement edges, and along two weight-(delta-1) edges
 with delta-2 replacement edges), together with contracting degree-2
 paths, generate every Gorenstein multigraph from a delta-cycle (or from
-K_4 when delta = 2).  `delta_gluing` is the only builder of a glued
-graph: subdividing a weight-1 edge is path-gluing the delta-cycle onto
-it, and multi-gluing is a fold of universal gluings.  `_seed_graphs` is
-the one table of seeds.  `decompose` searches for such a construction
-and returns a replayable trace.
+K_4 when delta = 2).  `_glued` is the only builder of a glued graph: the
+three gluings weigh each glued edge once and pass the class weights to
+it, subdividing a weight-1 edge is path-gluing the delta-cycle onto it,
+and multi-gluing is a fold of universal gluings.  `_seeds` is the one
+table of seeds, and `_applied` the one place a trace step is applied.
+
+`decompose` searches for such a construction and returns a replayable
+trace.  Replay checks its splits only; lemmas settle the rest: each side
+of a split is 2-connected (`_side_kind`), a parallel-class edge can be
+subdivided (`_subdivision_predecessors`), and contracting the subdivided
+path gives the state back (`_verify_subdivision`).
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ def _edge_weight(graph: Multigraph, eid: int, delta: int) -> int:
     )
 
 
-def _check_parallel_class(graph: Multigraph, eids: frozenset[int]) -> tuple[int, int]:
+def _check_parallel_class(graph: Multigraph, eids: frozenset[int]) -> None:
     if not eids:
         raise GluingError("parallel class must be nonempty")
     try:
@@ -104,27 +110,43 @@ def _check_parallel_class(graph: Multigraph, eids: frozenset[int]) -> tuple[int,
         raise GluingError(exc.args[0]) from None
     if len(pairs) != 1:
         raise GluingError("edges do not share one endpoint pair")
-    return pairs.pop()
+
+
+def _check_delta(delta) -> None:
+    if not isinstance(delta, int):
+        raise GluingError(f"delta must be an integer, not {delta!r}")
+    if delta < 2:
+        raise GluingError("delta must be >= 2")
 
 
 def delta_gluing(spec: GluingSpec) -> Multigraph:
     """Universal gluing along two parallel classes."""
     g1, g2, delta = spec.left, spec.right, spec.delta
-    if not isinstance(delta, int):
-        raise GluingError(f"delta must be an integer, not {delta!r}")
-    if delta < 2:
-        raise GluingError("delta must be >= 2")
+    _check_delta(delta)
     if not (g1.is_two_connected() and g2.is_two_connected()):
         raise GluingError("both graphs must be 2-connected")
-    u1, v1 = _check_parallel_class(g1, spec.left_parallel_class)
-    u2, v2 = _check_parallel_class(g2, spec.right_parallel_class)
+    _check_parallel_class(g1, spec.left_parallel_class)
+    _check_parallel_class(g2, spec.right_parallel_class)
     w1 = sum(_edge_weight(g1, e, delta) for e in spec.left_parallel_class)
     w2 = sum(_edge_weight(g2, e, delta) for e in spec.right_parallel_class)
+    return _glued(spec, w1, w2)
+
+
+def _glued(spec: GluingSpec, w1: int, w2: int) -> Multigraph:
+    """The gluing of spec, whose classes weigh w1 and w2.
+
+    The caller has checked delta, both graphs' 2-connectivity and both
+    classes, and weighed the classes; what is left to raise GluingError
+    is a negative replacement count or a result that is not 2-connected.
+    """
+    g1, g2, delta = spec.left, spec.right, spec.delta
     replacement = w1 + w2 - delta
     if replacement < 0:
         raise GluingError(
             f"w(F1) + w(F2) = {w1 + w2} < delta = {delta}: negative edge count"
         )
+    _, u1, v1 = g1.edge(min(spec.left_parallel_class))
+    _, u2, v2 = g2.edge(min(spec.right_parallel_class))
     if spec.flip:
         u2, v2 = v2, u2
     # vertex map: g1 keeps its labels; u2 -> u1, v2 -> v1, rest appended
@@ -163,9 +185,9 @@ def path_gluing(
         raise GluingError(f"edge {e1} must have weight 1")
     if _edge_weight(g2, e2, delta) != delta - 1:
         raise GluingError(f"edge {e2} must have weight {delta - 1}")
-    return delta_gluing(
-        GluingSpec(g1, frozenset([e1]), g2, frozenset([e2]), delta, flip)
-    )
+    _check_delta(delta)
+    spec = GluingSpec(g1, frozenset([e1]), g2, frozenset([e2]), delta, flip)
+    return _glued(spec, 1, delta - 1)
 
 
 def delta_edge_gluing(
@@ -175,9 +197,9 @@ def delta_edge_gluing(
     for g, e in ((g1, e1), (g2, e2)):
         if _edge_weight(g, e, delta) != delta - 1:
             raise GluingError(f"edge {e} must have weight {delta - 1}")
-    return delta_gluing(
-        GluingSpec(g1, frozenset([e1]), g2, frozenset([e2]), delta, flip)
-    )
+    _check_delta(delta)
+    spec = GluingSpec(g1, frozenset([e1]), g2, frozenset([e2]), delta, flip)
+    return _glued(spec, delta - 1, delta - 1)
 
 
 def subdivide_edge(
@@ -298,20 +320,14 @@ def multi_gluing(graphs, edges, delta: int) -> Multigraph:
 Memo = dict[tuple[int, Multigraph], tuple[str, tuple[TraceStep, ...]] | None]
 
 
-def _seed_graphs(delta: int) -> dict[str, Multigraph]:
-    """The seeds at this delta by name: the delta-cycle, and K_4 at delta = 2."""
-    seeds = {SEED_CYCLE: cycle_graph(delta)}
-    if delta == 2:
-        seeds[SEED_K4] = complete_graph(4)
-    return seeds
-
-
 @cache
 def _seeds(delta: int) -> Mapping[Multigraph, str]:
-    """The canonical seed graphs at this delta; read-only, built once per delta."""
-    return MappingProxyType(
-        {g.canonicalize()[0]: name for name, g in _seed_graphs(delta).items()}
-    )
+    """The canonical seed graphs at this delta, to their names: the
+    delta-cycle, and K_4 at delta = 2; read-only, built once per delta."""
+    seeds = {cycle_graph(delta): SEED_CYCLE}
+    if delta == 2:
+        seeds[complete_graph(4)] = SEED_K4
+    return MappingProxyType({g.canonicalize()[0]: name for g, name in seeds.items()})
 
 
 def _pieces(graph: Multigraph, u: int, v: int):
@@ -478,48 +494,62 @@ def _verify_split(
     g2c, _, em2 = g2.canonicalize()
     # the fresh edges' ids, as `_side_graph` gives them
     e1c, e2c = em1[max(a_edges) + 1], em2[max(b_edges) + 1]
-    glue = path_gluing if style == "path_glue" else delta_edge_gluing
+    step = TraceStep(style, partner=g2c, self_edge=e1c, partner_edge=e2c)
     try:
-        replayed = glue(g1c, e1c, g2c, e2c, delta)
+        replayed = _applied(g1c, step, delta)
     except GluingError:
         return None
     if replayed.canonical_form != state.canonical_form:
         return None
-    return g1c, TraceStep(style, partner=g2c, self_edge=e1c, partner_edge=e2c)
+    return g1c, step
 
 
 def _subdivision_predecessors(state: Multigraph, delta: int, max_vertices: int):
     """Undo one path contraction: subdivide a parallel-class edge.
 
-    Yields (shape, verify) as `_split_predecessors` does, subdividing the
-    first edge of each parallel class, classes in the order of their first
-    edges; verify contracts the path again.
+    Yields (shape, verify) as `_split_predecessors` does, for the first
+    edge of each parallel class, classes in the order of their first
+    edges.  The shape is (n + delta - 2, m + delta - 2), since the
+    subdivision trades the edge for a path of delta - 1 edges through
+    delta - 2 new vertices; nothing is built here, verify subdivides.
+
+    No edge kind is read: an edge with a parallel copy is "del"
+    (`matroid.edge_kinds`, weight 1), and every state is 2-connected (see
+    `_side_kind`), so `subdivide_edge` accepts every edge yielded here:
+    the delta-cycle's edge has weight delta - 1 for delta >= 3, and
+    path-gluing a deletable edge leaves a 2-connected graph.
     """
     if delta < 3 or state.n + delta - 2 > max_vertices:
         return
+    shape = (state.n + delta - 2, state.m + delta - 2)
     mult = state.multiplicity_matrix
-    kinds = matroid.edge_kinds(state)
     seen_pairs = set()
     for e in state.edges:
         if mult[e.u][e.v] < 2 or (e.u, e.v) in seen_pairs:
             continue
         seen_pairs.add((e.u, e.v))
-        if kinds[e.eid] != "del":
-            continue
-        raw, chain = subdivide_edge(state, e.eid, delta)
-        yield (raw.n, raw.m), partial(_verify_subdivision, state, delta, raw, chain)
+        yield shape, partial(_verify_subdivision, state, delta, e.eid)
 
 
-def _verify_subdivision(state: Multigraph, delta: int, raw: Multigraph, chain):
+def _verify_subdivision(state: Multigraph, delta: int, eid: int):
+    """The canonical subdivision of the edge and the contraction undoing it.
+
+    Unlike a split, the step is not replayed, by the lemma: contracting
+    the path a subdivision made gives the state back up to edge ids.
+    Subdividing e = uv removes e and joins u and v by a path through
+    delta - 2 new vertices, each meeting its two path edges and nothing
+    else.  Canonical relabelling is an isomorphism, so along the mapped
+    path the delta vertices are distinct, the ends differ and each
+    interior vertex has degree 2 with only path edges, one edge joining
+    each consecutive pair.  `contract_path` therefore accepts the mapped
+    path, drops exactly the interior vertices and the path's edges, and
+    joins the ends by one fresh edge: it rebuilds the state with e under
+    another id, and canonical forms ignore edge ids.  A replay would
+    compare equal forms, so it cannot reject the step.
+    """
+    raw, chain = subdivide_edge(state, eid, delta)
     pred, vperm, _ = raw.canonicalize()
-    mapped = tuple(vperm[w] for w in chain)
-    try:
-        back = contract_path(pred, mapped, delta)
-    except GluingError:
-        return None
-    if back.canonical_form != state.canonical_form:
-        return None
-    return pred, TraceStep("path_contract", path=mapped)
+    return pred, TraceStep("path_contract", path=tuple(vperm[w] for w in chain))
 
 
 def decompose(
@@ -554,16 +584,23 @@ def decompose(
     those that could end the search (a seed or a memo hit), and the rest,
     in order, only if none does.  Every check is pure and ending depends
     on the canonical predecessor alone, so trace and memo are those of
-    verifying every candidate in order, and every returned step is verified.
+    verifying every candidate in order, and every returned step replays.
     A candidate comes with its (n, m), and the first pass verifies only
     those of a shape that some seed or memo entry has; a split reads its
     shape off the masks and builds its sides only when it is verified.
 
-    Verifying a step replays it forward on the canonical predecessor and
-    partner and compares the result's canonical form with the state's;
-    canonical labelling by individualization-refinement makes that one
-    cheap canonicalization of the replayed graph.  The gluing reads each
-    glued edge's kind alone (`_edge_weight`, one block search).
+    Replay checks splits only.  Verifying a split applies its gluing
+    forward on the canonical predecessor and partner (`_applied`, as
+    `replay` does) and compares the result's canonical form with the
+    state's; canonical labelling by individualization-refinement makes
+    that one cheap canonicalization of the replayed graph, and the gluing
+    weighs each glued edge once (`_edge_weight`, one block search).  The
+    lemmas settle the rest, so no step checks them: that each side of a
+    split is 2-connected (`_side_kind`), that a parallel-class edge can be
+    subdivided (`_subdivision_predecessors`), and that contracting the
+    subdivided path gives the state back (`_verify_subdivision`).  A
+    subdivision is verified by one canonicalization of the subdivided
+    graph.
 
     Limits (one run each, 2 vCPUs, Python 3.11.7): the search has no
     work bound.  On the theta graph of delta paths of length delta - 1,
@@ -637,11 +674,19 @@ def _search(target: Multigraph, delta: int, memo: Memo):
     return seed, steps
 
 
-def seed_graph(trace: ConstructionTrace) -> Multigraph:
-    seeds = _seed_graphs(trace.delta)
-    if trace.seed not in seeds:
-        raise ValueError(f"no seed {trace.seed!r} at delta {trace.delta}")
-    return seeds[trace.seed]
+def _applied(graph: Multigraph, step: TraceStep, delta: int) -> Multigraph:
+    """The graph a trace step builds from the graph it applies to.
+
+    Raises GluingError where the step does not apply.  The gluings are
+    looked up as module attributes at each call, so a wrapper installed
+    on them (a test's counter, the benchmark's tracer) sees every step.
+    """
+    if step.op in ("path_glue", "delta_glue"):
+        glue = path_gluing if step.op == "path_glue" else delta_edge_gluing
+        return glue(graph, step.self_edge, step.partner, step.partner_edge, delta)
+    if step.op == "path_contract":
+        return contract_path(graph, step.path, delta)
+    raise ValueError(f"unknown op {step.op!r}")
 
 
 def replay(trace: ConstructionTrace) -> Multigraph:
@@ -651,21 +696,12 @@ def replay(trace: ConstructionTrace) -> Multigraph:
     the intermediate graph they apply to, so the replay canonicalizes
     after each step.
     """
-    cur = seed_graph(trace).canonicalize()[0]
+    seeds = {name: g for g, name in _seeds(trace.delta).items()}
+    if trace.seed not in seeds:
+        raise ValueError(f"no seed {trace.seed!r} at delta {trace.delta}")
+    cur = seeds[trace.seed]
     for step in trace.steps:
-        if step.op == "path_glue":
-            cur = path_gluing(
-                cur, step.self_edge, step.partner, step.partner_edge, trace.delta
-            )
-        elif step.op == "delta_glue":
-            cur = delta_edge_gluing(
-                cur, step.self_edge, step.partner, step.partner_edge, trace.delta
-            )
-        elif step.op == "path_contract":
-            cur = contract_path(cur, step.path, trace.delta)
-        else:
-            raise ValueError(f"unknown op {step.op!r}")
-        cur = cur.canonicalize()[0]
+        cur = _applied(cur, step, trace.delta).canonicalize()[0]
     return cur
 
 

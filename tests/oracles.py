@@ -19,10 +19,13 @@ the canonical form to it.  `edge_kinds_by_minors` builds G - e and
 G/e for every edge.  There are seven exceptions.
 `enumerate_orderly_unpruned` shares the library's canonicity test
 `is_canonical_order` and checks only the census's pre-filters.
-`decompose_eagerly` shares the subdivision generator with
-`constructions.decompose` and differs in when it verifies; its split
-generator, `split_predecessors_by_side_graphs`, builds every side graph
-and reads `matroid.edge_kinds`, where the library filters on masks.
+`decompose_eagerly` differs from `constructions.decompose` in when it
+verifies; its split generator, `split_predecessors_by_side_graphs`,
+builds every side graph and reads `matroid.edge_kinds`, where the
+library filters on masks, and its subdivision generator,
+`subdivision_predecessors_by_round_trip`, reads `matroid.edge_kinds` and
+contracts the subdivided path again, where the library's lemmas settle
+both.
 `subset_pass_by_reverse_search` and
 `two_connected_mask` share the kernel's mask helpers `_bits`, `_reach`
 and `_components`, but not its block search or the flashlight
@@ -1294,17 +1297,60 @@ def _verify_split_by_side_graphs(
     return g1c, TraceStep(op, partner=g2c, self_edge=e1c, partner_edge=e2c)
 
 
+def subdivision_predecessors_by_round_trip(
+    state: Multigraph, delta: int, max_vertices: int
+):
+    """`constructions._subdivision_predecessors` by the round trip.
+
+    The generator the lemmas replaced, unchanged but for subdividing by
+    `subdivide_edge_by_hand`: it reads the kind of the first edge of each
+    parallel class from `matroid.edge_kinds` and skips it unless "del",
+    builds the subdivision before yielding its shape, and its verify
+    contracts the mapped path of the canonical subdivision and compares
+    the result's canonical form with the state's.  The library generator
+    must yield the same shapes, with the same verify results, in the same
+    order.
+    """
+    if delta < 3 or state.n + delta - 2 > max_vertices:
+        return
+    mult = state.multiplicity_matrix
+    kinds = matroid.edge_kinds(state)
+    seen_pairs = set()
+    for e in state.edges:
+        if mult[e.u][e.v] < 2 or (e.u, e.v) in seen_pairs:
+            continue
+        seen_pairs.add((e.u, e.v))
+        if kinds[e.eid] != "del":
+            continue
+        raw, chain = subdivide_edge_by_hand(state, e.eid, delta)
+        yield (raw.n, raw.m), partial(
+            _verify_subdivision_by_round_trip, state, delta, raw, chain
+        )
+
+
+def _verify_subdivision_by_round_trip(state: Multigraph, delta: int, raw, chain):
+    pred, vperm, _ = raw.canonicalize()
+    mapped = tuple(vperm[w] for w in chain)
+    try:
+        back = constructions.contract_path(pred, mapped, delta)
+    except constructions.GluingError:
+        return None
+    if back.canonical_form != state.canonical_form:
+        return None
+    return pred, TraceStep("path_contract", path=mapped)
+
+
 def decompose_eagerly(
     graph: Multigraph, delta: int, memo: Memo | None = None
 ) -> ConstructionTrace | None:
     """`constructions.decompose` with every predecessor verified as it comes.
 
     The search loop that the lazy two-pass search replaced, unchanged but
-    for generating splits by `split_predecessors_by_side_graphs`: each
-    candidate of that and of `_subdivision_predecessors` is verified
-    before the next, and the first accepted seed or memo hit
-    ends the search.  The lazy search must return the same trace and
-    leave the same memo.
+    for generating splits by `split_predecessors_by_side_graphs` and
+    subdivisions by `subdivision_predecessors_by_round_trip`: each
+    candidate of those is verified before the next, and the first
+    accepted seed or memo hit ends the search.  The lazy search must
+    return the same trace and leave the same memo.
     """
     if delta < 2:
         raise ValueError("delta must be >= 2")
@@ -1341,7 +1387,7 @@ def _search_eagerly(target: Multigraph, delta: int, memo: Memo):
         preds = _verified(
             itertools.chain(
                 split_predecessors_by_side_graphs(state, delta),
-                constructions._subdivision_predecessors(state, delta, max_vertices),
+                subdivision_predecessors_by_round_trip(state, delta, max_vertices),
             )
         )
         for pred, step in preds:

@@ -46,6 +46,7 @@ from oracles import (
     pieces_by_union_find,
     split_predecessors_by_side_graphs,
     subdivide_edge_by_hand,
+    subdivision_predecessors_by_round_trip,
     total_of,
 )
 
@@ -168,6 +169,57 @@ class TestEdgeWeightEqualsEdgeKinds:
                 weights_checked(graph, delta + 1)
 
 
+@pytest.fixture
+def side_kind_searches(monkeypatch):
+    """Arguments of every `_side_kind` block search, one entry per call."""
+    searches = []
+    original = constructions._side_kind
+
+    def counting(*args):
+        searches.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(constructions, "_side_kind", counting)
+    return searches
+
+
+class TestGluingWeighsEachEdgeOnce:
+    """The specialized gluings weigh each glued edge once and hand the
+    weights to the builder, which weighs nothing again."""
+
+    def test_path_gluing_runs_two_block_searches(self, side_kind_searches):
+        # neither the diamond's chord nor a triangle edge has a parallel copy
+        path_gluing(DIAMOND, 4, cycle_graph(3), 0, 3)
+        assert len(side_kind_searches) == 2
+
+    def test_delta_edge_gluing_runs_two_block_searches(self, side_kind_searches):
+        delta_edge_gluing(cycle_graph(3), 0, cycle_graph(3), 0, 3)
+        assert len(side_kind_searches) == 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    def test_raises_exactly_off_the_weights(self, delta, data):
+        # each gluing raises GluingError exactly when the weight function
+        # does not give its edge pair the weights the gluing needs
+        rng = random.Random(data.draw(st.integers(0, 2**31)))
+        g1 = glued_chain(delta, data.draw(st.integers(2, 14))).shuffled(rng)
+        g2 = glued_chain(delta, data.draw(st.integers(2, 14))).shuffled(rng)
+        flip = data.draw(st.booleans())
+        w1 = dict(weight_function(g1, delta).weights)
+        w2 = dict(weight_function(g2, delta).weights)
+        for glue, needed in (
+            (path_gluing, (1, delta - 1)),
+            (delta_edge_gluing, (delta - 1, delta - 1)),
+        ):
+            for e1, e2 in itertools.product(w1, w2):
+                try:
+                    glue(g1, e1, g2, e2, delta, flip)
+                except GluingError:
+                    assert (w1[e1], w2[e2]) != needed, (glue, e1, e2)
+                else:
+                    assert (w1[e1], w2[e2]) == needed, (glue, e1, e2)
+
+
 class TestDeltaEdgeGluing:
     def test_two_triangles(self):
         glued = delta_edge_gluing(cycle_graph(3), 0, cycle_graph(3), 0, 3)
@@ -252,6 +304,64 @@ class TestSubdivideContract:
                     if weight == 1:
                         divided, _ = subdivide_edge(g, eid, delta)
                         assert spade_at(divided, delta)
+
+
+def subdivisions_checked(graph, delta) -> int:
+    """The lemma in `constructions._verify_subdivision`, for the first edge
+    of each parallel class.  The library generator yields, in order, the
+    shapes and verify results of the round-trip reference, whose verify
+    returns None unless `contract_path` on the canonical subdivision,
+    along the mapped path, gives the graph's canonical form; none is
+    None, and each returned step replays to that form through `_applied`.
+    Returns the edges checked."""
+    bound = graph.n + delta - 2
+    found = [
+        (shape, verify())
+        for shape, verify in constructions._subdivision_predecessors(graph, delta, bound)
+    ]
+    reference = subdivision_predecessors_by_round_trip(graph, delta, bound)
+    assert found == [(shape, verify()) for shape, verify in reference]
+    mult = graph.multiplicity_matrix
+    assert len(found) == len({(e.u, e.v) for e in graph.edges if mult[e.u][e.v] > 1})
+    for _, (pred, step) in found:
+        replayed = constructions._applied(pred, step, delta)
+        assert replayed.canonical_form == graph.canonical_form
+    return len(found)
+
+
+class TestSubdivisionLemma:
+    @pytest.mark.parametrize("delta", [3, 4])
+    def test_default_census(self, census_default, delta):
+        doubled = [g for g in census_default if g.has_parallel_edges()]
+        assert sum(subdivisions_checked(g, delta) for g in doubled) >= len(doubled) > 0
+
+    @pytest.mark.parametrize("delta", [3, 4])
+    def test_glued_chains_twins_and_shuffles(self, delta):
+        # a chain glued at 3 has no parallel class; its twin, one edge
+        # doubled as in the benchmark streams, has one
+        rng = random.Random(delta)
+        checked = 0
+        for n in range(4, 15):
+            chain = glued_chain(delta, n)
+            pairs = [(e.u, e.v) for e in chain.edges]
+            twin = Multigraph.from_edge_list(chain.n, pairs + [pairs[n % len(pairs)]])
+            for graph in (chain, twin, chain.shuffled(rng), twin.shuffled(rng)):
+                checked += subdivisions_checked(graph, delta)
+        assert checked > 0
+
+    def test_iterating_builds_nothing(self, monkeypatch):
+        built = []
+        make = constructions.subdivide_edge
+        monkeypatch.setattr(
+            constructions,
+            "subdivide_edge",
+            lambda graph, eid, delta: built.append(eid) or make(graph, eid, delta),
+        )
+        graph = Multigraph.from_edge_list(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2)])
+        candidates = list(constructions._subdivision_predecessors(graph, 3, 4))
+        assert len(candidates) == 2 and built == []
+        candidates[1][1]()
+        assert built == [2]
 
 
 class TestSimplify:
