@@ -181,11 +181,11 @@ def path_gluing(
     Zero replacement edges; with g2 a delta-cycle this subdivides e1
     into delta - 1 edges.
     """
+    _check_delta(delta)
     if _edge_weight(g1, e1, delta) != 1:
         raise GluingError(f"edge {e1} must have weight 1")
     if _edge_weight(g2, e2, delta) != delta - 1:
         raise GluingError(f"edge {e2} must have weight {delta - 1}")
-    _check_delta(delta)
     spec = GluingSpec(g1, frozenset([e1]), g2, frozenset([e2]), delta, flip)
     return _glued(spec, 1, delta - 1)
 
@@ -194,10 +194,10 @@ def delta_edge_gluing(
     g1: Multigraph, e1: int, g2: Multigraph, e2: int, delta: int, flip: bool = False
 ) -> Multigraph:
     """Gluing along two weight-(delta-1) edges; delta - 2 replacement edges."""
+    _check_delta(delta)
     for g, e in ((g1, e1), (g2, e2)):
         if _edge_weight(g, e, delta) != delta - 1:
             raise GluingError(f"edge {e} must have weight {delta - 1}")
-    _check_delta(delta)
     spec = GluingSpec(g1, frozenset([e1]), g2, frozenset([e2]), delta, flip)
     return _glued(spec, delta - 1, delta - 1)
 
@@ -213,8 +213,7 @@ def subdivide_edge(
     in order and its edges take fresh ids in path order.  Returns the new
     graph and the path's vertex sequence.
     """
-    if delta < 2:
-        raise GluingError("delta must be >= 2")
+    _check_delta(delta)
     glued = path_gluing(graph, eid, cycle_graph(delta), delta - 1, delta)
     e = graph.edge(eid)
     return glued, (e.u, *range(graph.n, glued.n), e.v)
@@ -295,10 +294,12 @@ def multi_gluing(graphs, edges, delta: int) -> Multigraph:
     graphs, then each further graph glued along its chosen edge to the
     class of replacement edges between the first chosen edge's ends.
     After k graphs that class holds delta - k parallel edges of weight 1,
-    and the last gluing leaves one.
+    and the last gluing leaves one.  Each chosen edge is weighed once, and
+    the fold hands `_glued` the class weights: delta - 1 for the first
+    chosen edge, then one per parallel edge of the class.
     """
-    graphs = list(graphs)
-    edges = list(edges)
+    _check_delta(delta)
+    graphs, edges = list(graphs), list(edges)
     if len(graphs) != delta - 1 or len(edges) != delta - 1:
         raise GluingError(f"need exactly {delta - 1} graphs and edges")
     if delta == 2:
@@ -306,11 +307,12 @@ def multi_gluing(graphs, edges, delta: int) -> Multigraph:
     for g, e in zip(graphs, edges):
         if _edge_weight(g, e, delta) != delta - 1:
             raise GluingError(f"edge {e} must have weight {delta - 1}")
-    cur, merged = graphs[0], frozenset([edges[0]])
+    cur, merged, weight = graphs[0], frozenset([edges[0]]), delta - 1
     first = cur.edge(edges[0])
     for g, e in zip(graphs[1:], edges[1:]):
-        cur = delta_gluing(GluingSpec(cur, merged, g, frozenset([e]), delta))
+        cur = _glued(GluingSpec(cur, merged, g, frozenset([e]), delta), weight, delta - 1)
         merged = frozenset(f.eid for f in cur.edges if (f.u, f.v) == (first.u, first.v))
+        weight = len(merged)
     return cur
 
 

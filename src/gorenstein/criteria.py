@@ -7,6 +7,26 @@ spade check tests the two weight equalities over good flats; the heart
 check tests the block-count equality over all 2-connected vertex
 subsets.  Both decide the same property as the polyhedral oracle.
 
+Spade is linear in delta.  With a_X deletable and b_X other edges in
+E(X), its equation for X reads a_X - b_X + c_X = delta (|X| - 1 - b_X),
+with c = 0 for X = V and c = 1 for a good flat.  One whose coefficient
+|X| - 1 - b_X is nonzero allows at most one delta; one whose coefficient
+is zero holds at every delta or at none.  So `delta_candidates` solves
+the first equation that does not hold at every delta, V first, and
+`is_gorenstein` checks the one dilation it gives.
+
+Lemma.  On a 2-connected G other than K_2, some equation has a nonzero
+coefficient.
+
+Proof.  Let y be the indicator of the non-deletable edges, so
+y(E(X)) = b_X.  Were every coefficient zero, y would vanish on the
+deletable edges and have y(E(S)) = |S| - 1 on every good flat and
+y(E) = |V| - 1: it would be the point that fact 2 of the `polytope`
+docstring rules out for a base polytope with a facet.  This one has a
+facet: each edge of G is deletable, a facet of its own, or "con", and
+then its ends form a good flat (fact 1 there); only the edge of K_2 is
+neither.
+
 Both read the good flats of `matroid.good_flat_masks`, one cached search
 per graph: `check_spade` through the sorted view `matroid.good_flats`,
 `check_heart` directly, and the decomposition search through
@@ -159,45 +179,52 @@ def check_heart(graph: Multigraph, assignment: WeightAssignment) -> bool:
 
 
 def delta_candidates(graph: Multigraph) -> list[int]:
-    """Dilations compatible with the global weight equality.
+    """The one dilation the spade equations allow, as a list: [delta],
+    or [] when none is an integer >= 2 or the graph is K_2.
 
-    With a deletable edges (weight 1) and b others (weight delta - 1),
-    a + (delta - 1) b = delta (|V| - 1) pins delta unless b = |V| - 1;
-    the degenerate branch (a = b = |V| - 1) admits every delta and is
-    left to the spade check over the standard scan range.
+    The equations are read as linear in delta, the total over E first,
+    then the good flats of `matroid.good_flat_masks` in search order,
+    which are searched only when the total leaves delta free; the first
+    one that does not hold at every delta decides.  By the lemma in the
+    module docstring (fact 2 of `polytope`, with y the indicator of the
+    non-deletable edges) one always does: running out raises
+    RuntimeError.
     """
     kinds = matroid.edge_kinds(graph)
-    if any(k is None for k in kinds.values()):
+    if None in kinds.values():
         return []
-    a = sum(1 for k in kinds.values() if k == "del")
-    b = len(kinds) - a
-    r = graph.n - 1
-    if b != r:
-        num, den = a - b, r - b
-        if num % den == 0:
-            delta = num // den
-            if delta >= 2:
-                return [delta]
-        return []
-    if a == b:
-        return list(range(2, max(graph.m, 3) + 1))
-    return []
+    heavy = sum(1 << i for i, e in enumerate(graph.edges) if kinds[e.eid] == "con")
+    for size, edges, c in _spade_equations(graph):
+        b = (edges & heavy).bit_count()
+        coefficient, const = size - 1 - b, edges.bit_count() - 2 * b + c
+        if coefficient:
+            delta, rest = divmod(const, coefficient)
+            return [delta] if rest == 0 and delta >= 2 else []
+        if const:
+            return []
+    raise RuntimeError("no spade equation fixes delta")
+
+
+def _spade_equations(graph: Multigraph) -> Iterator[tuple[int, int, int]]:
+    """(|X|, E(X), c) for X = V, then each good flat, the flats searched
+    only if read."""
+    yield graph.n, (1 << graph.m) - 1, 0
+    for s, edges in matroid.good_flat_masks(graph):
+        yield s.bit_count(), edges, 1
 
 
 def is_gorenstein(graph: Multigraph) -> tuple[int, WeightAssignment] | None:
     """Decide the Gorenstein property via the weight criterion.
 
-    Returns the dilation and weight function of the first candidate
-    passing the spade check, or None (also for non-2-connected input).
+    Returns the dilation and weight function of the one candidate when
+    it passes the spade check, or None (also for non-2-connected input).
     The heart check must agree whenever the spade check fires; a
     disagreement raises RuntimeError.
     """
     if not graph.is_two_connected():
         return None
-    for delta in delta_candidates(graph):
+    for delta in delta_candidates(graph):  # at most one
         assignment = weight_function(graph, delta)
-        if assignment is None:
-            return None
         if check_spade(graph, assignment):
             if not check_heart(graph, assignment):
                 raise RuntimeError("spade/heart criteria disagree")

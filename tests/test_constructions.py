@@ -107,6 +107,12 @@ class TestPathGluing:
         with pytest.raises(GluingError, match="weight 1"):
             path_gluing(cycle_graph(3), 0, cycle_graph(3), 0, 3)
 
+    @pytest.mark.parametrize("glue", [path_gluing, delta_edge_gluing])
+    @pytest.mark.parametrize("delta", [1, 3.0, "3"])
+    def test_delta_checked_before_the_weights(self, glue, delta):
+        with pytest.raises(GluingError, match="delta must be"):
+            glue(cycle_graph(3), 0, cycle_graph(3), 0, delta)
+
     @pytest.mark.parametrize("left, e1, e2", [(3, 7, 0), (2, 0, 7)])
     def test_unknown_edge_id_raises_gluing_error(self, left, e1, e2):
         # a C_2 edge has weight 1, so the right-hand id is looked up too
@@ -195,6 +201,12 @@ class TestGluingWeighsEachEdgeOnce:
     def test_delta_edge_gluing_runs_two_block_searches(self, side_kind_searches):
         delta_edge_gluing(cycle_graph(3), 0, cycle_graph(3), 0, 3)
         assert len(side_kind_searches) == 2
+
+    @pytest.mark.parametrize("delta", [4, 5])
+    def test_multi_gluing_runs_one_block_search_per_graph(self, side_kind_searches, delta):
+        # a cycle edge has no parallel copy; delta - 1 cycles are glued
+        multi_gluing([cycle_graph(delta)] * (delta - 1), [0] * (delta - 1), delta)
+        assert len(side_kind_searches) == delta - 1
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 4), st.data())
@@ -480,6 +492,11 @@ class TestSubdivideEqualsReference:
     def test_delta_one_rejected(self):
         with pytest.raises(GluingError, match="delta must be >= 2"):
             subdivide_edge(DIAMOND, 4, 1)
+
+    @pytest.mark.parametrize("delta", [3.0, "3"])
+    def test_delta_not_an_integer_rejected(self, delta):
+        with pytest.raises(GluingError, match="delta must be an integer"):
+            subdivide_edge(DIAMOND, 4, delta)
 
 
 class TestMultiGluingEqualsReference:

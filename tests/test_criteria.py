@@ -30,6 +30,7 @@ from oracles import (
 )
 
 DIAMOND = Multigraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+DOUBLED_TRIANGLE = Multigraph.from_edge_list(3, [(0, 1), (0, 1), (1, 2), (0, 2)])
 
 
 class TestWeightFunction:
@@ -259,6 +260,35 @@ class TestDeltaCandidates:
     def test_requires_two_connected(self):
         with pytest.raises(ValueError):
             delta_candidates(Multigraph.from_edge_list(3, [(0, 1), (1, 2)]))
+
+    def test_degenerate_total_solved_from_a_flat(self):
+        # a = b = 2: the total holds at every delta, as do the flats of the
+        # two "con" edges (delta - 1 + 1 = delta); the flat {0, 1} of the
+        # doubled edge fixes it (1 + 1 + 1 = delta)
+        assert delta_candidates(DOUBLED_TRIANGLE) == [3]
+        assert gorenstein_oracle(DOUBLED_TRIANGLE).coordinates == (1, 1, 2, 2)
+
+    def test_no_fixing_equation_raises(self, monkeypatch):
+        # without the doubled edge's flat every equation holds at every delta
+        flats = [(s, e) for s, e in matroid.good_flat_masks(DOUBLED_TRIANGLE) if e.bit_count() == 1]
+        assert len(flats) == 2
+        monkeypatch.setattr(matroid, "good_flat_masks", lambda graph: flats)
+        with pytest.raises(RuntimeError, match="fixes delta"):
+            delta_candidates(DOUBLED_TRIANGLE)
+
+    def test_degenerate_total_on_default_census(self, census_default):
+        # every graph whose total leaves delta free (a = b = |V| - 1)
+        degenerate = gorenstein = 0
+        for g in census_default:
+            kinds = list(matroid.edge_kinds(g).values())
+            if not kinds.count("del") == kinds.count("con") == g.n - 1:
+                continue
+            degenerate += 1
+            assert len(delta_candidates(g)) <= 1
+            verdict, point = is_gorenstein(g), gorenstein_oracle(g)
+            assert (verdict and verdict[0]) == (point and point.delta)
+            gorenstein += verdict is not None
+        assert (degenerate, gorenstein) == (104, 33)
 
     def test_candidates_cover_spade_range(self, census_small):
         # any delta passing spade must appear among the candidates
