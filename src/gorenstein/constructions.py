@@ -13,10 +13,12 @@ and multi-gluing is a fold of universal gluings.  `_seeds` is the one
 table of seeds, and `_applied` the one place a trace step is applied.
 
 `decompose` searches for such a construction and returns a replayable
-trace.  Replay checks its splits only; lemmas settle the rest: each side
-of a split is 2-connected (`_side_kind`), a parallel-class edge can be
-subdivided (`_subdivision_predecessors`), and contracting the subdivided
-path gives the state back (`_verify_subdivision`).
+trace.  Lemmas settle what a replay would check, so only a crossed split
+is replayed: each side of a split is 2-connected (`_side_kind`), its
+spade reads off the state's edge kinds and an uncrossed split rebuilds
+the state (`_verify_split`), a parallel-class edge can be subdivided
+(`_subdivision_predecessors`), and contracting the subdivided path gives
+the state back (`_verify_subdivision`).
 """
 
 from __future__ import annotations
@@ -362,7 +364,7 @@ def _pieces(graph: Multigraph, u: int, v: int):
 
 
 def _side_graph(graph: Multigraph, eids, u: int, v: int) -> Multigraph:
-    """Subgraph on the given edges plus one fresh edge joining u and v,
+    """Subgraph on the given edges plus one fresh edge joining u < v,
     whose id is one more than the largest of eids."""
     picked = []
     verts = {u, v}
@@ -374,9 +376,7 @@ def _side_graph(graph: Multigraph, eids, u: int, v: int) -> Multigraph:
     renum = {w: i for i, w in enumerate(order)}
     # renum is increasing and every edge has u < v, so endpoints stay ordered
     edges = [Edge(e.eid, renum[e.u], renum[e.v]) for e in picked]
-    new_id = max(eids, default=-1) + 1
-    a, b = renum[u], renum[v]
-    edges.append(Edge(new_id, min(a, b), max(a, b)))
+    edges.append(Edge(max(eids, default=-1) + 1, renum[u], renum[v]))
     return Multigraph(len(order), tuple(edges))
 
 
@@ -396,8 +396,9 @@ def _side_kind(side: int, ends: int, apart: Sequence[int]) -> str | None:
     or v in G - w without leaving C, so the side minus w is connected
     through the fresh u-v edge.  `_split_predecessors` sees only
     2-connected states: `decompose` returns before the search on a graph
-    that is not, and `_search` queues only predecessors that pass
-    `_spade_holds`, whose first test is 2-connectivity.
+    that fails `_spade_holds`, whose first test is 2-connectivity, and
+    the search queues only predecessors a verify returns, each a split
+    side or a subdivision of a 2-connected state.
 
     So a parallel copy gives "del".  Without one, two vertices give None
     (the side graph is K_2); more give "del" if the side stays
@@ -422,14 +423,15 @@ def _flat_sizes(graph: Multigraph) -> Iterator[tuple[int, int]]:
     return ((s.bit_count(), edges) for s, edges in matroid.good_flat_masks(graph))
 
 
-def _split_predecessors(state: Multigraph, delta: int):
+def _split_predecessors(state: Multigraph, delta: int, kinds: Mapping[int, str | None]):
     """Undo one gluing: split at a merged vertex pair.
 
     Yields (shape, verify) for each split into 2-connected sides whose
     fresh edges have the kinds the gluing needs.  shape is the raw
-    predecessor's (n, m), read off the masks.  verify() runs the costly
-    rest (spade on the partner, the forward gluing replayed on the
-    canonical sides) and returns (predecessor, forward step), or None.
+    predecessor's (n, m), read off the masks.  verify() builds and
+    canonicalizes both sides and returns (predecessor, forward step), or
+    None; kinds is `matroid.edge_kinds(state)`, and the state must
+    satisfy spade at delta.
 
     A split at {u, v} gives each side some of the pieces (`_pieces`), a
     share of the direct u-v edges (a "delta_glue" split withholds
@@ -440,8 +442,13 @@ def _split_predecessors(state: Multigraph, delta: int):
     subset, `_side_kind` reads the side's fresh edge's kind off at most
     one block search, for every style and share at once (a side that
     keeps a direct edge gives "del"); every side of a 2-connected state
-    is 2-connected (the lemma in `_side_kind`).  No side is built here:
-    verify builds both.
+    is 2-connected (the lemma in `_side_kind`).  So the raw side's fresh
+    edge weighs 1 ("path_glue") or delta - 1, the partner's delta - 1.
+
+    Both sides' spade is read here too, by the side lemma in
+    `_verify_split`: a side's w(E) sums its pieces' weights in the
+    state, one per direct edge it keeps and its fresh edge's weight.  A
+    split that fails gets the verify `_no_step`.  No side is built here.
     """
     nbr = state.neighbour_masks
     for u, v in itertools.combinations(range(state.n), 2):
@@ -449,27 +456,30 @@ def _split_predecessors(state: Multigraph, delta: int):
         units = len(groups)
         if units + len(direct) < 2:
             continue
-        styles = [("path_glue", 0)]
+        styles = [("path_glue", 0, 1)]
         if delta >= 3 and len(direct) >= delta - 2:
-            styles.append(("delta_glue", delta - 2))
+            styles.append(("delta_glue", delta - 2, delta - 1))
         ends = (1 << u) | (1 << v)
         apart = list(nbr)
         apart[u] &= ~(1 << v)
         apart[v] &= ~(1 << u)
         sides = [ends]  # piece subset -> its side's vertex mask
-        for piece in groups:
+        totals = [0]  # piece subset -> its pieces' weight in the state
+        for piece, eids in groups.items():
             sides += [side | piece for side in sides]
-        kinds = [_side_kind(side, ends, apart) for side in sides]
+            piece_weight = sum(delta - 1 if kinds[eid] == "con" else 1 for eid in eids)
+            totals += [total + piece_weight for total in totals]
+        fresh = [_side_kind(side, ends, apart) for side in sides]
         pieces = list(groups.values())
         every = (1 << units) - 1
         for mask in range(1 << units):
-            a_kind, b_kind = kinds[mask], kinds[every ^ mask]
+            a_kind, b_kind = fresh[mask], fresh[every ^ mask]
             a_size = sides[mask].bit_count()
             side_a = [eid for i in range(units) if mask >> i & 1 for eid in pieces[i]]
             side_b = [
                 eid for i in range(units) if not mask >> i & 1 for eid in pieces[i]
             ]
-            for style, withheld in styles:
+            for style, withheld, a_fresh in styles:
                 usable = len(direct) - withheld
                 for d_a in range(usable + 1):
                     k1 = "del" if d_a else a_kind
@@ -478,30 +488,90 @@ def _split_predecessors(state: Multigraph, delta: int):
                     k2 = "del" if d_a < usable else b_kind
                     if k2 is None or delta > 2 and k2 != "con":
                         continue
+                    shape = (a_size, len(side_a) + d_a + 1)
+                    if (
+                        totals[mask] + d_a + a_fresh != delta * (a_size - 1)
+                        or totals[every ^ mask] + usable - d_a + delta - 1
+                        != delta * (state.n + 1 - a_size)  # the sides share u, v
+                        # one piece and no direct edge: {u, v} is a good flat
+                        or not d_a and not mask & (mask - 1) and a_fresh != delta - 1
+                    ):
+                        yield shape, _no_step
+                        continue
                     a_edges = side_a + direct[:d_a]
                     b_edges = side_b + direct[d_a:usable]
-                    yield (
-                        (a_size, len(a_edges) + 1),
-                        partial(_verify_split, state, delta, style, a_edges, b_edges, u, v),
+                    yield shape, partial(
+                        _verify_split, state, delta, style, a_edges, b_edges, u, v
                     )
+
+
+def _no_step() -> None:
+    """The verify of a split whose sides fail spade."""
+    return None
 
 
 def _verify_split(
     state: Multigraph, delta: int, style: str, a_edges, b_edges, u: int, v: int
 ):
+    """The canonical sides of a split whose sides satisfy spade, as the
+    predecessor and the forward step; None if the step does not rebuild
+    the state.
+
+    Side lemma.  Let the state G satisfy spade at delta, and split it at
+    {u, v} into a side X and a partner Y that are 2-connected and not
+    K_2, as `_split_predecessors` yields them.  Then X satisfies spade
+    iff w(E(X)) = delta (|V(X)| - 1) and, when X is one piece and keeps
+    no direct edge, its fresh edge f weighs delta - 1.
+    (a) An edge e of X that does not join u and v has its kind in G.  It
+    has a parallel copy in X iff it has one in G.  For x in V(X), or no
+    x, (G - e) - x is connected iff (X - e) - x is: a path of one that
+    leaves V(X) enters and leaves the other side through u and v, so
+    that stretch trades for f (or is cut out, if it leaves where it
+    entered), and f back for a u-v path of Y - f.  For x inside Y,
+    (G - e) - x is connected once X - e is 2-connected, as X - e - f is
+    connected and every part of Y - f - x meets u or v.  So
+    G - e is 2-connected iff X - e is (both have 3 or more vertices),
+    which is the kind "del".  The u-v edges of X are parallel to f or f
+    itself, "del" but for f, whose kind the filter read.
+    (b) Let S be a good flat of X.  If S misses u or v, X[S] = G[S], and
+    G - S is connected: X - S is, with f traded for a u-v path through Y
+    where it is used, and Y's pieces hang off whichever of u and v lies
+    outside S.  So S is a good flat of G, with the same E(S) and weights
+    by (a): its equation holds.  If S holds u and v and X[S] is not f
+    alone, T = S + V(Y) is a good flat
+    of G: G[T] holds the 2-sum of X[S] and Y, both 2-connected and not
+    K_2, and G - T = X - S.  The edges outside E(T) are those of X
+    outside E(S), with their weights, and |V| - |T| = |V(X)| - |S|, so
+    D_X(S) = D_X(V(X)) - D_G(V) + D_G(T), where D is w(E(.)) + 1 -
+    delta (|.| - 1) on flats and w(E) - delta (n - 1) on the whole graph.
+    G satisfies spade, so S's equation holds iff X's total does.  That
+    leaves S = {u, v} with X[S] = f, a good flat when X - {u, v}, the one
+    piece, is connected; its equation is w(f) + 1 = delta.
+    So each side's spade reads off the state's kinds in O(m), which
+    `_split_predecessors` does, and this never runs `_spade_holds`.
+
+    Orientation lemma.  `_applied` glues the canonical partner's fresh
+    edge, lower end first, onto the canonical side's, lower end first.
+    When both canonical sides place state-u before state-v, or both
+    after, that identifies u with u and v with v.  The filter fixed both
+    fresh edges' weights, so the gluing accepts them, and its
+    w1 + w2 - delta replacement edges are the withheld direct edges (0
+    for "path_glue", delta - 2 for "delta_glue").  With the direct edges
+    the sides keep, that rebuilds the state up to labels and edge ids,
+    and a 2-connected one: the replay would compare equal canonical
+    forms.  So such a step is accepted without building it.  Only a
+    crossed split, which identifies u with v, is replayed and compared;
+    its gluing never raises, as a 2-sum of 2-connected graphs is one.
+    """
+    g1 = _side_graph(state, a_edges, u, v)
     g2 = _side_graph(state, b_edges, u, v)
-    if not _spade_holds(g2, delta):
-        return None
-    g1c, _, em1 = _side_graph(state, a_edges, u, v).canonicalize()
-    g2c, _, em2 = g2.canonicalize()
-    # the fresh edges' ids, as `_side_graph` gives them
-    e1c, e2c = em1[max(a_edges) + 1], em2[max(b_edges) + 1]
-    step = TraceStep(style, partner=g2c, self_edge=e1c, partner_edge=e2c)
-    try:
-        replayed = _applied(g1c, step, delta)
-    except GluingError:
-        return None
-    if replayed.canonical_form != state.canonical_form:
+    g1c, p1, em1 = g1.canonicalize()
+    g2c, p2, em2 = g2.canonicalize()
+    # the fresh edges, last in each side: (u's label, v's label)
+    f1, f2 = g1.edges[-1], g2.edges[-1]
+    step = TraceStep(style, partner=g2c, self_edge=em1[f1.eid], partner_edge=em2[f2.eid])
+    crossed = (p1[f1.u] < p1[f1.v]) != (p2[f2.u] < p2[f2.v])
+    if crossed and _applied(g1c, step, delta).canonical_form != state.canonical_form:
         return None
     return g1c, step
 
@@ -548,6 +618,11 @@ def _verify_subdivision(state: Multigraph, delta: int, eid: int):
     joins the ends by one fresh edge: it rebuilds the state with e under
     another id, and canonical forms ignore edge ids.  A replay would
     compare equal forms, so it cannot reject the step.
+
+    Nor is the predecessor's spade checked: subdividing e is path-gluing
+    the delta-cycle, which satisfies spade at delta, along its weight
+    delta - 1 edge onto e, of weight 1, and the gluing propositions keep
+    spade; the state satisfies it, so the subdivision does.
     """
     raw, chain = subdivide_edge(state, eid, delta)
     pred, vperm, _ = raw.canonicalize()
@@ -575,12 +650,10 @@ def decompose(
     path contraction escapes it (contracting a path of C_delta yields
     C_2, which fails spade for delta > 2).  The substance verified on the
     census is therefore completeness: spade implies a chain is found.
-
-    Splits are filtered on vertex masks before any graph is built: a
-    side's fresh u-v edge is "del" when the side keeps a direct u-v edge
-    or stays 2-connected without the u-v adjacency, else "con" on three
-    or more vertices; these are the `matroid.edge_kinds` readings of the
-    built side (`_side_kind`).
+    Only the input is checked by `_spade_holds`; each verify returns only
+    predecessors that satisfy spade.  The input's edge kinds are carried
+    to the canonical target through its edge map; every other state
+    reads `matroid.edge_kinds` when it is expanded.
 
     Predecessors are verified lazily: an expansion first verifies only
     those that could end the search (a seed or a memo hit), and the rest,
@@ -591,40 +664,52 @@ def decompose(
     those of a shape that some seed or memo entry has; a split reads its
     shape off the masks and builds its sides only when it is verified.
 
-    Replay checks splits only.  Verifying a split applies its gluing
-    forward on the canonical predecessor and partner (`_applied`, as
-    `replay` does) and compares the result's canonical form with the
-    state's; canonical labelling by individualization-refinement makes
-    that one cheap canonicalization of the replayed graph, and the gluing
-    weighs each glued edge once (`_edge_weight`, one block search).  The
-    lemmas settle the rest, so no step checks them: that each side of a
-    split is 2-connected (`_side_kind`), that a parallel-class edge can be
-    subdivided (`_subdivision_predecessors`), and that contracting the
-    subdivided path gives the state back (`_verify_subdivision`).  A
-    subdivision is verified by one canonicalization of the subdivided
-    graph.
+    Lemmas settle what a replay would check.  Every side of a split is
+    2-connected (`_side_kind`).  Side lemma (`_verify_split`): as the
+    state satisfies spade, a side does iff its total w(E) = delta (n - 1)
+    holds, save a one-piece side with no direct edge, whose fresh edge
+    must also weigh delta - 1; an edge off u-v keeps its kind, and a good
+    flat of the side is one of the state or, with the other side added,
+    gives one whose equation differs from the side's by the two totals.
+    Orientation lemma (`_verify_split`): when both canonical sides place
+    state-u before state-v, or both after, the forward gluing identifies
+    u with u, the filter fixed both glued weights and its replacement
+    edges are the withheld direct edges, so it rebuilds the state.  So a
+    split costs one canonicalization per side, and only a crossed one is
+    replayed (`_applied`, as `replay` does) and compared with the state.
+    A parallel-class edge can be subdivided, its subdivision satisfies
+    spade, and contracting its path gives the state back, so one
+    canonicalization verifies it (`_subdivision_predecessors`,
+    `_verify_subdivision`).
 
-    Limits (one run each, 2 vCPUs, Python 3.11.7): the search has no
-    work bound.  On the theta graph of delta paths of length delta - 1,
-    Gorenstein at delta, it takes 0.58, 4.2, 22 and 93 s at delta = 6,
-    8, 10 and 12 (26 to 122 vertices), where one `canonicalize` of the
-    graph takes at most 0.07 s and `criteria.is_gorenstein` at most
-    0.04 s.  Under cProfile at delta = 8, three quarters of the time is
-    split verification canonicalizing replayed graphs: 265
-    `_verify_split` calls make 805 `canonicalize` calls.
+    Limits (2 vCPUs, Python 3.11.7): the search has no work bound.  On
+    the theta graph of delta paths of length delta - 1, Gorenstein at
+    delta, it takes 0.18-0.21, 0.48-0.53, 1.9-2.1 and 6.1-6.8 s at
+    delta = 6, 8, 10 and 12 (26 to 122 vertices; fresh processes),
+    where one `canonicalize` of the graph takes at most 0.07 s.  Under
+    cProfile at delta = 12, two thirds of the time is the split filter
+    (33,386 `_pieces` calls, one per vertex pair of each expanded state)
+    and one third the 162 `canonicalize` calls of 76 split
+    verifications.
     """
     if delta < 2:
         raise ValueError("delta must be >= 2")
     if not _spade_holds(graph, delta):
         return None
-    found = _search(graph.canonicalize()[0], delta, {} if memo is None else memo)
+    target, _, emap = graph.canonicalize()
+    kinds = {emap[eid]: kind for eid, kind in matroid.edge_kinds(graph).items()}
+    found = _search(target, delta, {} if memo is None else memo, kinds)
     if found is None:
         return None
     seed, steps = found
     return ConstructionTrace(seed, delta, steps)
 
 
-def _search(target: Multigraph, delta: int, memo: Memo):
+def _search(
+    target: Multigraph, delta: int, memo: Memo, target_kinds: Mapping[int, str | None]
+):
+    """The search of `decompose` from the canonical target, whose edge
+    kinds are given; every state it expands satisfies spade."""
     seeds = _seeds(delta)
     if target in seeds:
         return seeds[target], ()
@@ -642,8 +727,9 @@ def _search(target: Multigraph, delta: int, memo: Memo):
     found = None
     while queue and found is None:
         state = queue.popleft()
+        kinds = target_kinds if state is target else matroid.edge_kinds(state)
         preds = itertools.chain(
-            _split_predecessors(state, delta),
+            _split_predecessors(state, delta, kinds),
             _subdivision_predecessors(state, delta, max_vertices),
         )
         candidates, verified = [], {}
@@ -652,7 +738,7 @@ def _search(target: Multigraph, delta: int, memo: Memo):
             if shape not in shapes:
                 continue
             hit = verified[verify] = verify()
-            if hit and hit[0] in ends and _spade_holds(hit[0], delta):
+            if hit and hit[0] in ends:
                 came_from[hit[0]] = (state, hit[1])
                 found = (hit[0], *ends[hit[0]])
                 break
@@ -661,10 +747,9 @@ def _search(target: Multigraph, delta: int, memo: Memo):
                 hit = verified[verify] if verify in verified else verify()
                 if hit is None or hit[0] in discovered or (delta, hit[0]) in memo:
                     continue
-                if _spade_holds(hit[0], delta):
-                    came_from[hit[0]] = (state, hit[1])
-                    discovered.add(hit[0])
-                    queue.append(hit[0])
+                came_from[hit[0]] = (state, hit[1])
+                discovered.add(hit[0])
+                queue.append(hit[0])
     if found is None:
         memo.update(dict.fromkeys((delta, s) for s in discovered))
         return None

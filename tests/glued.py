@@ -1,6 +1,6 @@
 """Test graphs: larger 2-connected ones glued from small pieces, grids,
-random small 2-connected ones by ear decomposition and random connected
-ones grown from a tree."""
+theta graphs, random small 2-connected ones by ear decomposition and
+random connected ones grown from a tree."""
 
 from hypothesis import strategies as st
 
@@ -39,6 +39,17 @@ def _glue_somewhere(g: Multigraph, piece: Multigraph, delta: int, start: int) ->
             except GluingError:
                 pass
     raise AssertionError(f"no valid gluing at delta={delta}")
+
+
+def theta_graph(*lengths: int) -> Multigraph:
+    """Internally disjoint paths of the given edge counts between 0 and 1."""
+    pairs = []
+    nxt = 2
+    for length in lengths:
+        path = [0] + list(range(nxt, nxt + length - 1)) + [1]
+        nxt += length - 1
+        pairs += zip(path, path[1:])
+    return Multigraph.from_edge_list(nxt, pairs)
 
 
 @st.composite

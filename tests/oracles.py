@@ -22,7 +22,10 @@ G/e for every edge.  There are seven exceptions.
 `decompose_eagerly` differs from `constructions.decompose` in when it
 verifies; its split generator, `split_predecessors_by_side_graphs`,
 builds every side graph and reads `matroid.edge_kinds`, where the
-library filters on masks, and its subdivision generator,
+library filters on masks, and its verify runs `_spade_holds` on both
+sides and replays every split, where the library reads both sides'
+spade off the state's edge kinds and replays only crossed splits; its
+subdivision generator,
 `subdivision_predecessors_by_round_trip`, reads `matroid.edge_kinds` and
 contracts the subdivided path again, where the library's lemmas settle
 both.
@@ -1232,9 +1235,11 @@ def split_predecessors_by_side_graphs(state: Multigraph, delta: int):
     pieces from `pieces_by_union_find` and yielding (shape, verify) from
     sides it has already built: every piece subset, style and direct-edge
     share builds both sides as graphs, tests each for 2-connectivity and
-    reads each fresh edge from `matroid.edge_kinds`; its verify compares
-    canonical forms.  The library generator must yield the same shapes,
-    with the same verify results, in the same order.
+    reads each fresh edge from `matroid.edge_kinds`; its verify searches
+    both sides' good flats for spade, replays the gluing and compares
+    canonical forms.  The library generator must yield the same shapes
+    and, on a state that satisfies spade, the same verify results, in
+    the same order.
     """
     for u, v in itertools.combinations(range(state.n), 2):
         pieces, direct = pieces_by_union_find(state, u, v)
@@ -1281,7 +1286,7 @@ def split_predecessors_by_side_graphs(state: Multigraph, delta: int):
 def _verify_split_by_side_graphs(
     state: Multigraph, delta: int, style: str, g1, e1: int, g2, e2: int
 ):
-    if not constructions._spade_holds(g2, delta):
+    if not (constructions._spade_holds(g1, delta) and constructions._spade_holds(g2, delta)):
         return None
     g1c, _, em1 = g1.canonicalize()
     g2c, _, em2 = g2.canonicalize()

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,70 @@ def test_not_utf8_input_exit_two(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, argv[0], str(p), *argv[1:])
     assert (code, out) == (2, "")
     assert err == f"error: {p}: not UTF-8 text\n"
+
+
+_vertex_tokens = st.one_of(
+    st.integers(-2, 9),
+    st.integers(-(10**30), 10**30),
+    st.sampled_from([2**63, -(2**63), 10**400]),
+).map(str)
+_bad_tokens = st.sampled_from(
+    ["x", "1.5", "0x10", "-", "+", "1e3", "NaN", "3,4", "\u0663", "9" * 5000, "--delta"]
+)
+_tokens = _vertex_tokens | _bad_tokens
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts, well formed but for up to three faults: a line of
+    bad tokens, huge or negative integers, a loop, an out-of-range vertex
+    or the wrong token count, put anywhere; blank lines anywhere; a
+    vertex count that is not positive or huge; an edge count that is
+    off, negative or huge; trailing text."""
+    n = draw(st.sampled_from([2, 3, 3, 4, 4, 4, 5, 5, 6, 7, 8, -1, 0, 1, 10**40]))
+    k = min(max(n, 2), 8)
+    pairs = st.tuples(st.integers(0, k - 1), st.integers(1, k - 1))
+    lines = [f"{u} {(u + d) % k}" for u, d in draw(st.lists(pairs, max_size=10))]
+    fault = st.one_of(
+        st.tuples(_tokens, _tokens).map(" ".join),
+        st.integers(0, k - 1).map(lambda v: f"{v} {v}"),
+        st.integers(k, k + 2).map(lambda v: f"0 {v}"),
+        st.lists(_tokens, max_size=3).map(" ".join),
+    )
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2, 3]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(fault))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   ", "\t"])))
+    edges = sum(1 for ln in lines if ln.strip())
+    m = draw(st.sampled_from([edges] * 8 + [edges - 1, edges + 1, -1, 10**20]))
+    header = draw(st.sampled_from([f"{n} {m}"] * 8 + [f"{n}", f"{n} {m} 0", None]))
+    if header is None:
+        header = f"{draw(_tokens)} {m}"
+    tail = draw(st.sampled_from(["\n"] * 4 + ["", "\n\n", "\nx\n"]))
+    return "\n".join([header, *lines]) + tail
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_list_texts(), st.integers(-3, 6) | st.sampled_from([10**30, -(10**30)]))
+def test_random_edge_list_texts_never_crash(text, delta):
+    """Every command that reads an edge-list file exits 0 or 2 on any text:
+    a parse error, a bad delta or a graph outside a command's domain is
+    an input error, never a traceback (exit 3)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (
+            ["check", path],
+            ["check", "--oracle", path],
+            ["weights", path, "--delta", str(delta)],
+            ["decompose", path, "--delta", str(delta)],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = cli.run(argv)
+            assert code in (0, 2), argv
 
 
 class TestWeights:

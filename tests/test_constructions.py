@@ -647,9 +647,9 @@ def expansions(monkeypatch):
     states = []
     original = constructions._split_predecessors
 
-    def counting(state, delta):
+    def counting(state, delta, kinds):
         states.append(state)
-        return original(state, delta)
+        return original(state, delta, kinds)
 
     monkeypatch.setattr(constructions, "_split_predecessors", counting)
     return states
@@ -749,11 +749,15 @@ class TestFreshEdgeKinds:
 
 def same_splits(graph, delta) -> int:
     """`_split_predecessors` against the side-graph generator it replaced:
-    in order, the shapes of the raw predecessors it builds and the same
-    verify results."""
-    new = list(constructions._split_predecessors(graph, delta))
+    in order, the shapes of the raw predecessors it builds, and on a
+    graph that satisfies spade at delta, the library's precondition, the
+    same verify results.  Returns how many verify results it compared."""
+    kinds = matroid.edge_kinds(graph)
+    new = list(constructions._split_predecessors(graph, delta, kinds))
     old = list(split_predecessors_by_side_graphs(graph, delta))
     assert [shape for shape, _ in new] == [shape for shape, _ in old]
+    if not constructions._spade_holds(graph, delta):
+        return 0
     for (_, verify), (_, reference) in zip(new, old):
         assert verify() == reference()
     return len(new)
@@ -776,6 +780,11 @@ class TestSplitsEqualSideGraphs:
     @pytest.mark.parametrize("delta", [2, 3, 4])
     def test_census(self, census_full, delta):
         assert sum(same_splits(g, delta) for g in census_full) > 0
+
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_census_frontier_spade_states(self, census_frontier, delta):
+        states = [g for g in census_frontier if constructions._spade_holds(g, delta)]
+        assert sum(same_splits(g, delta) for g in states) > 0
 
 
 class TestLazySearchEqualsEager:
@@ -809,6 +818,15 @@ class TestLazySearchEqualsEager:
         # memo hits ended some searches before they reached the seed
         assert steered > 0 or delta == 2
 
+    @pytest.mark.parametrize("delta", [2, 3, 4])
+    def test_census_frontier_spade_states(self, census_frontier, delta):
+        states = [g for g in census_frontier if constructions._spade_holds(g, delta)]
+        memo, eager_memo = {}, {}
+        for graph in states:
+            same_as_eager(graph, delta, {}, {})
+            same_as_eager(graph, delta, memo, eager_memo)
+        assert states
+
     @pytest.mark.parametrize("delta", [3, 4])
     def test_dead_end_memo_entries(self, census_full, delta):
         # every search on the census succeeds, so mark the states of each
@@ -828,7 +846,12 @@ class TestLazySearchEqualsEager:
 
     @pytest.mark.parametrize("delta, n", [(3, 13), (4, 10)])
     def test_verifies_only_the_step_it_returns(self, monkeypatch, delta, n):
+        # one step, an uncrossed split: the side totals and the
+        # orientation lemma accept it with no gluing, no spade search on
+        # either side and one canonicalization per side (the eager search
+        # glued, canonicalized the replay and searched both sides' flats)
         graph = glued_chain(delta, n)
+        constructions._seeds(delta)
         calls = {"glue": 0, "canonicalize": 0}
 
         def counted(key, fn):
@@ -845,13 +868,26 @@ class TestLazySearchEqualsEager:
         monkeypatch.setattr(
             Multigraph, "canonicalize", counted("canonicalize", Multigraph.canonicalize)
         )
+        searches = (matroid.good_flat_masks, matroid.edge_kinds)
+
+        def misses():
+            return [search.cache_info().misses for search in searches]
+
+        for search in searches:
+            search.cache_clear()
         eager = decompose_eagerly(graph, delta)
-        eager_calls = dict(calls)
+        eager_calls, eager_misses = dict(calls), misses()
         calls.update(glue=0, canonicalize=0)
+        for search in searches:
+            search.cache_clear()
         assert decompose(graph, delta) == eager
         assert len(eager.steps) == 1
-        assert calls["glue"] == 1 < eager_calls["glue"]
-        assert calls["canonicalize"] < eager_calls["canonicalize"]
+        assert calls["glue"] == 0 < eager_calls["glue"]
+        # the input, then each side of the split
+        assert calls["canonicalize"] <= 3 < eager_calls["canonicalize"]
+        # the input's flats and kinds, for its own spade check
+        assert misses() == [1, 1]
+        assert eager_misses[0] > 1 and eager_misses[1] > 1
 
 
 class TestTraceSerialization:

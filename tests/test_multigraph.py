@@ -16,7 +16,7 @@ from gorenstein.multigraph import (
     _bits,
     is_canonical_order,
 )
-from glued import connected_multigraphs, glued_chain
+from glued import connected_multigraphs, glued_chain, theta_graph
 from oracles import (
     blocks_by_edge_dfs,
     canonical_ordering_by_columns,
@@ -57,17 +57,6 @@ def small_multigraphs():
 def complete_bipartite_2(n: int) -> Multigraph:
     """K_{2,n}: vertices 0 and 1 each joined to 2..n+1."""
     return Multigraph.from_edge_list(n + 2, [(p, q) for p in (0, 1) for q in range(2, n + 2)])
-
-
-def theta_graph(*lengths: int) -> Multigraph:
-    """Internally disjoint paths of the given edge counts between 0 and 1."""
-    pairs = []
-    nxt = 2
-    for length in lengths:
-        path = [0] + list(range(nxt, nxt + length - 1)) + [1]
-        nxt += length - 1
-        pairs += zip(path, path[1:])
-    return Multigraph.from_edge_list(nxt, pairs)
 
 
 SYMMETRIC_FAMILIES = (
