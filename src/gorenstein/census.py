@@ -11,6 +11,11 @@ deduplicated.  That orderly representative is not the graph's
 (`Multigraph.canonicalize`); the census prints and sorts the lex-max
 matrices, and the harnesses compare canonical forms.
 
+One search serves every vertex count: the matrix on vertices 0..j may
+be both a census graph on j + 1 vertices and the prefix of larger ones,
+and one canonicity test serves both; the search stops at the most
+vertices a 2-connected graph within the edge bound can have.
+
 The census is a stream.  The search keeps each lex-max matrix packed as
 its edge count and upper triangle (a few dozen bytes), and
 `enumerate_census` builds each `Multigraph` only when it is reached, so
@@ -60,29 +65,50 @@ class CensusRecord:
     facet_count: int
 
 
-def _matrices_on(n: int, bounds: CensusBounds) -> list:
-    """Lex-max 2-connected multiplicity matrices on exactly n vertices,
-    packed and sorted.
+def _lex_max_matrices(bounds: CensusBounds) -> list[tuple[int, list]]:
+    """For each vertex count n from 2 to N, the lex-max 2-connected
+    multiplicity matrices on exactly n vertices, packed and sorted; one
+    orderly search finds them all.
 
     Each matrix is packed as its edge count followed by its upper
     triangle read row by row, (0,1), (0,2), ..., (0,n-1), (1,2), ..., in
     `bytes` while the edge bound (which caps every entry) fits a byte, in
-    a tuple otherwise; both compare as sequences of ints, so the list is
+    a tuple otherwise; both compare as sequences of ints, so each list is
     sorted by (edges, matrix), see `enumerate_census`.
 
-    Orderly generation: cells are filled column by column in the order
-    (0,1), (0,2), (1,2), (0,3), ..., the cell order of the column-wise
-    upper-triangle sequence, and a partial matrix on vertices 0..j
-    survives only if its sequence is maximal over the orderings of those
-    vertices (canonical in the sense of `is_canonical_order`).  Every
-    prefix of a lex-max matrix is lex-max for the subgraph it induces, so
-    each isomorphism class is reached exactly once, as its lex-max
-    matrix.  A connected graph's maximal ordering adds each vertex next
-    to an earlier one, so an all-zero column is pruned as well.
+    Orderly generation: the cells of an N x N matrix are filled column by
+    column in the order (0,1), (0,2), (1,2), (0,3), ..., the cell order of
+    the column-wise upper-triangle sequence, and a partial matrix on
+    vertices 0..j survives only if its sequence is maximal over the
+    orderings of those vertices (canonical in the sense of
+    `is_canonical_order`).  Every prefix of a lex-max matrix is lex-max
+    for the subgraph it induces, so each isomorphism class is reached
+    exactly once, as its lex-max matrix, on any number of vertices: the
+    matrix on vertices 0..j may be both a census graph on j + 1 vertices
+    and the prefix of larger ones.  A connected graph's maximal ordering
+    adds each vertex next to an earlier one, so an all-zero column is
+    pruned as well.
 
-    Three necessary conditions cut branches before the canonicity test,
-    which still runs on every column that passes them; none drops a
-    census graph, so the census is the same list either way.
+    Vertex cap: N = min(max_vertices, max(max_edges, 2)).  A 2-connected
+    graph on n >= 3 vertices has minimum degree at least 2, so its 2m
+    degree sum is at least 2n and n <= m <= max_edges; the only graphs
+    on 2 vertices are the bananas.  So no census graph has more than N
+    vertices, however large max_vertices is.
+
+    Each completed nonzero column j gets one canonicity test, and only
+    when the matrix on vertices 0..j either is 2-connected, and is then
+    packed into the list of its j + 1 vertices, or can grow, and the
+    search then goes on to column j + 1.  It can grow when j + 1 < N and
+    its edge total leaves room for one more vertex, two edges: at least
+    two edges join a prefix of a 2-connected graph to the vertices after
+    it, since none would leave the graph disconnected and a single one
+    would be a bridge.  A matrix that does neither is no census graph
+    and the prefix of none, so it needs no test.
+
+    The transposition bound cuts branches before any canonicity test, and
+    the leaf blocks of the prefix decide 2-connectivity without one;
+    neither drops a census graph, so the census is the same list either
+    way.
 
     - Transposition bound: column j's top k entries must be
       lexicographically at most column k, for every 0 < k < j.  Were they
@@ -92,16 +118,10 @@ def _matrices_on(n: int, bounds: CensusBounds) -> list:
       whose column its entries still equal; row i is capped at mat[i][k]
       for each of them, and k drops out once a smaller value is chosen or
       once row k-1 is filled.
-    - Edge reserve: a column j < n-1 may bring the edge total to at most
-      max_edges - (r + 1), where r = n-1-j vertices are still to come.
-      Each of them has degree at least 2, and at least 2 edges join them
-      to the placed vertices, since a single one would be a bridge; with
-      e edges among them and x across, 2e + x >= 2r and x >= 2 give
-      e + x >= r + 1.
-    - Leaf blocks of the prefix: the last column joins z = n-1 to the
-      rows N where it is nonzero, and G = G' + z, G' the canonical prefix
-      on vertices 0..n-2, is 2-connected exactly when |N| >= 2 and N
-      meets the interior of every leaf block of G' (`_leaf_interiors`).
+    - Leaf blocks of the prefix: a complete column j >= 2 joins z = j to
+      the rows N where it is nonzero, and G = G' + z, G' the canonical
+      prefix on vertices 0..j-1, is 2-connected exactly when |N| >= 2 and
+      N meets the interior of every leaf block of G' (`_leaf_interiors`).
       G' is connected, since each of its columns is nonzero.  If |N| <= 1,
       z is isolated or hangs from a cut vertex.  If N misses the interior
       I of a leaf block L with cut vertex c, every neighbour of a vertex
@@ -115,56 +135,46 @@ def _matrices_on(n: int, bounds: CensusBounds) -> list:
       interior B - c in C; otherwise the subtree has a leaf other than B,
       which is a block, since a cut vertex lies in two blocks, and a leaf
       block of G' whose cut vertex is not c.)  So one block search per
-      canonical prefix serves every last column on it.  While that column
-      fills top-down, the mask of its nonzero rows is carried, and row i
-      may not be 0 when it is the highest vertex of a leaf interior that
-      the rows above missed; on the complete column, |N| >= 2 is the rest
-      of the test.  It runs before the canonicity test; both must pass
-      for a census graph and neither changes the matrix, so testing the
-      cheap one first keeps the same list, and a matrix is packed only
-      when it passes both.
+      canonical prefix that grows serves every column on it, and
+      `leaves[j]` keeps its result while column j fills.  Column 1 makes
+      a banana, which is 2-connected whenever the column is nonzero.
     """
     pack = bytes if bounds.max_edges < 256 else tuple
-    if n == 2:
-        return [pack([k, k]) for k in range(1, min(bounds.max_edges, bounds.max_multiplicity) + 1)]
-    mat = [[0] * n for _ in range(n)]
-    out = []
-    cells = _upper_cells(n)
-    # edge total allowed once column j is complete (the edge reserve)
-    budget = [bounds.max_edges - (n - j) for j in range(n - 1)] + [bounds.max_edges]
-    # per row i, the leaf interior of the prefix whose highest vertex is i, or 0
-    top = [0] * n
+    size = min(bounds.max_vertices, max(bounds.max_edges, 2))  # N
+    mat = [[0] * size for _ in range(size)]
+    out = [[] for _ in range(size + 1)]
+    # per column j, the leaf interiors of the prefix on vertices 0..j-1
+    leaves = [[] for _ in range(size)]
 
     def fill(i: int, j: int, total: int, column: int, tight: list[int]) -> None:
         """Choose mat[i][j]; column is the mask of rows 0..i-1 where column j
         is nonzero, and the columns k in tight (all k > i) equal column j
         in those rows."""
         if i == j:
-            if j < n - 1:
-                if column and is_canonical_order(mat, j + 1):
-                    if j == n - 2:
-                        top[:] = [0] * n
-                        for inner in _leaf_interiors(mat, j + 1):
-                            top[inner.bit_length() - 1] = inner
+            done = column and (
+                j == 1 or column.bit_count() >= 2 and all(column & inner for inner in leaves[j])
+            )
+            grows = column and j + 1 < size and total + 2 <= bounds.max_edges
+            if (done or grows) and is_canonical_order(mat, j + 1):
+                if done:
+                    upper = (c for a, row in enumerate(mat[:j]) for c in row[a + 1 : j + 1])
+                    out[j + 1].append(pack([total, *upper]))
+                if grows:
+                    leaves[j + 1] = _leaf_interiors(mat, j + 1)
                     fill(0, j + 1, total, 0, list(range(1, j + 1)))
-            elif column.bit_count() >= 2 and is_canonical_order(mat, n):
-                out.append(pack([total, *(mat[a][b] for a, b in cells)]))
             return
-        cap = min(bounds.max_multiplicity, budget[j] - total)
+        cap = min(bounds.max_multiplicity, bounds.max_edges - total)
         for k in tight:
             cap = min(cap, mat[i][k])
         # columns that stay tight when row i takes the cap
         still = [k for k in tight if k > i + 1 and mat[i][k] == cap]
-        # the last column must meet the leaf interior that row i completes
-        low = 1 if j == n - 1 and top[i] and not top[i] & column else 0
-        for c in range(low, cap + 1):
+        for c in range(cap + 1):
             mat[i][j] = mat[j][i] = c
             fill(i + 1, j, total + c, column | (1 << i if c else 0), still if c == cap else [])
         mat[i][j] = mat[j][i] = 0
 
     fill(0, 1, 0, 0, [])
-    out.sort()
-    return out
+    return [(n, sorted(out[n])) for n in range(2, size + 1)]
 
 
 def _leaf_interiors(mat, k: int) -> list[int]:
@@ -230,22 +240,24 @@ def enumerate_census(bounds: CensusBounds) -> Iterator[Multigraph]:
     multiplicity matrix is the lex-max matrix of its class, which need not
     be its `canonical_form`.
 
-    The search runs in this call, for every vertex count, so the iterator
+    One search runs in this call for every vertex count, so the iterator
     knows its length and the call's time is the search's (the benchmark
-    tracer's census span reads both).  It keeps only packed matrices
-    (`_matrices_on`); each `Multigraph` is built as the iterator reaches
-    it, so a caller that keeps no graph holds a few dozen bytes per
-    census graph.  One sort per vertex count gives the order: n is the
-    outer loop, and within one n, sorting the packed (edges, upper
-    triangle row by row) sorts by (edges, matrix).  Two symmetric
-    matrices with zero diagonals first differ, row by row, at some (i, j)
-    with i < j: were j < i, the entry (j, i), equal to it by symmetry,
-    would differ one row earlier, and the diagonal never differs.  Every
-    upper-triangle cell before (i, j) in the packed order also comes
-    before it row by row, so (i, j) is the first difference of the upper
-    triangles too, and both comparisons order the two matrices by it.
+    tracer's census span reads both).  It keeps only packed matrices,
+    one list per vertex count up to the cap that the edge bound puts on
+    it (`_lex_max_matrices`); each `Multigraph` is built as the iterator
+    reaches it, so a caller that keeps no graph holds a few dozen bytes
+    per census graph.  One sort per vertex count gives the order: the
+    lists come in order of n, and within one n, sorting the packed
+    (edges, upper triangle row by row) sorts by (edges, matrix).  Two
+    symmetric matrices with zero diagonals first differ, row by row, at
+    some (i, j) with i < j: were j < i, the entry (j, i), equal to it by
+    symmetry, would differ one row earlier, and the diagonal never
+    differs.  Every upper-triangle cell before (i, j) in the packed order
+    also comes before it row by row, so (i, j) is the first difference of
+    the upper triangles too, and both comparisons order the two matrices
+    by it.
     """
-    return _Census([(n, _matrices_on(n, bounds)) for n in range(2, bounds.max_vertices + 1)])
+    return _Census(_lex_max_matrices(bounds))
 
 
 def census_record(graph: Multigraph) -> CensusRecord:

@@ -78,7 +78,7 @@ def lex_max_prefixes(max_k: int, max_mult: int):
 
 
 def leaf_rule_checked(mat, k: int) -> None:
-    """The leaf-block rule of `census._matrices_on` against the edge-DFS
+    """The leaf-block rule of `census._lex_max_matrices` against the edge-DFS
     2-connectivity of G' + z, for every nonzero set N of z's neighbours,
     G' the connected graph on vertices 0..k-1 of mat."""
     interiors = census._leaf_interiors(mat, k)
@@ -137,7 +137,9 @@ class TestEnumerate:
         # at (4, _, 2) no graph has more than 12 edges, so the lists agree
         wide = list(enumerate_census(CensusBounds(4, 256, 2)))
         assert wide == list(enumerate_census(CensusBounds(4, 255, 2)))
-        assert isinstance(census._matrices_on(3, CensusBounds(3, 256, 2))[0], tuple)
+        matrices = census._lex_max_matrices(CensusBounds(3, 256, 2))
+        assert [n for n, _ in matrices] == [2, 3]
+        assert all(isinstance(p, tuple) for _, packed in matrices for p in packed)
 
     def test_duplicate_free(self, census_full):
         forms = [g.canonical_form for g in census_full]
@@ -164,29 +166,53 @@ class TestEnumerate:
         b = CensusBounds(*bounds)
         assert list(enumerate_census(b)) == enumerate_by_canonicalizing(b)
 
-    # at each bound the transposition bound alone and the edge reserve
-    # alone both save canonicity tests; (7, 9, 4), 400 classes, holds the
-    # leaf-block prune on 7 vertices in about a second
-    @pytest.mark.parametrize("bounds", [(6, 8, 4), (5, 10, 5), (6, 6, 2), (7, 9, 4)])
+    # at the first five bounds the transposition bound alone and the
+    # two-edge reserve for one more vertex alone both save canonicity
+    # tests; (7, 9, 4), 400 classes, holds the leaf-block prune on 7
+    # vertices in about a second; at (8, 8, 2), 100 classes, the edge
+    # bound binds before the vertex bound: on 8 vertices only the 8-cycle
+    # fits;
+    # (2, 3, 5) is bananas alone, and at (3, 2, 1) the edge bound leaves
+    # no room for a third vertex
+    @pytest.mark.parametrize(
+        "bounds", [(6, 8, 4), (5, 10, 5), (6, 6, 2), (7, 9, 4), (8, 8, 2), (2, 3, 5), (3, 2, 1)]
+    )
     def test_equals_unpruned_orderly_reference(self, bounds, monkeypatch):
         # same Multigraphs, same order, with fewer canonicity tests
+        # wherever the vertex bound allows a third vertex (the reference
+        # builds bananas without a test)
         pruned = count_canonicity_tests(monkeypatch, census)
         unpruned = count_canonicity_tests(monkeypatch, oracles)
         b = CensusBounds(*bounds)
         assert list(enumerate_census(b)) == enumerate_orderly_unpruned(b)
-        assert 0 < pruned[0] < unpruned[0]
+        if b.max_vertices > 2:
+            assert 0 < pruned[0] < unpruned[0]
 
     def test_canonicity_tests_at_benchmark_bounds(self, monkeypatch):
         # 6,445 tests without the transposition bound and the edge reserve,
         # 1,842 with them but with the leaf conditions tested after the
-        # canonicity test; 654 now
+        # canonicity test, 654 with one search per vertex count, each
+        # testing again the prefixes the smaller ones tested; one search
+        # tests each of the 527 distinct (k, prefix) pairs once
         calls = count_canonicity_tests(monkeypatch, census)
         assert len(enumerate_census(CensusBounds(6, 8, 4))) == 134
-        assert calls[0] <= 700
+        assert calls[0] <= 527
+
+    def test_each_prefix_tested_once(self, monkeypatch):
+        test = census.is_canonical_order
+        seen = []
+
+        def recording(mat, k):
+            seen.append((k, tuple(tuple(row[:k]) for row in mat[:k])))
+            return test(mat, k)
+
+        monkeypatch.setattr(census, "is_canonical_order", recording)
+        assert len(enumerate_census(CensusBounds(6, 8, 4))) == 134
+        assert seen and len(set(seen)) == len(seen)
 
     def test_block_searches_at_benchmark_bounds(self, monkeypatch):
         # 681 searches while every complete matrix ran its own, 107 with
-        # one per canonical prefix of the last column
+        # one per canonical prefix that grows
         calls = count_calls(monkeypatch, census, "_blocks")
         assert len(enumerate_census(CensusBounds(6, 8, 4))) == 134
         assert calls[0] <= 107
@@ -204,16 +230,19 @@ class TestEnumerate:
         leaf_rule_checked(g.multiplicity_matrix, g.n)
 
     def test_last_column_tested_only_after_leaf_conditions(self, monkeypatch):
-        # a canonicity test on a complete matrix runs only when the matrix
-        # is 2-connected, hence has n edges and minimum degree 2
+        # a canonicity test on a matrix that cannot grow (it has the
+        # search's last vertex, or fewer than two edges are left) runs only
+        # when the matrix is 2-connected, hence has k edges and minimum
+        # degree 2; the rows past k are still zero
+        bounds = CensusBounds(6, 8, 4)
         test = census.is_canonical_order
         last = [0]
 
         def checking(mat, k):
-            if k == len(mat):
+            degrees = [sum(row) for row in mat[:k]]
+            if k == len(mat) or sum(degrees) // 2 + 2 > bounds.max_edges:
                 last[0] += 1
-                degrees = [sum(row) for row in mat]
-                assert sum(degrees) >= 2 * k and min(degrees) >= 2
+                assert k == 2 or sum(degrees) >= 2 * k and min(degrees) >= 2
                 pairs = [
                     (i, j) for i in range(k) for j in range(i + 1, k) for _ in range(mat[i][j])
                 ]
@@ -221,7 +250,7 @@ class TestEnumerate:
             return test(mat, k)
 
         monkeypatch.setattr(census, "is_canonical_order", checking)
-        assert len(enumerate_census(CensusBounds(6, 8, 4))) == 134
+        assert len(enumerate_census(bounds)) == 134
         assert last[0] > 0
 
     def test_representatives_are_canonical(self, census_full):

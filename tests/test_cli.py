@@ -461,6 +461,51 @@ class TestVerifyCommand:
         assert "mismatches: 0" in out
 
 
+@pytest.mark.parametrize(
+    "command", [["census"], ["verify", "equivalence"], ["verify", "classification", "--delta", "3"]]
+)
+def test_vertex_bound_past_the_edge_bound(capsys, command):
+    # no 2-connected graph with at most 6 edges has more than 6 vertices,
+    # so a vertex bound of 10**30 lists the graphs of a vertex bound of 6
+    outputs = []
+    for max_v in (6, 10**30):
+        argv = ["--max-v", str(max_v), "--max-e", "6", "--max-mult", "3"]
+        code, out, _ = run_cli(capsys, *command, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert data.pop("bounds")["max_vertices"] == max_v
+        outputs.append(data)
+    assert outputs[0] == outputs[1] and outputs[0]["total"] > 0
+
+
+census_bounds = st.integers(-2, 4) | st.just(10**30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(census_bounds, census_bounds, census_bounds).filter(
+        # an edge bound of 10**30 beside another bound of 10**30 leaves a
+        # census too large to list, and no work limit refuses it yet
+        lambda b: b[1] < 10**30 or max(b[0], b[2]) < 10**30
+    ),
+    st.integers(-3, 6) | st.sampled_from([10**30, -(10**30)]),
+)
+def test_census_and_verify_bounds_never_crash(bounds, delta):
+    """census, verify equivalence and verify classification exit 0 or 2 at
+    any bounds and dilation: a bound below the census's minimum or a
+    dilation below 2 is an input error, never a traceback (exit 3), and
+    no harness finds a mismatch (exit 1)."""
+    argv = ["--max-v", str(bounds[0]), "--max-e", str(bounds[1]), "--max-mult", str(bounds[2])]
+    for command in (
+        ["census"],
+        ["verify", "equivalence"],
+        ["verify", "classification", "--delta", str(delta)],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(command + argv)
+        assert code in (0, 2), command
+
+
 def json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2)
 
