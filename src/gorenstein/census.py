@@ -30,6 +30,7 @@ decomposition search).
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
@@ -93,7 +94,9 @@ def _lex_max_matrices(bounds: CensusBounds) -> list[tuple[int, list]]:
     graph on n >= 3 vertices has minimum degree at least 2, so its 2m
     degree sum is at least 2n and n <= m <= max_edges; the only graphs
     on 2 vertices are the bananas.  So no census graph has more than N
-    vertices, however large max_vertices is.
+    vertices, however large max_vertices is.  The search fills an N x N
+    matrix, so a cap whose N * N cells exceed sys.maxsize, which no list
+    can index, is refused with ValueError before any work.
 
     Each completed nonzero column j gets one canonicity test, and only
     when the matrix on vertices 0..j either is 2-connected, and is then
@@ -141,6 +144,8 @@ def _lex_max_matrices(bounds: CensusBounds) -> list[tuple[int, list]]:
     """
     pack = bytes if bounds.max_edges < 256 else tuple
     size = min(bounds.max_vertices, max(bounds.max_edges, 2))  # N
+    if size * size > sys.maxsize:
+        raise ValueError(f"vertex cap {size} too large for the census search's N x N matrix")
     mat = [[0] * size for _ in range(size)]
     out = [[] for _ in range(size + 1)]
     # per column j, the leaf interiors of the prefix on vertices 0..j-1

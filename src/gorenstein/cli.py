@@ -43,7 +43,7 @@ from .constructions import (
     trace_to_json,
 )
 from .criteria import is_gorenstein, weight_function
-from .multigraph import Multigraph
+from .multigraph import Multigraph, _bits
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -190,7 +190,7 @@ def _cmd_check(args) -> int:
             "gorenstein": True,
             "delta": delta,
             "weights": {str(eid): w for eid, w in assignment.weights},
-            "good_flats": [sorted(f.subset) for f in matroid.good_flats(graph)],
+            "good_flats": [list(_bits(f.mask)) for f in matroid.good_flats(graph)],
         }
     )
     return EXIT_OK

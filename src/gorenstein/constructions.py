@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
 from types import MappingProxyType
 
 from . import matroid
-from .criteria import check_spade, spade_equalities, weight_function
+from .criteria import check_spade, weight_function
 from .multigraph import (
     Edge,
     Multigraph,
@@ -411,16 +411,12 @@ def _side_kind(side: int, ends: int, apart: Sequence[int]) -> str | None:
 
 
 def _spade_holds(graph: Multigraph, delta: int) -> bool:
-    """The spade equalities at delta, over the output-sensitive good-flat
-    search: the search never runs heart, so it never needs the full pass."""
+    """`check_spade` at delta with its forced weights; False on a graph
+    that is not 2-connected or has none (K_2)."""
     if not graph.is_two_connected():
         return False
     assignment = weight_function(graph, delta)
-    return assignment is not None and spade_equalities(graph, assignment, _flat_sizes)
-
-
-def _flat_sizes(graph: Multigraph) -> Iterator[tuple[int, int]]:
-    return ((s.bit_count(), edges) for s, edges in matroid.good_flat_masks(graph))
+    return assignment is not None and check_spade(graph, assignment)
 
 
 def _split_predecessors(state: Multigraph, delta: int, kinds: Mapping[int, str | None]):

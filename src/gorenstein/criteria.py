@@ -28,11 +28,12 @@ then its ends form a good flat (fact 1 there); only the edge of K_2 is
 neither.
 
 Both read the good flats of `matroid.good_flat_masks`, one cached search
-per graph: `check_spade` through the sorted view `matroid.good_flats`,
-`check_heart` directly, and the decomposition search through
-`spade_equalities`.  Every flat carries E(S) as an edge-position mask,
+per graph.  `check_spade` reads them through the sorted view
+`matroid.good_flats`, and so does the decomposition search, which runs
+spade through `check_spade`; `check_heart` and `delta_candidates` read
+the masks directly.  Every flat carries E(S) as an edge-position mask,
 so with one mask of the weight-1 edges and one of the weight-(delta - 1)
-edges, w(E(S)) is two popcounts.
+edges, w(E(S)) is two popcounts, and |S| is the popcount of S.
 
 Heart needs only V and the good flats.  For a 2-connected G, any edge
 weights w (an assignment that leaves edges out included: they weigh 0)
@@ -72,7 +73,7 @@ k(S) from the blocks, as the full-definition reference.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from . import matroid
@@ -138,26 +139,16 @@ def _weigher(graph: Multigraph, assignment: WeightAssignment) -> Callable[[int],
 
 
 def check_spade(graph: Multigraph, assignment: WeightAssignment) -> bool:
-    """w(E) = delta (|V|-1) and w(E(S)) + 1 = delta (|S|-1) per good flat."""
-    return spade_equalities(graph, assignment, _good_flat_sizes)
-
-
-def _good_flat_sizes(graph: Multigraph) -> Iterator[tuple[int, int]]:
-    return ((len(flat.subset), flat.edge_mask) for flat in matroid.good_flats(graph))
-
-
-def spade_equalities(
-    graph: Multigraph,
-    assignment: WeightAssignment,
-    flats: Callable[[Multigraph], Iterable[tuple[int, int]]],
-) -> bool:
-    """The spade equalities, with the good flats read as (|S|, E(S)) from
-    flats(graph), which is called only once w(E) = delta (|V|-1) holds."""
+    """w(E) = delta (|V|-1) and w(E(S)) + 1 = delta (|S|-1) per good flat,
+    the flats read from `matroid.good_flats` only once the first holds."""
     delta = assignment.delta
     if assignment.total() != delta * (graph.n - 1):
         return False
     weigh = _weigher(graph, assignment)
-    return all(weigh(edges) + 1 == delta * (size - 1) for size, edges in flats(graph))
+    return all(
+        weigh(flat.edge_mask) + 1 == delta * (flat.mask.bit_count() - 1)
+        for flat in matroid.good_flats(graph)
+    )
 
 
 def check_heart(graph: Multigraph, assignment: WeightAssignment) -> bool:

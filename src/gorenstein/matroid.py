@@ -12,12 +12,14 @@ when it is proper, |S| >= 2, G[S] is 2-connected and G - S is connected.
 `good_flat_masks` lists the good flats once per graph (it is cached),
 as (S, E(S)) pairs of ints in the order its search finds them: S is a
 vertex mask and E(S) an edge-position mask (bit i stands for
-`graph.edges[i]`).  The spade and heart checks, the polytope, the
-decomposition search and the census read them; the criteria sum
-weights over E(S) by popcount.  `good_flats` is the frozenset view that
-spade and the CLI output read, sorted by size, then in combinations
-order within a size; a `GoodFlat` keeps its E(S) mask beside the
-vertex set.  `two_connected_subsets` lists every S with |S| >= 2 whose
+`graph.edges[i]`).  Heart, `delta_candidates`, the polytope and the
+census read them; the criteria sum weights over E(S) by popcount.
+`good_flats` is the cached view that `check_spade` (for the
+decomposition search too) and the `check` output read: the same pairs
+as `GoodFlat`s, sorted by size, then in combinations order within a
+size (`_by_size`).  A `GoodFlat` is a named pair of the two masks, two
+ints per flat; its `subset` is the vertex set, built as a frozenset on
+each read.  `two_connected_subsets` lists every S with |S| >= 2 whose
 induced subgraph is 2-connected, V included, in the same order.
 
 The three caches, `edge_kinds`, `good_flats` and `good_flat_masks`, keep
@@ -117,17 +119,20 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .multigraph import Multigraph, _bits, _blocks
 
 
-@dataclass(frozen=True)
-class GoodFlat:
-    subset: frozenset[int]
+class GoodFlat(NamedTuple):
+    mask: int  # S: bit v stands for vertex v
     edge_mask: int  # E(S) by position: bit i stands for graph.edges[i]
+
+    @property
+    def subset(self) -> frozenset[int]:
+        return frozenset(_bits(self.mask))
 
 
 @lru_cache(maxsize=256)
@@ -229,9 +234,7 @@ def good_flats(graph: Multigraph) -> tuple[GoodFlat, ...]:
     """All good flats (type-2 facets), by size, then in combinations order:
     the view of `good_flat_masks` that `check_spade` and the `check`
     output read."""
-    return tuple(
-        GoodFlat(frozenset(verts), edges) for verts, edges in _by_size(good_flat_masks(graph))
-    )
+    return tuple(map(GoodFlat._make, _by_size(good_flat_masks(graph))))
 
 
 @lru_cache(maxsize=256)
@@ -283,11 +286,10 @@ def two_connected_subsets(graph: Multigraph) -> tuple[frozenset[int], ...]:
     """All vertex subsets (including V) inducing a 2-connected subgraph,
     by size, then in combinations order."""
     masks = _two_connected_masks(graph.neighbour_masks)
-    return tuple(frozenset(verts) for verts, _ in _by_size((s, 0) for s in masks))
+    return tuple(frozenset(_bits(s)) for s, _ in _by_size((s, 0) for s in masks))
 
 
-def _by_size(masks) -> list[tuple[tuple[int, ...], int]]:
-    """(vertices of S, E(S)) per (S, E(S)) mask pair, by size, then in
+def _by_size(masks) -> list[tuple[int, int]]:
+    """The (S, E(S)) mask pairs sorted by the size of S, then in
     combinations order within a size."""
-    found = sorted((s.bit_count(), _bits(s), edges) for s, edges in masks)
-    return [(verts, edges) for _, verts, edges in found]
+    return sorted(masks, key=lambda pair: (pair[0].bit_count(), _bits(pair[0])))

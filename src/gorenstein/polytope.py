@@ -148,11 +148,11 @@ class BasePolytope:
                 KIND_NONNEGATIVITY, self.edge_ids[i], None, normal, 0,
                 tuple(a - normal[0] for a in normal), -normal[0] * rank,
             ))
-        for verts, inside in matroid._by_size(self.flats):
+        for s, inside in matroid._by_size(self.flats):
             normal = tuple(inside >> i & 1 for i in range(m))
-            offset = len(verts) - 1
+            offset = s.bit_count() - 1
             out.append(FacetInequality(
-                KIND_GOOD_FLAT, None, frozenset(verts), normal, offset,
+                KIND_GOOD_FLAT, None, frozenset(_bits(s)), normal, offset,
                 tuple(a - normal[0] for a in normal), offset - normal[0] * rank,
             ))
         return tuple(out)

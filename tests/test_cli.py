@@ -478,15 +478,27 @@ def test_vertex_bound_past_the_edge_bound(capsys, command):
     assert outputs[0] == outputs[1] and outputs[0]["total"] > 0
 
 
+@pytest.mark.parametrize(
+    "command", [["census"], ["verify", "equivalence"], ["verify", "classification", "--delta", "3"]]
+)
+def test_vertex_cap_past_the_index_range(capsys, command):
+    # N = min(max_v, max(max_e, 2)) = 10**30, and no list indexes N * N
+    # cells: an input error before any output, not an OverflowError
+    argv = ["--max-v", str(10**30), "--max-e", str(10**30), "--max-mult", "1"]
+    code, out, err = run_cli(capsys, *command, *argv)
+    assert (code, out) == (2, "") and err.startswith(f"error: vertex cap {10**30} too large")
+
+
 census_bounds = st.integers(-2, 4) | st.just(10**30)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     st.tuples(census_bounds, census_bounds, census_bounds).filter(
-        # an edge bound of 10**30 beside another bound of 10**30 leaves a
-        # census too large to list, and no work limit refuses it yet
-        lambda b: b[1] < 10**30 or max(b[0], b[2]) < 10**30
+        # edge and multiplicity bounds of 10**30 under a small vertex bound
+        # leave a census too large to list, and no work limit refuses it
+        # yet; beside a vertex bound of 10**30 the vertex cap refuses it
+        lambda b: b[0] == 10**30 or min(b[1], b[2]) < 10**30
     ),
     st.integers(-3, 6) | st.sampled_from([10**30, -(10**30)]),
 )

@@ -40,6 +40,7 @@ from gorenstein.multigraph import (
 
 from glued import glued_chain, two_connected_multigraphs
 from oracles import (
+    check_spade_by_sets,
     decompose_eagerly,
     multi_gluing_by_vertex_map,
     parallel_class,
@@ -559,9 +560,19 @@ class TestCounterexample:
 
 
 class TestSpadePaths:
-    """The search's `_spade_holds` reads the good-flat mask pairs
-    `matroid.good_flat_masks`, `check_spade` their sorted view
-    `matroid.good_flats`; they must give one verdict."""
+    """The search's `_spade_holds` runs `check_spade` with the forced
+    weights, and False off 2-connected graphs."""
+
+    def test_equals_spade_by_sets_on_default_census(self, census_default):
+        for g in census_default:
+            for delta in range(2, g.m + 2):
+                w = weight_function(g, delta)
+                expected = w is not None and check_spade_by_sets(g, w)
+                assert constructions._spade_holds(g, delta) == expected, (g, delta)
+            # a pendant vertex hangs from a cut vertex
+            pairs = [(e.u, e.v) for e in g.edges] + [(0, g.n)]
+            pendant = Multigraph.from_edge_list(g.n + 1, pairs)
+            assert not any(constructions._spade_holds(pendant, d) for d in range(2, g.m + 3))
 
     @settings(max_examples=60, deadline=None)
     @given(two_connected_multigraphs())
@@ -869,17 +880,19 @@ class TestLazySearchEqualsEager:
             Multigraph, "canonicalize", counted("canonicalize", Multigraph.canonicalize)
         )
         searches = (matroid.good_flat_masks, matroid.edge_kinds)
+        # spade reads the flats through their cached view
+        caches = (*searches, matroid.good_flats)
 
         def misses():
             return [search.cache_info().misses for search in searches]
 
-        for search in searches:
-            search.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         eager = decompose_eagerly(graph, delta)
         eager_calls, eager_misses = dict(calls), misses()
         calls.update(glue=0, canonicalize=0)
-        for search in searches:
-            search.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         assert decompose(graph, delta) == eager
         assert len(eager.steps) == 1
         assert calls["glue"] == 0 < eager_calls["glue"]

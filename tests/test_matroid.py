@@ -206,6 +206,19 @@ class TestGoodFlats:
             } == {(f.subset, f.edge_mask) for f in flats}
             assert_mask_pairs_match_the_pass(g)
 
+    def test_view_holds_the_masks_on_default_census(self, census_default):
+        # each flat's subset is the vertex set of its mask, and the view
+        # lists the mask pairs, each once, by size, then in combinations
+        # order (the sorted vertex tuples of one size, lexicographically)
+        for g in census_default:
+            flats = matroid.good_flats(g)
+            for flat in flats:
+                assert flat.subset == {v for v in range(g.n) if flat.mask >> v & 1}
+            pairs = matroid.good_flat_masks(g)
+            assert len(flats) == len(pairs) and set(flats) == set(pairs)
+            keys = [(len(f.subset), sorted(f.subset)) for f in flats]
+            assert keys == sorted(keys)
+
     @pytest.mark.parametrize("delta", [2, 3, 4])
     def test_mask_pairs_match_the_pass_on_glued_graphs(self, delta):
         rng = random.Random(delta)
